@@ -12,7 +12,7 @@ each contract into a merge gate:
 * **CDAS002 async purity** — no blocking calls inside ``async def``
   bodies on the service/gateway/cluster event loop.
 * **CDAS003 durability ordering** — journal-before-apply in the durable
-  wrapper; flush-before-ack in the gateway routes.
+  service's ``super()`` mutations; flush-before-ack in the gateway routes.
 * **CDAS004 codec closure** — every dataclass in a journal/RPC boundary
   module is registered with the §12 codec.
 * **CDAS005 seam parity** — remote/async service seams and protocol

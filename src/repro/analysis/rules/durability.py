@@ -2,15 +2,16 @@
 
 Two places own the durability ordering contract:
 
-* ``repro/durability/service.py`` — every method of the durable wrapper
-  that mutates the inner scheduler (``self.service.submit`` /
-  ``self.service._cancel`` / ``self.service.register_tenant``) must emit
-  a journal record (``self._observed`` / ``self._append``) **in the same
-  function**.  For cancels the record must be written *ahead* of the
-  mutation (a cancel has immediate market side effects; an acknowledged
-  cancel must survive kill -9).  Submissions validate first and journal
-  before any pump step can publish — same-function emission is the
-  static shape of that contract.
+* ``repro/durability/service.py`` — every override of the journaled
+  service subclass that applies a scheduler mutation through its base
+  class (``super().submit`` / ``super()._cancel`` /
+  ``super().register_tenant``) must emit a journal record
+  (``self._observed`` / ``self._append``) **in the same function**.  For
+  cancels the record must be written *ahead* of the mutation (a cancel
+  has immediate market side effects; an acknowledged cancel must survive
+  kill -9).  Submissions validate first and journal before any pump step
+  can publish — same-function emission is the static shape of that
+  contract.
 
 * ``repro/gateway/routes.py`` — a route that performs a mutating call
   (``.submit(...)`` / ``.cancel(...)``) must flush the journal *after*
@@ -37,26 +38,28 @@ from repro.analysis.registry import Rule, in_scope
 if TYPE_CHECKING:
     from repro.analysis.engine import Module, Project
 
-#: Inner-service attribute calls that mutate scheduler state.
+#: Base-class service calls that mutate scheduler state.
 SERVICE_MUTATORS = ("submit", "_cancel", "register_tenant")
 #: Mutators whose journal record must be written *ahead* of the call.
 WRITE_AHEAD_MUTATORS = ("_cancel",)
-#: Journal-emission calls inside the durable wrapper.
+#: Journal-emission calls inside the durable service.
 JOURNAL_EMITTERS = ("_observed", "_append")
 
 #: Route-level mutating attribute calls.
 ROUTE_MUTATORS = ("submit", "cancel")
 
 
-def _self_service_call(call: ast.Call) -> str | None:
-    """``self.service.X(...)`` → ``X`` when X is a service mutator."""
-    name = dotted_name(call.func)
-    if name is None:
-        return None
-    parts = name.split(".")
-    if len(parts) == 3 and parts[0] == "self" and parts[1] == "service":
-        if parts[2] in SERVICE_MUTATORS:
-            return parts[2]
+def _super_call(call: ast.Call) -> str | None:
+    """``super().X(...)`` → ``X`` when X is a service mutator."""
+    func = call.func
+    if (
+        isinstance(func, ast.Attribute)
+        and func.attr in SERVICE_MUTATORS
+        and isinstance(func.value, ast.Call)
+        and isinstance(func.value.func, ast.Name)
+        and func.value.func.id == "super"
+    ):
+        return func.attr
     return None
 
 
@@ -89,7 +92,7 @@ class DurabilityOrderingRule(Rule):
         if in_scope(module.relpath, self.routes_scope):
             yield from self._check_routes(module)
 
-    # -- durable wrapper: journal-before-apply -----------------------------
+    # -- durable service: journal-before-apply ----------------------------
 
     def _check_wrapper(self, module: "Module") -> Iterator[Finding]:
         for fn in ast.walk(module.tree):
@@ -100,7 +103,7 @@ class DurabilityOrderingRule(Rule):
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue
-                mutator = _self_service_call(node)
+                mutator = _super_call(node)
                 if mutator is not None:
                     mutations.append((mutator, node))
                 elif _journal_emission(node):
@@ -111,7 +114,7 @@ class DurabilityOrderingRule(Rule):
                         module,
                         call.lineno,
                         call.col_offset,
-                        f"scheduler mutation self.service.{mutator}() is not "
+                        f"scheduler mutation super().{mutator}() is not "
                         "dominated by a journal record: no self._observed()/"
                         "self._append() in the same function — journal-"
                         "before-apply (DESIGN.md §12)",
@@ -125,7 +128,7 @@ class DurabilityOrderingRule(Rule):
                         module,
                         call.lineno,
                         call.col_offset,
-                        f"write-ahead violation: self.service.{mutator}() "
+                        f"write-ahead violation: super().{mutator}() "
                         "runs before any journal record is emitted — a "
                         "cancel's record must be durable before the market "
                         "forfeits (DESIGN.md §12)",

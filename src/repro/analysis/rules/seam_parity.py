@@ -1,12 +1,14 @@
 """CDAS005 — duck-typed seams must keep method/arity parity.
 
 The gateway serves ``/v1`` against *either* an in-process
-:class:`AsyncSchedulerService`/:class:`AsyncQueryHandle` or the cluster
-layer's :class:`RemoteShardService`/:class:`RemoteQueryHandle`
-(DESIGN.md §13–14) — there is no shared base class, only a duck-typed
-contract.  Protocols (``MarketBackend``, ``JournalStore``) carry the
-same risk: an implementor that drifts (renamed method, changed arity)
-fails at runtime in whichever code path hits it first.
+:class:`AsyncSchedulerService` or the cluster layer's
+:class:`RemoteShardService` (DESIGN.md §13–14) — there is no shared base
+class, only a duck-typed contract.  Their query handles need no check:
+both subclass :class:`~repro.engine.aio.AsyncHandleBase`, which defines
+the handle surface once.  Protocols (``MarketBackend``, ``JournalStore``)
+carry the same risk as the service seam: an implementor that drifts
+(renamed method, changed arity) fails at runtime in whichever code path
+hits it first.
 
 Two checks:
 
@@ -72,15 +74,6 @@ SEAM_PAIRS = (
             "handles", "idle", "steps_taken",
         ),
     ),
-    SeamPair(
-        reference=("repro/engine/aio.py", "AsyncQueryHandle"),
-        mirror=("repro/cluster/router.py", "RemoteQueryHandle"),
-        members=(
-            "job_name", "query", "tenant", "state", "done", "spend",
-            "plan", "stranded", "progress", "result", "cancel",
-            "subscribe", "unsubscribe", "updates",
-        ),
-    ),
 )
 
 #: Protocols whose implementors are found by anchor method.
@@ -130,8 +123,8 @@ class SeamParityRule(Rule):
     id = "CDAS005"
     name = "seam-parity"
     description = (
-        "duck-typed remote/async service seams and protocol implementors "
-        "keep method-name and arity parity with their contracts"
+        "the async/remote service seam and protocol implementors keep "
+        "method-name and arity parity with their contracts"
     )
 
     def __init__(

@@ -44,6 +44,8 @@ from typing import Any
 from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
 from repro.cluster.shards import assign_shard, shard_names
 from repro.durability import codec as dcodec
+from repro.durability.journal import JournalFailed
+from repro.engine.aio import AsyncHandleBase
 from repro.engine.planner import PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
@@ -125,44 +127,17 @@ class _SubjectOnly:
     subject: str
 
 
-class _RemoteSyncHandle:
-    """The ``ahandle.handle`` sync view the gateway reads (seq/done)."""
-
-    def __init__(self, parent: "RemoteQueryHandle") -> None:
-        self._parent = parent
-
-    @property
-    def seq(self) -> int:
-        return self._parent.seq
-
-    @property
-    def done(self) -> bool:
-        return self._parent.done
-
-    @property
-    def state(self) -> QueryState:
-        return self._parent.state
-
-    def progress(self) -> QueryProgress:
-        return self._parent.progress()
-
-    def result(self) -> Any:
-        raise RuntimeError(
-            "a remote handle has no sync result(); await result() or read "
-            "result_summary()"
-        )
-
-
-class RemoteQueryHandle:
+class RemoteQueryHandle(AsyncHandleBase):
     """A shard-resident query observed through pushed snapshots.
 
-    Duck-types the :class:`~repro.engine.aio.AsyncQueryHandle` surface
-    every gateway path touches — identity properties, ``progress()``,
+    The :class:`~repro.engine.aio.AsyncHandleBase` body (identity,
     ``subscribe``/``unsubscribe``/``updates``, ``stranded``, ``await
-    result()``, ``await cancel()`` — over a router-side cache that
-    worker pushes keep current.  Two remote-only duck-type hooks,
-    ``result_summary()`` and ``error_text``, let the gateway codec
-    serve terminal payloads without holding the live result object.
+    result()``) over a router-side cache that worker pushes keep
+    current: progress arrives as ``_apply``/``_absorb`` frames, ``cancel``
+    is an RPC, and a DONE query's terminal value is the wire's canonical
+    ``result_summary`` (the live result object stays in the worker).  Two
+    remote-only duck-type hooks, ``result_summary()`` and ``error_text``,
+    let the gateway codec serve terminal payloads.
 
     Updates freeze at the first terminal snapshot: a late or reordered
     push can never un-finish a query (the cancel response and the pump's
@@ -175,21 +150,19 @@ class RemoteQueryHandle:
         snapshot: dict[str, Any],
         query: Any = None,
     ) -> None:
-        self._service = service
-        self.seq = int(snapshot["seq"])
-        self._tenant = str(snapshot["tenant"])
-        self._job = str(snapshot["job"])
-        self._subject = str(snapshot.get("subject", ""))
-        self._query = query if query is not None else _SubjectOnly(self._subject)
+        subject = str(snapshot.get("subject", ""))
+        super().__init__(
+            service,
+            int(snapshot["seq"]),
+            str(snapshot["job"]),
+            query if query is not None else _SubjectOnly(subject),
+            str(snapshot["tenant"]),
+        )
         plan = snapshot.get("plan")
         self._plan = None if plan is None else RemotePlan(plan)
         self._last = progress_from_dict(snapshot["progress"])
         self._result: dict[str, Any] | None = snapshot.get("result")
         self._error: str | None = snapshot.get("error")
-        self._stranded: BaseException | None = None
-        self._queues: list[asyncio.Queue[QueryProgress]] = []
-        self._terminal = asyncio.Event()
-        self.handle = _RemoteSyncHandle(self)
         if self._last.state in TERMINAL_STATES:
             self._terminal.set()
         elif self._error is not None:
@@ -198,33 +171,11 @@ class RemoteQueryHandle:
             self._stranded = RuntimeError(self._error)
             self._terminal.set()
 
-    def __repr__(self) -> str:
-        return (
-            f"RemoteQueryHandle(shard={self._service.name!r}, seq={self.seq}, "
-            f"subject={self._subject!r}, state={self.state.value!r})"
-        )
-
-    # -- identity / observation (sync, cache reads) --------------------------
-
-    @property
-    def job_name(self) -> str:
-        return self._job
-
-    @property
-    def query(self) -> Any:
-        return self._query
-
-    @property
-    def tenant(self) -> str:
-        return self._tenant
+    # -- observation (sync, cache reads) -------------------------------------
 
     @property
     def state(self) -> QueryState:
         return self._last.state
-
-    @property
-    def done(self) -> bool:
-        return self._last.state in TERMINAL_STATES
 
     @property
     def spend(self) -> float:
@@ -233,10 +184,6 @@ class RemoteQueryHandle:
     @property
     def plan(self) -> RemotePlan | None:
         return self._plan
-
-    @property
-    def stranded(self) -> BaseException | None:
-        return self._stranded
 
     def progress(self) -> QueryProgress:
         return self._last
@@ -251,36 +198,14 @@ class RemoteQueryHandle:
     def error_text(self) -> str:
         return self._error or "failed"
 
-    # -- awaitables ----------------------------------------------------------
+    # -- terminal value and cancel -------------------------------------------
 
-    async def result(self, timeout: float | None = None) -> Any:
-        """Await the terminal push; return the canonical result summary.
-
-        The remote twin of :meth:`AsyncQueryHandle.result` — same
-        timeout/strand/cancel semantics, but a DONE query yields the
-        wire's ``result_summary`` dict (the live result object stays in
-        the worker process).
-        """
-        if not self._terminal.is_set():
-            if timeout is None:
-                await self._terminal.wait()
-            else:
-                try:
-                    await asyncio.wait_for(self._terminal.wait(), timeout)
-                except asyncio.TimeoutError:
-                    raise TimeoutError(
-                        f"query {self._subject!r} still "
-                        f"{self._last.state.value} after {timeout}s"
-                    ) from None
+    def _terminal_value(self) -> Any:
         state = self._last.state
-        if state not in TERMINAL_STATES:
-            raise self._stranded or RuntimeError(
-                f"query {self._subject!r} stranded while {state.value}"
-            )
         if state is QueryState.DONE:
             return self._result
         if state is QueryState.CANCELLED:
-            raise QueryCancelled(f"query {self._subject!r} was cancelled")
+            raise QueryCancelled(f"query {self.query.subject!r} was cancelled")
         raise self._stranded or RuntimeError(self.error_text)
 
     async def cancel(self) -> bool:
@@ -301,49 +226,6 @@ class RemoteQueryHandle:
         await asyncio.sleep(0)
         return bool(reply.get("cancelled"))
 
-    # -- streaming (identical contract to AsyncQueryHandle) ------------------
-
-    def subscribe(self, max_pending: int = 256) -> "asyncio.Queue[QueryProgress]":
-        if max_pending < 1:
-            raise ValueError(f"max_pending must be ≥ 1, got {max_pending}")
-        queue: asyncio.Queue[QueryProgress] = asyncio.Queue(maxsize=max_pending)
-        self._queues.append(queue)
-        return queue
-
-    def unsubscribe(self, queue: "asyncio.Queue[QueryProgress]") -> None:
-        try:
-            self._queues.remove(queue)
-        except ValueError:
-            pass
-
-    async def updates(self, max_pending: int = 256):
-        queue = self.subscribe(max_pending=max_pending)
-        try:
-            last = self.progress()
-            yield last
-            while last.state not in TERMINAL_STATES and self._stranded is None:
-                snapshot = await queue.get()
-                if snapshot == last:
-                    continue
-                last = snapshot
-                yield snapshot
-        finally:
-            self.unsubscribe(queue)
-
-    @staticmethod
-    def _offer(
-        queue: "asyncio.Queue[QueryProgress]", snapshot: QueryProgress
-    ) -> None:
-        while True:
-            try:
-                queue.put_nowait(snapshot)
-                return
-            except asyncio.QueueFull:
-                try:
-                    queue.get_nowait()
-                except asyncio.QueueEmpty:  # pragma: no cover - racing consumer
-                    pass
-
     # -- push application ----------------------------------------------------
 
     def _apply(self, progress: dict[str, Any]) -> None:
@@ -354,8 +236,7 @@ class RemoteQueryHandle:
         if snapshot == self._last:
             return
         self._last = snapshot
-        for queue in self._queues:
-            self._offer(queue, snapshot)
+        self._push(snapshot)
         if snapshot.state in TERMINAL_STATES:
             self._terminal.set()
 
@@ -374,27 +255,20 @@ class RemoteQueryHandle:
         changed = progress != self._last
         self._last = progress
         if changed:
-            for queue in self._queues:
-                self._offer(queue, progress)
+            self._push(progress)
         if progress.state in TERMINAL_STATES:
             self._terminal.set()
         elif snapshot.get("error") is not None:
             # Stranded on the worker with no terminal state to reach.
-            self._stranded = RuntimeError(str(snapshot["error"]))
-            self._terminal.set()
-            for queue in self._queues:
-                self._offer(queue, progress)
+            self._mark_stranded(RuntimeError(str(snapshot["error"])), progress)
 
     def _shard_died(self, error: ShardDied) -> None:
         """The shard is gone for good: report FAILED instead of hanging."""
         if self._terminal.is_set():
             return
-        self._stranded = error
         self._error = str(error)
         self._last = dataclasses.replace(self._last, state=QueryState.FAILED)
-        self._terminal.set()
-        for queue in self._queues:
-            self._offer(queue, self._last)
+        self._mark_stranded(error, self._last)
 
 
 class RemoteShardService:
@@ -593,6 +467,8 @@ class RemoteShardService:
             )
         if exc.kind == "admission-rejected":
             return AdmissionRejected(str(exc))
+        if exc.kind == "journal-failed":
+            return JournalFailed(str(exc))
         if exc.kind == "bad-request":
             return ValueError(str(exc))
         return RuntimeError(str(exc))

@@ -15,13 +15,18 @@ submitted (or recovered) handle gets a pump task streaming changed
 progress snapshots as ``progress`` events, a ``terminal`` event carries
 the canonical result summary (or error) plus fresh shard stats, and
 drains push a ``stats`` event — so the router's poll/metrics/SSE paths
-are all local reads of its caches, never a blocking round trip.
+are all local reads of its caches, never a blocking round trip.  Stats
+are the gateway's per-service ``/v1/metrics`` entry
+(:func:`repro.scenarios.service_stats`) plus the shard's ``idle`` flag.
 
-With a journal the worker composes durability unchanged: fresh journals
-wrap the service in :class:`DurableSchedulerService`, non-empty ones are
-*recovered* (same query ids, no re-charge) before serving, and submits
-are flushed to disk before their RPC response leaves — the same
-barrier-before-ack rule the HTTP gateway applies before its 201.
+With a journal the worker composes durability unchanged: a fresh
+journal makes the service a :class:`DurableSchedulerService` (the
+journaled ``SchedulerService`` subclass), non-empty ones are *recovered*
+(same query ids, no re-charge) before serving, and submits are flushed
+to disk before their RPC response leaves — the same barrier-before-ack
+rule the HTTP gateway applies before its 201.  A journal store error
+stops the service (``JournalFailed``) and answers every later request
+with the ``journal-failed`` wire error.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from typing import Any
 from repro.cluster.rpc import read_frame, write_frame
 from repro.cluster.workloads import WORKLOADS
 from repro.durability import codec as dcodec
+from repro.durability.journal import JournalFailed
 from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService
 from repro.engine.planner import PlanInfeasible
 from repro.engine.service import TERMINAL_STATES, AdmissionRejected
@@ -56,7 +62,7 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
     progress = ahandle.progress()
     plan = ahandle.plan
     snapshot: dict[str, Any] = {
-        "seq": ahandle.handle.seq,
+        "seq": ahandle.seq,
         "tenant": ahandle.tenant,
         "job": ahandle.job_name,
         "subject": ahandle.query.subject,
@@ -67,10 +73,7 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
     if state == "done":
         snapshot["result"] = result_summary(ahandle.handle.result())
     elif state == "failed":
-        sync = ahandle.handle
-        record = getattr(sync, "_record", None)
-        if record is None:
-            record = sync._inner._record
+        record = ahandle.handle._record
         snapshot["error"] = (
             str(record.error) if record.error is not None else "failed"
         )
@@ -97,24 +100,12 @@ class _Worker:
         self.outbox.put_nowait(frame)
 
     def stats(self) -> dict[str, Any]:
-        from repro.scenarios import ledger_summary
+        from repro.scenarios import service_stats
 
-        service = self.service
-        assert service is not None
-        states: dict[str, int] = {}
-        for ahandle in service.handles:
-            key = ahandle.state.value
-            states[key] = states.get(key, 0) + 1
-        inner = service.service
-        journal_stats = getattr(inner, "journal_stats", None)
-        return {
-            "steps_taken": service.steps_taken,
-            "drains": self.drains,
-            "queries": states,
-            "ledger": ledger_summary(inner.engine.market.ledger),
-            "journal": None if journal_stats is None else journal_stats(),
-            "idle": service.idle,
-        }
+        assert self.service is not None
+        stats = service_stats(self.service, self.drains)
+        stats["idle"] = self.service.idle
+        return stats
 
     def _flush(self) -> None:
         flush = getattr(self.service.service, "flush_journal", None)
@@ -125,7 +116,7 @@ class _Worker:
         """Stream one handle's changed snapshots to the router."""
         self._pumps.append(
             asyncio.get_running_loop().create_task(
-                self._pump(ahandle), name=f"cdas-shard-pump-{ahandle.handle.seq}"
+                self._pump(ahandle), name=f"cdas-shard-pump-{ahandle.seq}"
             )
         )
 
@@ -144,14 +135,14 @@ class _Worker:
                     self._flush()
                     self.post({
                         "event": "terminal",
-                        "seq": ahandle.handle.seq,
+                        "seq": ahandle.seq,
                         "snapshot": handle_snapshot(ahandle),
                         "stats": self.stats(),
                     })
                     return
                 self.post({
                     "event": "progress",
-                    "seq": ahandle.handle.seq,
+                    "seq": ahandle.seq,
                     "progress": snapshot.to_dict(),
                 })
         finally:
@@ -197,7 +188,7 @@ class _Worker:
         if recovered:
             for handle in inner.handles:
                 ahandle = service.adopt(handle)
-                if not ahandle.handle.done:
+                if not ahandle.done:
                     self.pump(ahandle)
                     live = True
         if live:
@@ -270,7 +261,7 @@ class _Worker:
     async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
         seq = int(params["seq"])
         for ahandle in self.service.handles:
-            if ahandle.handle.seq == seq:
+            if ahandle.seq == seq:
                 cancelled = await ahandle.cancel()
                 self._flush()
                 return {
@@ -309,6 +300,8 @@ def _error_payload(exc: BaseException) -> dict[str, Any]:
         }
     if isinstance(exc, AdmissionRejected):
         return {"kind": "admission-rejected", "message": str(exc)}
+    if isinstance(exc, JournalFailed):
+        return {"kind": "journal-failed", "message": str(exc)}
     if isinstance(exc, (KeyError, ValueError, dcodec.CodecError)):
         return {"kind": "bad-request", "message": str(exc)}
     return {"kind": "internal", "message": f"{type(exc).__name__}: {exc}"}

@@ -1,8 +1,8 @@
 """Durable service state: write-ahead journal, snapshots, crash recovery.
 
 The service core (``repro.engine.service``) is deliberately in-memory and
-sans-IO; this package wraps it with a versioned write-ahead journal of
-service-state events so a killed process can be reconstructed exactly:
+sans-IO; this package subclasses it with a versioned write-ahead journal
+of service-state events so a killed process can be reconstructed exactly:
 
 * :mod:`repro.durability.journal` — the record taxonomy and the pluggable
   :class:`JournalStore` protocol (JSONL file store, sqlite store) with
@@ -12,7 +12,9 @@ service-state events so a killed process can be reconstructed exactly:
 * :mod:`repro.durability.snapshot` — quiescent-point snapshot compaction:
   recovery loads the snapshot and replays only the journal tail.
 * :mod:`repro.durability.service` — :class:`DurableSchedulerService`, the
-  journaling wrapper around :class:`~repro.engine.service.SchedulerService`.
+  journaling subclass of :class:`~repro.engine.service.SchedulerService`
+  whose handles are plain ``QueryHandle`` objects.  A store error is
+  fail-stop: the service raises :class:`JournalFailed` from then on.
 * :mod:`repro.durability.recovery` — :func:`recover`, which rebuilds a
   service from its journal (plus optional snapshot) and resumes standing
   queries exactly where they stopped.
@@ -35,6 +37,7 @@ from repro.durability.journal import (
     JOURNAL_VERSION,
     FileJournalStore,
     JournalError,
+    JournalFailed,
     JournalStore,
     SqliteJournalStore,
     open_store,
@@ -46,7 +49,7 @@ from repro.durability.recovery import (
     outcome_summary,
     recover,
 )
-from repro.durability.service import DurableQueryHandle, DurableSchedulerService
+from repro.durability.service import DurableSchedulerService
 from repro.durability.snapshot import SNAPSHOT_VERSION, SnapshotError
 
 __all__ = [
@@ -55,10 +58,10 @@ __all__ = [
     "JOURNAL_FORMAT",
     "JOURNAL_VERSION",
     "SNAPSHOT_VERSION",
-    "DurableQueryHandle",
     "DurableSchedulerService",
     "FileJournalStore",
     "JournalError",
+    "JournalFailed",
     "JournalStore",
     "RecoveryDivergence",
     "RecoveryError",

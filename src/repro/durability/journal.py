@@ -60,6 +60,14 @@ class JournalError(RuntimeError):
     """A journal could not be read, parsed or version-matched."""
 
 
+class JournalFailed(JournalError):
+    """A store append or commit raised: the service is poisoned (fail-stop).
+
+    Memory may now be ahead of disk, so the service refuses every further
+    action; recovering the on-disk prefix is the only way forward.
+    """
+
+
 def make_header(
     *,
     seed: int | None,

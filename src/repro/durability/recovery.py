@@ -11,7 +11,7 @@ against the journaled one — a single mismatch raises
 :class:`RecoveryDivergence` rather than silently resuming a different
 run.
 
-When the journal tail is exhausted the wrapper flips back to append
+When the journal tail is exhausted the service flips back to append
 mode: the recovered service keeps journaling into the same store,
 resumes standing queries where they stopped, and can itself crash and
 recover again.  In-flight HITs at the crash point are re-armed simply by
@@ -99,15 +99,13 @@ def recover(
             "diverge immediately"
         )
     cfg = header["service"]
-    service = system.service(
+    durable = system._build_service(
+        DurableSchedulerService,
+        backend,
         max_in_flight=cfg["max_in_flight"],
         track_trajectories=cfg["track_trajectories"],
         allocation=cfg["allocation"],
-        backend=backend,
-    )
-    durable = DurableSchedulerService(
-        service,
-        store,
+        store=store,
         snapshot_every=cfg.get("snapshot_every"),
         _recovering=True,
     )

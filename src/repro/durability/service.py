@@ -1,9 +1,13 @@
-"""The journaling wrapper around :class:`SchedulerService`.
+"""The journaled :class:`SchedulerService` subclass.
 
-:class:`DurableSchedulerService` mirrors the service surface (submit /
-plan / cancel / step / run_until_idle / handles) while writing every
-external action and every lifecycle progress mark to a
-:class:`~repro.durability.journal.JournalStore`:
+:class:`DurableSchedulerService` is a :class:`SchedulerService` that
+writes every external action and every lifecycle progress mark to a
+:class:`~repro.durability.journal.JournalStore`.  It overrides only the
+journaled members; everything else — planning, tenant reads, the
+handles it issues — is the base class's, so its handles are plain
+:class:`~repro.engine.service.QueryHandle`\\ s whose ``result()`` pumps
+the overridden :meth:`~DurableSchedulerService.step` and whose
+``cancel()`` goes through the overridden ``_cancel``:
 
 * **Actions** (tenant registration, submissions, cancels) are journaled
   with the current service *tick* and committed before the call returns.
@@ -16,38 +20,39 @@ external action and every lifecycle progress mark to a
   engine layer and group-committed; they exist so recovery can *verify*
   its deterministic re-execution record-by-record.
 
+Journal errors are fail-stop: the first store append or commit that
+raises poisons the service, which raises
+:class:`~repro.durability.journal.JournalFailed` then and on every later
+action — it never runs ahead of its journal.
+
 The same class runs recovery's replay: constructed with the journal tail
 as ``expected`` records, every would-be append is instead compared
 against the tail (:class:`~repro.durability.recovery.RecoveryDivergence`
-on mismatch) and the wrapper switches back to append mode the moment the
+on mismatch) and the service switches back to append mode the moment the
 tail is exhausted — so a recovered service keeps journaling into the
 same store and can itself crash and recover again.
 """
 
 from __future__ import annotations
 
-import time
 from typing import TYPE_CHECKING, Any
 
 from repro.durability import codec
 from repro.durability.journal import (
     JournalError,
+    JournalFailed,
     JournalStore,
     make_header,
 )
-from repro.engine.scheduler import sleep_until_arrival
 from repro.engine.service import (
     TERMINAL_STATES,
-    QueryCancelled,
     QueryHandle,
-    QueryProgress,
-    QueryState,
     SchedulerService,
     TenantPolicy,
 )
 
 if TYPE_CHECKING:
-    from repro.engine.planner import PlanDecision, QueryPlan
+    from repro.engine.planner import QueryPlan
     from repro.engine.query import Query
 
 
@@ -57,7 +62,7 @@ def _spend_of(record: Any, ledger: Any) -> float:
 
 
 class _JournalObserver:
-    """Engine-layer hooks funnelled into the durable wrapper's journal."""
+    """Engine-layer hooks funnelled into the durable service's journal."""
 
     __slots__ = ("_durable",)
 
@@ -93,7 +98,7 @@ class _JournalObserver:
 
     def on_complete(self, record: Any) -> None:
         d = self._durable
-        ledger = d.service.engine.market.ledger
+        ledger = d.engine.market.ledger
         d._observed(
             {
                 "k": "done",
@@ -105,101 +110,7 @@ class _JournalObserver:
         )
 
 
-class DurableQueryHandle:
-    """A :class:`QueryHandle` whose pump and cancel go through the journal."""
-
-    def __init__(
-        self, durable: "DurableSchedulerService", inner: QueryHandle
-    ) -> None:
-        self._durable = durable
-        self._inner = inner
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Durable{self._inner!r}"
-
-    # -- identity ------------------------------------------------------------
-
-    @property
-    def seq(self) -> int:
-        return self._inner._record.seq
-
-    @property
-    def job_name(self) -> str:
-        return self._inner.job_name
-
-    @property
-    def query(self) -> "Query":
-        return self._inner.query
-
-    @property
-    def tenant(self) -> str:
-        return self._inner.tenant
-
-    @property
-    def plan(self) -> "QueryPlan | None":
-        return self._inner.plan
-
-    @property
-    def reserved(self) -> float:
-        return self._inner.reserved
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def state(self) -> QueryState:
-        return self._inner.state
-
-    @property
-    def done(self) -> bool:
-        return self._inner.done
-
-    def progress(self) -> QueryProgress:
-        return self._inner.progress()
-
-    @property
-    def spend(self) -> float:
-        return self._inner.spend
-
-    def result(self, timeout: float | None = None) -> Any:
-        """As :meth:`QueryHandle.result`, pumping the *durable* service so
-        every step is tick-counted and journaled."""
-        durable = self._durable
-        deadline = None if timeout is None else time.monotonic() + timeout
-        while not self.done:
-            if deadline is not None and time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"query {self.query.subject!r} still "
-                    f"{self.state.value} after {timeout}s"
-                )
-            if durable.step():
-                continue
-            eta = durable.next_arrival_eta()
-            if eta is None:
-                break
-            if deadline is not None:
-                eta = min(eta, deadline - time.monotonic())
-            sleep_until_arrival(eta)
-        record = self._inner._record
-        if record.state is QueryState.DONE:
-            return record.result_value
-        if record.state is QueryState.CANCELLED:
-            raise QueryCancelled(f"query {self.query.subject!r} was cancelled")
-        if record.error is not None:
-            raise record.error
-        raise RuntimeError(
-            f"service went idle with query {self.query.subject!r} "
-            f"{record.state.value}"
-        )
-
-    def cancel(self) -> bool:
-        """Charge-final cancel, written ahead to the journal: the cancel
-        record is committed *before* the market backend is told, so an
-        acknowledged cancel survives any crash and recovery can never
-        re-admit or re-charge the query."""
-        return self._durable._cancel(self._inner._record)
-
-
-class DurableSchedulerService:
+class DurableSchedulerService(SchedulerService):
     """A :class:`SchedulerService` with a write-ahead journal attached.
 
     Build one through :meth:`repro.system.CDAS.service` (``journal=``) or
@@ -208,9 +119,9 @@ class DurableSchedulerService:
 
     Parameters
     ----------
-    service:
-        The freshly-built inner service to wrap.  Must not have been
-        stepped or submitted to yet.
+    *args, **kwargs:
+        :class:`SchedulerService`'s own (engine, planner, submitters and
+        the service knobs).
     store:
         The journal store (see :func:`repro.durability.journal.open_store`).
     meta:
@@ -224,14 +135,14 @@ class DurableSchedulerService:
 
     def __init__(
         self,
-        service: SchedulerService,
+        *args: Any,
         store: JournalStore,
-        *,
         meta: dict[str, Any] | None = None,
         snapshot_every: int | None = None,
         _recovering: bool = False,
+        **kwargs: Any,
     ) -> None:
-        self.service = service
+        super().__init__(*args, **kwargs)
         self.store = store
         self.ticks = 0
         #: Journal records currently in the store (header included).
@@ -241,16 +152,15 @@ class DurableSchedulerService:
         #: Total journal records verified during replay.
         self.replayed_records = 0
         self.snapshot_every = snapshot_every
+        #: The store error that poisoned the service, once one has.
+        self.failure: BaseException | None = None
         self._expected: list[dict[str, Any]] = []
         self._cursor = 0
         self._grant_groups: dict[int, list[int]] = {}
         self._marks_since_snapshot = 0
-        self._handles: list[DurableQueryHandle] = []
         self._observer = _JournalObserver(self)
-        service.observer = self._observer
-        for record in service._records:  # pragma: no cover - defensive
-            record.observer = self._observer
-        service.scheduler.add_event_observer(self._observer.on_event)
+        self.observer = self._observer
+        self.scheduler.add_event_observer(self._observer.on_event)
         if not _recovering:
             existing = store.read_records()
             if existing:
@@ -259,11 +169,11 @@ class DurableSchedulerService:
                     "records; use repro.durability.recover() to resume it"
                 )
             self.header = make_header(
-                seed=getattr(service.engine, "seed", None),
+                seed=getattr(self.engine, "seed", None),
                 service={
-                    "max_in_flight": service.max_in_flight,
-                    "allocation": service.admission.allocation,
-                    "track_trajectories": service.scheduler._track,
+                    "max_in_flight": self.max_in_flight,
+                    "allocation": self.admission.allocation,
+                    "track_trajectories": self.scheduler._track,
                     "snapshot_every": snapshot_every,
                 },
                 meta=meta,
@@ -277,8 +187,27 @@ class DurableSchedulerService:
         """Still verifying the journal tail (recovery in progress)."""
         return self._cursor < len(self._expected)
 
+    def _ensure_healthy(self) -> None:
+        """Fail-stop gate: every journaled action calls this first."""
+        if self.failure is not None:
+            raise JournalFailed(
+                f"journal {self.store.path} failed earlier; the service is "
+                "stopped — recover() the on-disk journal to continue"
+            ) from self.failure
+
+    def _store_call(self, op: Any, *args: Any) -> None:
+        """Run one store write; a raise poisons the service."""
+        try:
+            op(*args)
+        except Exception as exc:
+            self.failure = exc
+            raise JournalFailed(
+                f"journal {self.store.path} write failed ({exc}); the service "
+                "is stopped — recover() the on-disk journal to continue"
+            ) from exc
+
     def _append(self, record: dict[str, Any]) -> None:
-        self.store.append(record)
+        self._store_call(self.store.append, record)
         self.journal_offset += 1
         self._marks_since_snapshot += 1
 
@@ -306,7 +235,8 @@ class DurableSchedulerService:
         """Durability barrier: fsync everything appended so far.  The
         async driver calls this whenever it goes dormant or drains, which
         keeps the barrier off the per-event hot loop."""
-        self.store.commit()
+        self._ensure_healthy()
+        self._store_call(self.store.commit)
 
     def journal_stats(self) -> dict[str, Any]:
         """Journal observability counters, as plain JSON-able data.
@@ -336,54 +266,6 @@ class DurableSchedulerService:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
-    # -- delegated surface ---------------------------------------------------
-
-    @property
-    def engine(self) -> Any:
-        return self.service.engine
-
-    @property
-    def scheduler(self) -> Any:
-        return self.service.scheduler
-
-    @property
-    def admission(self) -> Any:
-        return self.service.admission
-
-    @property
-    def max_in_flight(self) -> int:
-        return self.service.max_in_flight
-
-    @property
-    def handles(self) -> tuple[DurableQueryHandle, ...]:
-        return tuple(self._handles)
-
-    def plan(self, *args: Any, **kwargs: Any) -> "QueryPlan":
-        return self.service.plan(*args, **kwargs)
-
-    def preadmit(self, plan: "QueryPlan") -> "PlanDecision":
-        return self.service.preadmit(plan)
-
-    def tenant_spend(self, name: str) -> float:
-        return self.service.tenant_spend(name)
-
-    def tenant_reserved(self, name: str) -> float:
-        return self.service.tenant_reserved(name)
-
-    def tenant_committed(self, name: str) -> float:
-        return self.service.tenant_committed(name)
-
-    def next_arrival_eta(self) -> float | None:
-        return self.service.next_arrival_eta()
-
-    @property
-    def waiting(self) -> bool:
-        return self.service.waiting
-
-    @property
-    def idle(self) -> bool:
-        return self.service.idle
-
     # -- actions -------------------------------------------------------------
 
     def register_tenant(
@@ -392,6 +274,7 @@ class DurableSchedulerService:
         budget_cap: float | None = None,
         priority: float = 1.0,
     ) -> TenantPolicy:
+        self._ensure_healthy()
         self._observed(
             {
                 "k": "tenant",
@@ -401,7 +284,7 @@ class DurableSchedulerService:
                 "priority": priority,
             }
         )
-        return self.service.register_tenant(
+        return super().register_tenant(
             name, budget_cap=budget_cap, priority=priority
         )
 
@@ -416,74 +299,67 @@ class DurableSchedulerService:
         priority: float | None = None,
         reserve: bool | None = None,
         **job_inputs: Any,
-    ) -> DurableQueryHandle:
+    ) -> QueryHandle:
         """As :meth:`SchedulerService.submit`, plus a committed ``submit``
-        record.  The inner submit runs first — an eagerly-refused
+        record.  The base submit runs first — an eagerly-refused
         submission (bad inputs, tenant over cap, infeasible plan) raises
         here with **nothing** journaled, mirroring its zero market
         footprint.  Plan-shape submissions are journaled by their plan's
         bound fields; planning is pure, so recovery re-plans identically.
         """
+        self._ensure_healthy()
+        handle = super().submit(
+            job_name,
+            query,
+            plan=plan,
+            tenant=tenant,
+            budget=budget,
+            priority=priority,
+            reserve=reserve,
+            **job_inputs,
+        )
         if plan is not None:
             mode = "plain" if reserve is False else "reserve"
-            desc_job = plan.job_name
-            desc_query = plan.query
-            desc_tenant: str | None = plan.tenant
-            desc_budget = plan.budget
-            desc_priority = plan.priority
-            desc_inputs = dict(plan.job_inputs)
-            handle = self.service.submit(plan=plan, reserve=reserve)
+            job_name, query, tenant = plan.job_name, plan.query, plan.tenant
+            budget, priority = plan.budget, plan.priority
+            job_inputs = dict(plan.job_inputs)
         else:
             mode = "reserve" if reserve else "plain"
-            desc_job = job_name
-            desc_query = query
-            desc_tenant = tenant
-            desc_budget = budget
-            desc_priority = priority
-            desc_inputs = dict(job_inputs)
-            handle = self.service.submit(
-                job_name,
-                query,
-                tenant=tenant,
-                budget=budget,
-                priority=priority,
-                reserve=reserve,
-                **job_inputs,
-            )
         self._observed(
             {
                 "k": "submit",
                 "t": self.ticks,
-                "q": handle._record.seq,
-                "job": desc_job,
+                "q": handle.seq,
+                "job": job_name,
                 "mode": mode,
-                "tenant": desc_tenant,
-                "budget": desc_budget,
-                "priority": desc_priority,
-                "query": codec.encode(desc_query),
-                "inputs": codec.encode(desc_inputs),
+                "tenant": tenant,
+                "budget": budget,
+                "priority": priority,
+                "query": codec.encode(query),
+                "inputs": codec.encode(job_inputs),
             }
         )
-        wrapped = DurableQueryHandle(self, handle)
-        self._handles.append(wrapped)
-        return wrapped
+        return handle
 
     def _cancel(self, record: Any) -> bool:
+        """Charge-final cancel, written ahead to the journal: the cancel
+        record is committed *before* the market backend is told, so an
+        acknowledged cancel survives any crash and recovery can never
+        re-admit or re-charge the query."""
+        self._ensure_healthy()
         if record.state in TERMINAL_STATES:
             return False
-        # Write-ahead: the cancel must be durable before the backend
-        # forfeits anything, or a crash in between would recover the
-        # query as live and re-charge work the caller was told is dead.
         self._observed({"k": "cancel", "t": self.ticks, "q": record.seq})
-        return self.service._cancel(record)
+        return super()._cancel(record)
 
     # -- the pump ------------------------------------------------------------
 
     def step(self) -> bool:
-        """One tick: pump the inner service once (journaling its progress
+        """One tick: pump the service once (journaling its progress
         marks), then maybe auto-snapshot at a quiescent point."""
+        self._ensure_healthy()
         self.ticks += 1
-        stepped = self.service.step()
+        stepped = super().step()
         if (
             self.snapshot_every is not None
             and not self.replaying
@@ -492,30 +368,15 @@ class DurableSchedulerService:
             # Sessions that just finished stay "in flight" until the next
             # step's reap; reaping here (idempotent, no journal footprint)
             # exposes the quiescent boundary between standing windows.
-            self.service.scheduler.reap()
+            self.scheduler.reap()
             if self.quiescent:
                 self.snapshot()
         return stepped
 
     def run_until_idle(self) -> int:
-        """As :meth:`SchedulerService.run_until_idle`, through the
-        journaled pump; commits the journal tail before returning."""
-        steps = 0
-        while True:
-            if self.step():
-                steps += 1
-                continue
-            eta = self.next_arrival_eta()
-            if eta is None:
-                if self.waiting:
-                    raise RuntimeError(
-                        "HITs in flight but nothing pending yet and no "
-                        "arrival ETA; run_until_idle needs a backend with "
-                        "pre-generated, blocking or ETA-declaring "
-                        "submissions"
-                    )
-                break
-            sleep_until_arrival(eta)
+        """As :meth:`SchedulerService.run_until_idle`; commits the journal
+        tail before returning."""
+        steps = super().run_until_idle()
         self.flush_journal()
         return steps
 
@@ -526,19 +387,19 @@ class DurableSchedulerService:
         """No HITs in flight or pending — the only points a snapshot may
         be taken (all session state is sealed; every unpublished batch is
         regenerable from its journaled submission)."""
-        scheduler = self.service.scheduler
-        return scheduler.in_flight == 0 and scheduler.pending_count == 0
+        return self.scheduler.in_flight == 0 and self.scheduler.pending_count == 0
 
     def snapshot(self, path: Any = None) -> dict[str, Any]:
         """Write a snapshot of the full service state and journal a
         pointer to it; returns the journal record."""
         from repro.durability.snapshot import write_snapshot
 
+        self._ensure_healthy()
         if self.replaying:
             raise JournalError("cannot snapshot while replaying a journal tail")
-        self.service.scheduler.reap()
+        self.scheduler.reap()
         record = write_snapshot(self, path)
         self._append(record)
-        self.store.commit()
+        self._store_call(self.store.commit)
         self._marks_since_snapshot = 0
         return record

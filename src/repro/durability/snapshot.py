@@ -119,14 +119,13 @@ def write_snapshot(
             "snapshots require quiescence (no HITs in flight or pending); "
             "pump the service to a window boundary or idle point first"
         )
-    service = durable.service
     offset = durable.journal_offset
     store_path = Path(durable.store.path)
     target = Path(path) if path is not None else default_snapshot_path(
         store_path, offset
     )
     extras: dict[int, dict[str, Any]] = {}
-    for rec in service._records:
+    for rec in durable._records:
         if rec.state in TERMINAL_STATES:
             continue
         source = rec._peeked_source
@@ -142,10 +141,10 @@ def write_snapshot(
     payload = {
         "version": SNAPSHOT_VERSION,
         "tick": durable.ticks,
-        "events": service.scheduler.events_processed,
+        "events": durable.scheduler.events_processed,
         "offset": offset,
         "extras": extras,
-        "state": _capture_pickle(service),
+        "state": _capture_pickle(durable),
     }
     data = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     target.parent.mkdir(parents=True, exist_ok=True)
@@ -159,7 +158,7 @@ def write_snapshot(
         "version": SNAPSHOT_VERSION,
         "path": stored_path,
         "offset": offset,
-        "events": service.scheduler.events_processed,
+        "events": durable.scheduler.events_processed,
         "digest": hashlib.sha256(data).hexdigest(),
     }
 
@@ -205,20 +204,18 @@ def install_snapshot(
     payload: dict[str, Any],
     submits_by_seq: dict[int, dict[str, Any]],
 ) -> None:
-    """Transplant a snapshot into ``durable``'s freshly-built service and
+    """Transplant a snapshot into the freshly-built ``durable`` service and
     regenerate the stripped batch sources of every active record."""
-    service = durable.service
     state = pickle.loads(payload["state"])
-    service.engine = state["engine"]
-    service.scheduler = state["scheduler"]
-    service.admission = state["admission"]
-    service._records = state["records"]
-    service.observer = durable._observer
-    service.scheduler._on_event = None
-    service.scheduler.add_event_observer(durable._observer.on_event)
+    durable.engine = state["engine"]
+    durable.scheduler = state["scheduler"]
+    durable.admission = state["admission"]
+    durable._records = state["records"]
+    durable.scheduler._on_event = None
+    durable.scheduler.add_event_observer(durable._observer.on_event)
 
     extras = payload["extras"]
-    for rec in service._records:
+    for rec in durable._records:
         if rec.state in TERMINAL_STATES:
             rec.observer = durable._observer
             continue
@@ -229,7 +226,7 @@ def install_snapshot(
                 f"snapshot lacks regeneration info for active query "
                 f"seq={rec.seq}"
             )
-        submitter = service._submitters.get(rec.job_name)
+        submitter = durable._submitters.get(rec.job_name)
         if submitter is None:
             raise SnapshotError(
                 f"recovered system has no submitter for job {rec.job_name!r}"
@@ -240,7 +237,7 @@ def install_snapshot(
         # fast-forward were journaled before the snapshot and must not
         # re-emit.
         rec.observer = None
-        rec.finalize = submitter(service.engine, intake, rec.plan, dict(inputs))
+        rec.finalize = submitter(durable.engine, intake, rec.plan, dict(inputs))
         rec.sources = intake.sources
         rec.groups = [entry.group for entry in intake.sources]
         rec.windows_pulled = 0
@@ -286,12 +283,7 @@ def install_snapshot(
     durable._grant_groups = {
         seq: list(info["group_indices"]) for seq, info in extras.items()
     }
-    service._handles = [QueryHandle(service, rec) for rec in service._records]
-    from repro.durability.service import DurableQueryHandle
-
-    durable._handles = [
-        DurableQueryHandle(durable, inner) for inner in service._handles
-    ]
+    durable._handles = [QueryHandle(durable, rec) for rec in durable._records]
     durable.ticks = payload["tick"]
 
 

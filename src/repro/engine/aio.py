@@ -16,7 +16,9 @@ front door (DESIGN.md §8); the split of responsibilities is strict:
   ``cancel`` sets its wake event — a real await, not a disguised spin.
   The driver exits when the service drains and is restarted lazily by
   the next submission.
-* :class:`AsyncQueryHandle` is the awaitable face of one query:
+* :class:`AsyncQueryHandle` is the awaitable face of one query (its
+  streaming and waiting body, :class:`AsyncHandleBase`, is shared with
+  the cluster layer's remote handles):
   ``await handle.result(timeout=…)`` parks on an :class:`asyncio.Event`
   the driver sets at terminal states (raising :class:`TimeoutError`
   *without* losing the query — it keeps running and can be awaited
@@ -54,6 +56,7 @@ from repro.engine.service import (
 )
 
 __all__ = [
+    "AsyncHandleBase",
     "AsyncQueryHandle",
     "AsyncSchedulerService",
     "ServiceMux",
@@ -71,75 +74,69 @@ __all__ = [
 DEFAULT_UPDATE_QUEUE = 256
 
 
-class AsyncQueryHandle:
-    """Awaitable view of one submitted query.
+class AsyncHandleBase:
+    """The awaitable-handle body shared by local and remote query handles.
 
-    Returned immediately by :meth:`AsyncSchedulerService.submit`; the
-    query advances whenever the service's driver task runs.  Wraps (and
-    exposes, via :attr:`handle`) the sync
-    :class:`~repro.engine.service.QueryHandle`, whose observation surface
-    — ``state`` / ``progress()`` / ``spend`` — stays directly readable at
-    any time without awaiting.
+    Holds the query's identity, the terminal latch and stranded error,
+    the bounded subscriber fan-out (``subscribe`` / ``unsubscribe`` /
+    ``updates``) and the waiting half of ``await result()``.  A subclass
+    supplies only three things:
+
+    * where progress comes from — it reads ``state`` / ``plan`` /
+      ``spend`` / ``progress()`` from its source, calls :meth:`_push`
+      with each changed snapshot and sets ``_terminal`` at terminal
+      states (or calls :meth:`_mark_stranded`);
+    * how :meth:`cancel` gets to the query;
+    * the terminal value :meth:`_terminal_value` returns or raises.
+
+    ``service`` must offer ``_ensure_driver()``: awaiting or subscribing
+    to a live query makes sure something is pumping it.
     """
 
     def __init__(
-        self, service: "AsyncSchedulerService", handle: QueryHandle
+        self, service: Any, seq: int, job_name: str, query: Any, tenant: str
     ) -> None:
-        self._aservice = service
-        self.handle = handle
-        #: Set once the query cannot advance further (terminal, or the
+        self._service = service
+        #: Submission ordinal within the service — stable across
+        #: recovery; the gateway's public query ids are built from it.
+        self.seq = seq
+        self.job_name = job_name
+        self.query = query
+        self.tenant = tenant
+        #: Set once the query cannot advance further (terminal, or its
         #: driver stranded it); awaited by :meth:`result`.
         self._terminal = asyncio.Event()
         self._stranded: BaseException | None = None
         self._queues: list[asyncio.Queue[QueryProgress]] = []
-        self._last_published: QueryProgress | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"AsyncQueryHandle(job={self.job_name!r}, subject="
-            f"{self.query.subject!r}, tenant={self.tenant!r}, "
+            f"{type(self).__name__}(seq={self.seq}, job={self.job_name!r}, "
+            f"subject={self.query.subject!r}, tenant={self.tenant!r}, "
             f"state={self.state.value!r})"
         )
 
-    # -- identity / observation (sync, never awaits) -------------------------
-
-    @property
-    def job_name(self) -> str:
-        return self.handle.job_name
-
-    @property
-    def query(self) -> Query:
-        return self.handle.query
-
-    @property
-    def tenant(self) -> str:
-        return self.handle.tenant
+    # -- observation (sync, never awaits; supplied by the progress source) ---
 
     @property
     def state(self) -> QueryState:
-        return self.handle.state
+        raise NotImplementedError
 
     @property
     def done(self) -> bool:
-        return self.handle.done
+        """Terminal in any way: DONE, CANCELLED or FAILED."""
+        return self.state in TERMINAL_STATES
 
     @property
     def spend(self) -> float:
-        return self.handle.spend
+        raise NotImplementedError
 
     @property
-    def plan(self) -> QueryPlan | None:
-        """The query's EXPLAIN-style plan (see :attr:`QueryHandle.plan`)."""
-        return self.handle.plan
-
-    @property
-    def reserved(self) -> float:
-        """Budget still pinned beyond incurred spend (0 once terminal)."""
-        return self.handle.reserved
+    def plan(self) -> Any:
+        raise NotImplementedError
 
     def progress(self) -> QueryProgress:
-        """Snapshot the query's progress right now (no await needed)."""
-        return self.handle.progress()
+        raise NotImplementedError
 
     @property
     def stranded(self) -> BaseException | None:
@@ -155,10 +152,10 @@ class AsyncQueryHandle:
     async def result(self, timeout: float | None = None) -> Any:
         """Await the query's terminal state; return (or raise) its result.
 
-        A real await: the caller parks on an event the driver sets — no
-        polling loop, no step-pumping in the waiter.  On ``timeout`` the
-        query is *not* cancelled or lost; it keeps running and the handle
-        can be awaited again.
+        A real await: the caller parks on an event the progress source
+        sets — no polling loop, no step-pumping in the waiter.  On
+        ``timeout`` the query is *not* cancelled or lost; it keeps
+        running and the handle can be awaited again.
 
         Raises
         ------
@@ -167,8 +164,8 @@ class AsyncQueryHandle:
         QueryCancelled / AdmissionRejected / Exception
             Exactly as the sync :meth:`QueryHandle.result`.
         """
-        if not self.handle.done:
-            self._aservice._ensure_driver()
+        if not self.done:
+            self._service._ensure_driver()
             if timeout is None:
                 await self._terminal.wait()
             else:
@@ -177,29 +174,22 @@ class AsyncQueryHandle:
                 except asyncio.TimeoutError:
                     raise TimeoutError(
                         f"query {self.query.subject!r} still "
-                        f"{self.handle.state.value} after {timeout}s"
+                        f"{self.state.value} after {timeout}s"
                     ) from None
-        if not self.handle.done:
+        if not self.done:
             raise self._stranded or RuntimeError(
                 f"driver stopped with query {self.query.subject!r} "
-                f"{self.handle.state.value}"
+                f"{self.state.value}"
             )
-        # Terminal: the sync result() returns/raises without pumping.
-        return self.handle.result()
+        return self._terminal_value()
+
+    def _terminal_value(self) -> Any:
+        """The result of a terminal query (or the error it raises)."""
+        raise NotImplementedError
 
     async def cancel(self) -> bool:
-        """Cancel the query (charge-final, as the sync path) and wake
-        everyone: ``result()`` waiters raise
-        :class:`~repro.engine.service.QueryCancelled`, update streams end.
-        Returns ``False`` when the query was already terminal.
-        """
-        cancelled = self.handle.cancel()
-        if cancelled:
-            self._publish()
-            self._aservice._wake_driver()
-            # Let waiters observe the cancellation before we return.
-            await asyncio.sleep(0)
-        return cancelled
+        """Cancel the query, charge-final; ``False`` if already terminal."""
+        raise NotImplementedError
 
     def subscribe(
         self, max_pending: int = DEFAULT_UPDATE_QUEUE
@@ -219,8 +209,8 @@ class AsyncQueryHandle:
         """
         if max_pending < 1:
             raise ValueError(f"max_pending must be ≥ 1, got {max_pending}")
-        if not self.handle.done:
-            self._aservice._ensure_driver()
+        if not self.done:
+            self._service._ensure_driver()
         queue: asyncio.Queue[QueryProgress] = asyncio.Queue(maxsize=max_pending)
         self._queues.append(queue)
         return queue
@@ -238,9 +228,9 @@ class AsyncQueryHandle:
         """Stream progress snapshots until the query is terminal.
 
         Yields the current snapshot immediately, then every *changed*
-        snapshot the driver observes (no duplicates); the final yield is
+        snapshot the source publishes (no duplicates); the final yield is
         the terminal snapshot.  Multiple consumers may stream one handle.
-        A consumer that processes snapshots slower than the driver
+        A consumer that processes snapshots slower than the source
         publishes them observes a coalesced stream: at most
         ``max_pending`` snapshots are held back for it, older pending
         ones are evicted first, and the terminal snapshot always arrives.
@@ -258,14 +248,14 @@ class AsyncQueryHandle:
         finally:
             self.unsubscribe(queue)
 
-    # -- driver side ---------------------------------------------------------
+    # -- progress-source side ------------------------------------------------
 
     @staticmethod
     def _offer(queue: "asyncio.Queue[QueryProgress]", snapshot: QueryProgress) -> None:
         """Non-blocking bounded put: evict the oldest pending snapshot
         when the consumer is full behind.  Snapshots are cumulative, so
         eviction coalesces — the consumer just observes a later state —
-        and the driver never waits on anyone's queue."""
+        and the source never waits on anyone's queue."""
         while True:
             try:
                 queue.put_nowait(snapshot)
@@ -275,6 +265,85 @@ class AsyncQueryHandle:
                     queue.get_nowait()
                 except asyncio.QueueEmpty:  # pragma: no cover - racing consumer
                     pass
+
+    def _push(self, snapshot: QueryProgress) -> None:
+        """Offer one snapshot to every subscriber."""
+        for queue in self._queues:
+            self._offer(queue, snapshot)
+
+    def _mark_stranded(self, error: BaseException, snapshot: QueryProgress) -> None:
+        """The query can no longer advance: wake its waiters with
+        ``error`` and its streams (which re-check the stranded flag)
+        instead of leaving them parked forever."""
+        self._stranded = error
+        self._terminal.set()
+        self._push(snapshot)
+
+
+class AsyncQueryHandle(AsyncHandleBase):
+    """Awaitable view of one query on a local :class:`AsyncSchedulerService`.
+
+    Returned immediately by :meth:`AsyncSchedulerService.submit`; the
+    query advances whenever the service's driver task runs, and the
+    driver publishes its progress (:meth:`_publish`).  Wraps (and
+    exposes, via :attr:`handle`) the sync
+    :class:`~repro.engine.service.QueryHandle`, whose observation surface
+    — ``state`` / ``progress()`` / ``spend`` — stays directly readable at
+    any time without awaiting.
+    """
+
+    def __init__(
+        self, service: "AsyncSchedulerService", handle: QueryHandle
+    ) -> None:
+        super().__init__(
+            service, handle.seq, handle.job_name, handle.query, handle.tenant
+        )
+        self.handle = handle
+        self._last_published: QueryProgress | None = None
+
+    # -- observation (sync reads of the sync handle) -------------------------
+
+    @property
+    def state(self) -> QueryState:
+        return self.handle.state
+
+    @property
+    def spend(self) -> float:
+        return self.handle.spend
+
+    @property
+    def plan(self) -> QueryPlan | None:
+        """The query's EXPLAIN-style plan (see :attr:`QueryHandle.plan`)."""
+        return self.handle.plan
+
+    @property
+    def reserved(self) -> float:
+        """Budget still pinned beyond incurred spend (0 once terminal)."""
+        return self.handle.reserved
+
+    def progress(self) -> QueryProgress:
+        """Snapshot the query's progress right now (no await needed)."""
+        return self.handle.progress()
+
+    def _terminal_value(self) -> Any:
+        # Terminal: the sync result() returns/raises without pumping.
+        return self.handle.result()
+
+    async def cancel(self) -> bool:
+        """Cancel the query (charge-final, as the sync path) and wake
+        everyone: ``result()`` waiters raise
+        :class:`~repro.engine.service.QueryCancelled`, update streams end.
+        Returns ``False`` when the query was already terminal.
+        """
+        cancelled = self.handle.cancel()
+        if cancelled:
+            self._publish()
+            self._service._wake_driver()
+            # Let waiters observe the cancellation before we return.
+            await asyncio.sleep(0)
+        return cancelled
+
+    # -- driver side ---------------------------------------------------------
 
     def _publish(self) -> None:
         """Push a changed snapshot to streams; latch terminal states."""
@@ -287,9 +356,8 @@ class AsyncQueryHandle:
         snapshot = self.handle.progress()
         if snapshot != self._last_published:
             self._last_published = snapshot
-            for queue in self._queues:
-                self._offer(queue, snapshot)
-        if self.handle.done and not self._terminal.is_set():
+            self._push(snapshot)
+        if self.handle.done:
             self._terminal.set()
 
     def _strand(self, error: BaseException) -> None:
@@ -297,12 +365,7 @@ class AsyncQueryHandle:
         ``error`` instead of leaving them parked forever."""
         if self.handle.done or self._stranded is not None:
             return
-        self._stranded = error
-        self._terminal.set()
-        snapshot = self.handle.progress()
-        for queue in self._queues:
-            # Wake streams so they re-check the stranded flag.
-            self._offer(queue, snapshot)
+        self._mark_stranded(error, self.handle.progress())
 
 
 class AsyncSchedulerService:
@@ -451,12 +514,12 @@ class AsyncSchedulerService:
         """Wrap an *existing* sync handle of the wrapped service.
 
         The recovery seam: a journal-recovered service arrives with its
-        handles already rebuilt on the sync surface, and the gateway
+        handles already rebuilt on the sync surface (plain
+        :class:`~repro.engine.service.QueryHandle`\\ s — the journaled
+        service is a :class:`SchedulerService` subclass), and the gateway
         needs awaitable views of them so recovered query ids stay
         resolvable (and streamable) after a restart.  Idempotent per
-        underlying handle; duck-typed so the durability layer's
-        :class:`~repro.durability.service.DurableQueryHandle` adopts the
-        same way.
+        underlying handle.
         """
         for existing in self._handles:
             if existing.handle is handle:
@@ -523,7 +586,7 @@ class AsyncSchedulerService:
                 if flush_journal is not None:
                     flush_journal()
                 for handle in self._handles:
-                    if not handle.handle.done:
+                    if not handle.done:
                         handle._strand(
                             RuntimeError(
                                 "service went idle with query "
@@ -562,7 +625,7 @@ class AsyncSchedulerService:
             if self._error is not None:
                 raise self._error
             if all(
-                handle.handle.done or handle._stranded is not None
+                handle.done or handle._stranded is not None
                 for handle in self._handles
             ):
                 return

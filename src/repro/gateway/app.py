@@ -37,6 +37,7 @@ from collections.abc import Mapping
 from typing import Any
 
 from repro.cluster.rpc import ShardDied
+from repro.durability.journal import JournalFailed
 from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService, ServiceMux
 from repro.engine.planner import PlanInfeasible
 from repro.engine.service import AdmissionRejected
@@ -149,7 +150,7 @@ class GatewayApp:
         endpoint nudges them back to work.
         """
         for service in self.mux.services:
-            if any(not handle.handle.done for handle in service.handles):
+            if any(not handle.done for handle in service.handles):
                 service._ensure_driver()
 
     # -- service / handle resolution -----------------------------------------
@@ -185,7 +186,7 @@ class GatewayApp:
         ``seq`` is the submission ordinal the durability layer journals,
         so ids remain resolvable after a crash and ``recover()``.
         """
-        return f"{service.name or 'svc'}-{handle.handle.seq}"
+        return f"{service.name or 'svc'}-{handle.seq}"
 
     def resolve(self, tenant: str, query_id: str) -> tuple[AsyncSchedulerService, AsyncQueryHandle]:
         """Find a query by public id, enforcing tenant ownership.
@@ -203,7 +204,7 @@ class GatewayApp:
                 service = None
             if service is not None:
                 for handle in service.handles:
-                    if handle.handle.seq == seq and handle.tenant == tenant:
+                    if handle.seq == seq and handle.tenant == tenant:
                         return service, handle
         raise HttpError(404, "unknown-query", f"no query {query_id!r}")
 
@@ -262,6 +263,12 @@ class GatewayApp:
             # A sharded backend lost the query's process mid-request.
             await self._send_json(
                 send, 503, {"error": "shard-unavailable", "message": str(exc)}
+            )
+        except JournalFailed as exc:
+            # The journal store failed: the service is stopped until it is
+            # recovered from its on-disk journal (fail-stop, DESIGN.md §12).
+            await self._send_json(
+                send, 503, {"error": "journal-failed", "message": str(exc)}
             )
         except Exception as exc:  # pragma: no cover - last resort
             await self._send_json(

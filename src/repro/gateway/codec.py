@@ -162,12 +162,7 @@ def handle_payload(query_id: str, ahandle: Any) -> dict[str, Any]:
         if error_text is not None:
             payload["error"] = error_text
         else:
-            # The sync handle may be a plain QueryHandle or the
-            # durability layer's wrapper; both lead to the same record.
-            sync = ahandle.handle
-            record = getattr(sync, "_record", None)
-            if record is None:
-                record = sync._inner._record
+            record = ahandle.handle._record
             payload["error"] = (
                 str(record.error) if record.error is not None else "failed"
             )

@@ -55,31 +55,19 @@ def healthz(app: "GatewayApp") -> dict[str, Any]:
 def metrics(app: "GatewayApp") -> dict[str, Any]:
     """Scheduler / ledger / journal counters, per service, plus the
     gateway's own request counters.  Read-only and cheap."""
-    from repro.scenarios import ledger_summary
+    from repro.scenarios import service_stats
 
     services: dict[str, Any] = {}
     for service in app.mux.services:
         name = service.name or "svc"
-        inner = service.service  # the (possibly durable) sync service
-        if inner is None and hasattr(service, "metrics_snapshot"):
+        if service.service is None and hasattr(service, "metrics_snapshot"):
             # Remote shard: its stats were pushed over the socket; the
             # gateway-level drain counter still wins for consistency.
             entry = service.metrics_snapshot()
             entry["drains"] = app.drains.get(name, 0)
             services[name] = entry
-            continue
-        states: dict[str, int] = {}
-        for handle in service.handles:
-            key = handle.state.value
-            states[key] = states.get(key, 0) + 1
-        journal_stats = getattr(inner, "journal_stats", None)
-        services[name] = {
-            "steps_taken": service.steps_taken,
-            "drains": app.drains.get(name, 0),
-            "queries": states,
-            "ledger": ledger_summary(inner.engine.market.ledger),
-            "journal": None if journal_stats is None else journal_stats(),
-        }
+        else:
+            services[name] = service_stats(service, app.drains.get(name, 0))
     return {"gateway": dict(app.counters), "services": services}
 
 

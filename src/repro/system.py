@@ -214,16 +214,39 @@ class CDAS:
         Calibration traffic for such a service goes through
         ``service.engine.calibrate`` (it is part of the recording).
 
-        ``journal`` attaches a write-ahead journal (DESIGN.md §12) and
-        returns a
-        :class:`~repro.durability.service.DurableSchedulerService`
-        instead: a path (``.jsonl`` file store, ``.sqlite`` store) or an
+        ``journal`` attaches a write-ahead journal (DESIGN.md §12): the
+        service is then the journaled subclass
+        :class:`~repro.durability.service.DurableSchedulerService`.  Pass a path (``.jsonl`` file store, ``.sqlite`` store) or an
         open :class:`~repro.durability.journal.JournalStore`.  The
         journal must be fresh — resume an existing one with
         :meth:`recover`.  ``journal_meta`` stamps free-form JSON into the
         header (recovery tooling reads it to pick a workload factory);
         ``snapshot_every`` enables quiescent-point snapshot compaction.
         """
+        knobs: dict[str, Any] = {
+            "max_in_flight": max_in_flight,
+            "track_trajectories": track_trajectories,
+            "allocation": allocation,
+            "on_event": on_event,
+        }
+        if journal is None:
+            return self._build_service(SchedulerService, backend, **knobs)
+        from repro.durability import DurableSchedulerService, open_store
+
+        return self._build_service(
+            DurableSchedulerService,
+            backend,
+            store=open_store(journal),
+            meta=journal_meta,
+            snapshot_every=snapshot_every,
+            **knobs,
+        )
+
+    def _build_service(
+        self, cls: type[SchedulerService], backend: MarketBackend | None, **kwargs: Any
+    ) -> Any:
+        """Construct ``cls`` (the service or its journaled subclass) over
+        this system's engine, or over a fresh one on ``backend``."""
         engine = self.engine
         if backend is not None:
             engine = CrowdsourcingEngine(
@@ -232,25 +255,12 @@ class CDAS:
                 config=self.engine.config,
                 privacy=self.engine.privacy,
             )
-        service = SchedulerService(
+        return cls(
             engine,
             self.job_manager.plan,
             self._submitters,
-            max_in_flight=max_in_flight,
-            track_trajectories=track_trajectories,
-            allocation=allocation,
-            on_event=on_event,
             projectors=self._projectors,
-        )
-        if journal is None:
-            return service
-        from repro.durability import DurableSchedulerService, open_store
-
-        return DurableSchedulerService(
-            service,
-            open_store(journal),
-            meta=journal_meta,
-            snapshot_every=snapshot_every,
+            **kwargs,
         )
 
     def recover(

@@ -251,28 +251,53 @@ class TestAsyncPurity:
 # ---------------------------------------------------------------------------
 
 WRAPPER_OK = """
-class DurableService:
+class DurableService(SchedulerService):
     def submit(self, *args, **kwargs):
-        record = {"k": "submit"}
-        self._observed(record)
-        return self.service.submit(*args, **kwargs)
+        handle = super().submit(*args, **kwargs)
+        self._observed({"k": "submit", "q": handle.seq})
+        return handle
 
     def _cancel(self, record):
         self._observed({"k": "cancel"})
-        self.service._cancel(record)
+        return super()._cancel(record)
+
+    def step(self):
+        self.ticks += 1
+        return super().step()
 """
 
 WRAPPER_UNJOURNALED = """
-class DurableService:
+class DurableService(SchedulerService):
     def register_tenant(self, name, **kwargs):
-        return self.service.register_tenant(name, **kwargs)
+        return super().register_tenant(name, **kwargs)
 """
 
 WRAPPER_WRITE_BEHIND = """
-class DurableService:
+class DurableService(SchedulerService):
     def _cancel(self, record):
-        self.service._cancel(record)
+        cancelled = super()._cancel(record)
         self._append({"k": "cancel"})
+        return cancelled
+"""
+
+WRAPPER_SUBMIT_UNJOURNALED = """
+class DurableService(SchedulerService):
+    def submit(self, *args, **kwargs):
+        self._ensure_healthy()
+        return super().submit(*args, **kwargs)
+"""
+
+#: Near misses: mutator names called on something other than super(),
+#: and a journaled cancel through a helper that is not a mutator.
+WRAPPER_NEAR_MISS = """
+class DurableService(SchedulerService):
+    def cancel_all(self, others, record):
+        for other in others:
+            other._cancel(record)
+        self.inner.submit("job", None)
+
+    def step(self):
+        return super().step()
 """
 
 ROUTES_OK = """
@@ -321,6 +346,47 @@ class TestDurabilityOrdering:
         result = run_lint(root, rules=[DurabilityOrderingRule()])
         (finding,) = rule_findings(result, "CDAS003")
         assert "write-ahead" in finding.message
+
+    def test_unjournaled_super_submit_fires(self, tmp_path):
+        root = make_tree(
+            tmp_path, {"repro/durability/service.py": WRAPPER_SUBMIT_UNJOURNALED}
+        )
+        result = run_lint(root, rules=[DurabilityOrderingRule()])
+        (finding,) = rule_findings(result, "CDAS003")
+        assert "super().submit()" in finding.message
+        assert finding.symbol == "submit"
+
+    def test_non_super_mutator_names_do_not_fire(self, tmp_path):
+        root = make_tree(
+            tmp_path, {"repro/durability/service.py": WRAPPER_NEAR_MISS}
+        )
+        result = run_lint(root, rules=[DurabilityOrderingRule()])
+        assert rule_findings(result, "CDAS003") == []
+
+    def test_real_durable_service_write_behind_fires(self, tmp_path):
+        """Moving the real cancel record after ``super()._cancel`` is
+        caught: the rule sees the shipped service, not only fixtures."""
+        import repro.durability.service as durable_module
+
+        source = Path(durable_module.__file__).read_text(encoding="utf-8")
+        ahead = (
+            '        self._observed({"k": "cancel", "t": self.ticks, "q": record.seq})\n'
+            "        return super()._cancel(record)\n"
+        )
+        assert ahead in source
+        behind = (
+            "        cancelled = super()._cancel(record)\n"
+            '        self._observed({"k": "cancel", "t": self.ticks, "q": record.seq})\n'
+            "        return cancelled\n"
+        )
+        root = make_tree(
+            tmp_path,
+            {"repro/durability/service.py": source.replace(ahead, behind)},
+        )
+        result = run_lint(root, rules=[DurabilityOrderingRule()])
+        (finding,) = rule_findings(result, "CDAS003")
+        assert "write-ahead" in finding.message
+        assert finding.symbol == "_cancel"
 
     def test_route_without_flush_fires(self, tmp_path):
         root = make_tree(tmp_path, {"repro/gateway/routes.py": ROUTES_NO_FLUSH})

@@ -18,6 +18,7 @@ re-executed.
 from __future__ import annotations
 
 import asyncio
+import errno
 import json
 import sqlite3
 
@@ -35,9 +36,15 @@ from repro.durability import (
     outcome_summary,
     recover,
 )
-from repro.durability.journal import ACTION_KINDS, FileJournalStore, JournalError
+from repro.durability.journal import (
+    ACTION_KINDS,
+    DURABLE_KINDS,
+    FileJournalStore,
+    JournalError,
+    JournalFailed,
+)
 from repro.engine.query import Query
-from repro.engine.service import QueryState
+from repro.engine.service import QueryHandle, QueryState, SchedulerService
 from repro.it.images import generate_images
 from repro.system import CDAS
 from repro.tsa.stream import TweetStream
@@ -505,6 +512,7 @@ class TestFailureModes:
     ):
         service = _build_system(small_pool).service(journal=journal_path)
         assert isinstance(service, DurableSchedulerService)
+        assert isinstance(service, SchedulerService)
         assert service.max_in_flight == 4
         assert service.idle
         assert service.handles == ()
@@ -518,3 +526,141 @@ class TestFailureModes:
         assert service.preadmit(plan).admitted
         assert service.journal_offset == 1  # planning journals nothing
         service.close()
+
+
+# ---------------------------------------------------------------------------
+# Fail-stop: a journal store error stops the service before memory runs
+# ahead of disk
+# ---------------------------------------------------------------------------
+
+
+class _FaultyStore(FileJournalStore):
+    """A JSONL store that raises ``OSError(EIO)`` once, at record ``k``
+    (1-based append count): before writing it (``phase="append"``) or in
+    the group commit that append triggers (``phase="commit"``)."""
+
+    def __init__(self, path, k: int, phase: str = "append", fsync_every: int = 4):
+        super().__init__(path, fsync_every=fsync_every)
+        self.k = k
+        self.phase = phase
+        self.fired: dict | None = None
+        self._pending: dict | None = None
+
+    def _fault(self, record) -> None:
+        self.fired = record
+        raise OSError(errno.EIO, "injected I/O error")
+
+    def append(self, record):
+        if self.fired is None and self.appended + 1 == self.k:
+            if self.phase == "append":
+                self._fault(record)
+            self._pending = record
+        super().append(record)
+
+    def _commit(self):
+        if self.fired is None and self._pending is not None:
+            self._fault(self._pending)
+        super()._commit()
+
+
+def _fail_stop_workload(service, acked: list[str]) -> None:
+    """Tenant, a submit, a few steps, a second submit, run to idle;
+    ``acked`` collects the subjects whose submit was acknowledged."""
+    images = generate_images(per_subject=1, seed=SEED + 3)[:4]
+    service.register_tenant("acme", budget_cap=60.0, priority=2.0)
+    for subject, pics in (("tags-a", images[:2]), ("tags-b", images[2:])):
+        service.submit(
+            "image-tagging", _image_query(subject), tenant="acme",
+            images=pics, gold_images=pics[:1],
+            images_per_hit=2, worker_count=5,
+        )
+        acked.append(subject)
+        for _ in range(6):
+            service.step()
+    service.run_until_idle()
+
+
+@pytest.fixture(scope="module")
+def fail_stop_records(tmp_path_factory, small_pool):
+    """The fault-free journal of the fail-stop workload (to pick k from)."""
+    path = tmp_path_factory.mktemp("failstop") / "clean.journal.jsonl"
+    service = _build_system(small_pool).service(max_in_flight=1, journal=path)
+    _fail_stop_workload(service, [])
+    service.close()
+    return [json.loads(line) for line in path.read_bytes().splitlines()]
+
+
+def _fault_point(records, where: str) -> tuple[int, str]:
+    """(k, phase) for one of the three failure points."""
+    if where == "submit":
+        index = [i for i, r in enumerate(records) if r["k"] == "submit"][1]
+        return index + 1, "append"
+    if where == "mark":
+        index = [i for i, r in enumerate(records) if r["k"] == "ev"][4]
+        return index + 1, "append"
+    # The first group commit: a progress mark that fills a 4-record batch.
+    unsynced = 0
+    for index, record in enumerate(records):
+        unsynced += 1
+        if record["k"] in DURABLE_KINDS:
+            unsynced = 0
+        elif unsynced >= 4:
+            return index + 1, "commit"
+    raise AssertionError("workload never group-commits")
+
+
+class TestFailStop:
+    @pytest.mark.parametrize("where", ["submit", "mark", "commit"])
+    def test_store_error_poisons_the_service(
+        self, fail_stop_records, small_pool, tmp_path, where
+    ):
+        k, phase = _fault_point(fail_stop_records, where)
+        path = tmp_path / "svc.journal.jsonl"
+        store = _FaultyStore(path, k, phase)
+        service = _build_system(small_pool).service(max_in_flight=1, journal=store)
+        acked: list[str] = []
+        with pytest.raises(JournalFailed) as failure:
+            _fail_stop_workload(service, acked)
+        cause = failure.value.__cause__
+        assert isinstance(cause, OSError) and cause.errno == errno.EIO
+        assert store.fired == fail_stop_records[k - 1]
+        # The crash: only what reached the file survives.
+        crashed = tmp_path / "crashed.journal.jsonl"
+        crashed.write_bytes(path.read_bytes())
+
+        ledger = service.engine.market.ledger
+        cost = ledger.total_cost
+        handle = next(h for h in service.handles if not h.done)
+        attempts = [
+            lambda: service.register_tenant("late"),
+            lambda: service.submit(
+                "image-tagging", _image_query("late"), tenant="acme",
+                images=generate_images(per_subject=1, seed=SEED + 3)[:2],
+                worker_count=5,
+            ),
+            handle.cancel,
+            handle.result,
+            service.step,
+            service.run_until_idle,
+            service.flush_journal,
+            service.snapshot,
+        ]
+        for attempt in attempts:
+            with pytest.raises(JournalFailed):
+                attempt()
+        assert ledger.total_cost == cost
+        assert isinstance(service.failure, OSError)
+        store.close()
+
+        recovered = recover(crashed, _build_system(small_pool))
+        recovered.run_until_idle()
+        subjects = [h.query.subject for h in recovered.handles]
+        # Every acknowledged submit survives; the unacknowledged one
+        # (its record never reached the journal) does not exist.
+        assert subjects[: len(acked)] == acked
+        if where == "submit":
+            assert subjects == ["tags-a"]
+        assert all(h.state is QueryState.DONE for h in recovered.handles)
+        # A journaled service issues the base class's plain handles.
+        assert all(type(h) is QueryHandle for h in recovered.handles)
+        recovered.close()

@@ -9,14 +9,17 @@ wall-clock-delaying backend.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 
 import pytest
 
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
+from repro.cluster.router import RemoteQueryHandle, RemoteShardService
+from repro.cluster.worker import handle_snapshot
 from repro.engine.aio import AsyncSchedulerService, ServiceMux
-from repro.engine.service import QueryCancelled, QueryState
+from repro.engine.service import TERMINAL_STATES, QueryCancelled, QueryState
 from repro.it.images import generate_images
 from repro.system import CDAS
 from repro.tsa.app import movie_query
@@ -331,7 +334,22 @@ class TestServiceMux:
 class TestUpdateFanout:
     """Bounded-queue fan-out: slow, abandoned and tiny-buffer consumers
     never grow memory without bound and never stall the driver — the
-    contract the gateway's SSE endpoint leans on (DESIGN.md §13)."""
+    contract the gateway's SSE endpoint leans on (DESIGN.md §13).
+
+    :class:`TestRemoteUpdateFanout` reruns every test on a remote handle
+    by overriding the two hooks below."""
+
+    @contextlib.asynccontextmanager
+    async def _query(self, seed: int):
+        """A freshly submitted TSA query's handle: the local async one."""
+        async with _cdas(seed).async_service(max_in_flight=2) as service:
+            yield service.submit(
+                "twitter-sentiment", movie_query("alpha", 0.9), **_tsa_inputs()
+            )
+
+    @staticmethod
+    def _verdicts(result) -> int:
+        return len(result.records)
 
     def test_abandoned_subscriber_queue_stays_bounded(self):
         """Subscribe, never consume: the driver finishes anyway and the
@@ -339,11 +357,7 @@ class TestUpdateFanout:
         of them terminal."""
 
         async def run():
-            async with _cdas(60).async_service(max_in_flight=2) as service:
-                handle = service.submit(
-                    "twitter-sentiment", movie_query("alpha", 0.9),
-                    **_tsa_inputs(),
-                )
+            async with self._query(60) as handle:
                 queue = handle.subscribe(max_pending=2)
                 result = await handle.result()
                 pending = []
@@ -353,7 +367,7 @@ class TestUpdateFanout:
                 return result, pending
 
         result, pending = asyncio.run(run())
-        assert len(result.records) == 12
+        assert self._verdicts(result) == 12
         assert 1 <= len(pending) <= 2
         # Eviction drops the *oldest*: the terminal snapshot survives.
         assert pending[-1].state is QueryState.DONE
@@ -364,11 +378,7 @@ class TestUpdateFanout:
         final snapshot is terminal."""
 
         async def run():
-            async with _cdas(60).async_service(max_in_flight=2) as service:
-                handle = service.submit(
-                    "twitter-sentiment", movie_query("alpha", 0.9),
-                    **_tsa_inputs(),
-                )
+            async with self._query(60) as handle:
                 snapshots = []
                 async for snapshot in handle.updates(max_pending=1):
                     snapshots.append(snapshot)
@@ -388,11 +398,7 @@ class TestUpdateFanout:
         the fast one; both streams end on the same terminal snapshot."""
 
         async def run():
-            async with _cdas(61).async_service(max_in_flight=2) as service:
-                handle = service.submit(
-                    "twitter-sentiment", movie_query("alpha", 0.9),
-                    **_tsa_inputs(),
-                )
+            async with self._query(61) as handle:
 
                 async def fast():
                     return [s async for s in handle.updates()]
@@ -419,11 +425,7 @@ class TestUpdateFanout:
         leaves the query running to completion."""
 
         async def run():
-            async with _cdas(62).async_service(max_in_flight=2) as service:
-                handle = service.submit(
-                    "twitter-sentiment", movie_query("alpha", 0.9),
-                    **_tsa_inputs(),
-                )
+            async with self._query(62) as handle:
                 queue = handle.subscribe(max_pending=1)
                 await queue.get()
                 handle.unsubscribe(queue)
@@ -432,16 +434,12 @@ class TestUpdateFanout:
                 return result, len(handle._queues)
 
         result, open_queues = asyncio.run(run())
-        assert len(result.records) == 12
+        assert self._verdicts(result) == 12
         assert open_queues == 0
 
     def test_subscribe_rejects_non_positive_bounds(self):
         async def run():
-            async with _cdas(63).async_service(max_in_flight=2) as service:
-                handle = service.submit(
-                    "twitter-sentiment", movie_query("alpha", 0.9),
-                    **_tsa_inputs(),
-                )
+            async with self._query(63) as handle:
                 with pytest.raises(ValueError):
                     handle.subscribe(max_pending=0)
                 with pytest.raises(ValueError):
@@ -449,3 +447,41 @@ class TestUpdateFanout:
                 await handle.result()
 
         asyncio.run(run())
+
+
+async def _forward(local, remote) -> None:
+    """What a shard worker's pump does, minus the socket: each changed
+    snapshot becomes a ``progress`` frame, the terminal one a full
+    handle snapshot."""
+    queue = local.subscribe()
+    try:
+        while True:
+            snapshot = await queue.get()
+            if snapshot.state in TERMINAL_STATES or local.stranded is not None:
+                remote._absorb(handle_snapshot(local))
+                return
+            remote._apply(snapshot.to_dict())
+    finally:
+        local.unsubscribe(queue)
+
+
+class TestRemoteUpdateFanout(TestUpdateFanout):
+    """The same fan-out contract on a :class:`RemoteQueryHandle` — the
+    router-side cache fed by pushed frames — built in process from a
+    local query, with no subprocess or socket."""
+
+    @contextlib.asynccontextmanager
+    async def _query(self, seed: int):
+        async with super()._query(seed) as local:
+            remote = RemoteQueryHandle(
+                RemoteShardService(None, "s0"), handle_snapshot(local)
+            )
+            forward = asyncio.get_running_loop().create_task(_forward(local, remote))
+            try:
+                yield remote
+            finally:
+                await forward
+
+    @staticmethod
+    def _verdicts(result) -> int:
+        return len(result["verdicts"])

@@ -12,12 +12,14 @@ SSE framing, and bit-identical outcomes versus a direct in-process
 from __future__ import annotations
 
 import asyncio
+import errno
 
 import pytest
 
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
+from repro.durability.journal import FileJournalStore
 from repro.gateway import GatewayApp, InProcessClient, TokenAuth, parse_sse
 from repro.scenarios import canonical_json, result_summary
 from repro.system import CDAS
@@ -513,6 +515,34 @@ class TestDurableGateway:
         response = asyncio.run(resume())
         assert response.status == 200
         assert response.json()["progress"]["state"] == "done"
+
+
+class _EioAtFirstSubmit(FileJournalStore):
+    """A journal store whose first ``submit`` record fails with EIO."""
+
+    def append(self, record):
+        if record["k"] == "submit":
+            raise OSError(errno.EIO, "injected I/O error")
+        super().append(record)
+
+
+class TestJournalFailure:
+    def test_journal_error_answers_503_and_stays_stopped(self, journal_path):
+        async def run():
+            app = _make_app(journal=_EioAtFirstSubmit(journal_path))
+            client = InProcessClient(app, token="acme-token")
+            first = await client.post("/v1/queries", _query_body("alpha"))
+            again = await client.post("/v1/queries", _query_body("beta"))
+            listed = app.mux["svc"].handles
+            app.mux["svc"].service.store.close()
+            return first, again, listed
+
+        first, again, listed = asyncio.run(run())
+        for response in (first, again):
+            assert response.status == 503
+            assert response.json()["error"] == "journal-failed"
+        # No query id was ever handed out for the unjournaled submit.
+        assert listed == ()
 
 
 class TestMetrics:
