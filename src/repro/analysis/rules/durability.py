@@ -16,9 +16,8 @@ Two places own the durability ordering contract:
 * ``repro/gateway/routes.py`` — a route that performs a mutating call
   (``.submit(...)`` / ``.cancel(...)``) must flush the journal *after*
   the mutation and before the response leaves (``flush-before-201``):
-  either a direct ``.flush_journal()`` call or a call through a variable
-  bound from ``getattr(..., "flush_journal", ...)`` — the duck-typed
-  form that tolerates journal-less services.
+  a direct ``.flush_journal()`` call, which every gateway service offers
+  (a no-op without a journal).
 
 The rule is scoped to those two files on purpose: it encodes *their*
 contract, not a generic taint analysis.  Delete the flush in a route and
@@ -141,7 +140,6 @@ class DurabilityOrderingRule(Rule):
         for fn in module.tree.body:
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            flush_aliases = self._flush_aliases(fn)
             mutations: list[tuple[str, ast.Call]] = []
             flushes: list[ast.Call] = []
             for node in ast.walk(fn):
@@ -153,7 +151,7 @@ class DurabilityOrderingRule(Rule):
                 attr = name.rsplit(".", 1)[-1]
                 if "." in name and attr in ROUTE_MUTATORS:
                     mutations.append((attr, node))
-                elif attr == "flush_journal" or name in flush_aliases:
+                elif attr == "flush_journal":
                     flushes.append(node)
             for mutator, call in mutations:
                 if not any(flush.lineno > call.lineno for flush in flushes):
@@ -163,29 +161,8 @@ class DurabilityOrderingRule(Rule):
                         call.col_offset,
                         f"route mutation .{mutator}() is not followed by a "
                         "journal flush: an acknowledged response must "
-                        "survive kill -9 — call flush_journal() (directly "
-                        "or via a getattr-bound alias) after the mutation "
-                        "and before returning (DESIGN.md §13)",
+                        "survive kill -9 — call service.flush_journal() "
+                        "after the mutation and before returning "
+                        "(DESIGN.md §13)",
                         symbol=fn.name,
                     )
-
-    @staticmethod
-    def _flush_aliases(fn: ast.AST) -> set[str]:
-        """Names bound from ``getattr(_, "flush_journal", _)``."""
-        aliases: set[str] = set()
-        for node in ast.walk(fn):
-            if not isinstance(node, ast.Assign):
-                continue
-            value = node.value
-            if (
-                isinstance(value, ast.Call)
-                and isinstance(value.func, ast.Name)
-                and value.func.id == "getattr"
-                and len(value.args) >= 2
-                and isinstance(value.args[1], ast.Constant)
-                and value.args[1].value == "flush_journal"
-            ):
-                for target in node.targets:
-                    if isinstance(target, ast.Name):
-                        aliases.add(target.id)
-        return aliases

@@ -1,29 +1,19 @@
-"""CDAS005 — duck-typed seams must keep method/arity parity.
+"""CDAS005 — protocol implementors must keep method/arity parity.
 
-The gateway serves ``/v1`` against *either* an in-process
-:class:`AsyncSchedulerService` or the cluster layer's
-:class:`RemoteShardService` (DESIGN.md §13–14) — there is no shared base
-class, only a duck-typed contract.  Their query handles need no check:
-both subclass :class:`~repro.engine.aio.AsyncHandleBase`, which defines
-the handle surface once.  Protocols (``MarketBackend``, ``JournalStore``)
-carry the same risk as the service seam: an implementor that drifts
-(renamed method, changed arity) fails at runtime in whichever code path
-hits it first.
+Protocols (``MarketBackend``, ``JournalStore``) are duck-typed seams: an
+implementor that drifts (renamed method, changed arity) fails at runtime
+in whichever code path hits it first.  Every class in the protocol's
+scope that defines the protocol's *anchor* method must provide all
+protocol members with the same kind (callable vs property/attribute)
+and a compatible signature: equal required positional arity and equal
+keyword-only name sets.  Async-ness may differ.
 
-Two checks:
+The gateway's two service flavours (:class:`AsyncSchedulerService`,
+:class:`RemoteShardService`) are not checked here: the gateway contract
+test drives both through every route and compares the responses.
 
-* **Seam pairs** — for each configured (reference, mirror, members)
-  triple, every contract member must exist on both classes with the same
-  kind (callable vs property/attribute) and a compatible signature:
-  equal required positional arity and equal keyword-only name sets.
-  Async-ness may differ (the gateway's ``_maybe_await`` seam exists for
-  exactly that).
-* **Protocol conformance** — every class in the protocol's scope that
-  defines the protocol's *anchor* method must provide all protocol
-  members with compatible signatures.
-
-Findings anchor on the mirror/implementor, where the fix (or the
-reasoned waiver) belongs.
+Findings anchor on the implementor, where the fix (or the reasoned
+waiver) belongs.
 """
 
 from __future__ import annotations
@@ -42,15 +32,6 @@ if TYPE_CHECKING:
 
 
 @dataclass(frozen=True)
-class SeamPair:
-    """A duck-typing contract between two concrete classes."""
-
-    reference: tuple[str, str]  # (module suffix, class name)
-    mirror: tuple[str, str]
-    members: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class ProtocolSpec:
     """A Protocol plus where its implementors live.
 
@@ -63,18 +44,6 @@ class ProtocolSpec:
     anchor: str
     scope: tuple[str, ...]
 
-
-#: The §13–14 service seams the gateway duck-types.
-SEAM_PAIRS = (
-    SeamPair(
-        reference=("repro/engine/aio.py", "AsyncSchedulerService"),
-        mirror=("repro/cluster/router.py", "RemoteShardService"),
-        members=(
-            "register_tenant", "plan", "preadmit", "submit",
-            "handles", "idle", "steps_taken",
-        ),
-    ),
-)
 
 #: Protocols whose implementors are found by anchor method.
 PROTOCOLS = (
@@ -91,30 +60,31 @@ PROTOCOLS = (
 )
 
 
-def _compare(member: str, ref: MemberSig, mir: MemberSig) -> list[str]:
+def _compare(proto: MemberSig, impl: MemberSig) -> list[str]:
     """Human-readable mismatch descriptions (empty = parity holds)."""
     problems: list[str] = []
-    if ref.kind != mir.kind:
+    if proto.kind != impl.kind:
         problems.append(
-            f"kind mismatch: reference is a {ref.kind}, mirror is a {mir.kind}"
+            f"kind mismatch: protocol declares a {proto.kind}, "
+            f"implementor has a {impl.kind}"
         )
         return problems
-    if ref.kind != "method":
+    if proto.kind != "method":
         return problems
-    if ref.required_pos != mir.required_pos:
+    if proto.required_pos != impl.required_pos:
         problems.append(
-            f"required positional arity differs: reference takes "
-            f"{ref.required_pos}, mirror takes {mir.required_pos}"
+            f"required positional arity differs: protocol takes "
+            f"{proto.required_pos}, implementor takes {impl.required_pos}"
         )
-    missing = set(ref.kwonly) - set(mir.kwonly)
-    extra = set(mir.kwonly) - set(ref.kwonly)
+    missing = set(proto.kwonly) - set(impl.kwonly)
+    extra = set(impl.kwonly) - set(proto.kwonly)
     if missing:
         problems.append(
-            f"kwonly parameter(s) {sorted(missing)} missing on the mirror"
+            f"kwonly parameter(s) {sorted(missing)} missing on the implementor"
         )
     if extra:
         problems.append(
-            f"kwonly parameter(s) {sorted(extra)} only exist on the mirror"
+            f"kwonly parameter(s) {sorted(extra)} only exist on the implementor"
         )
     return problems
 
@@ -123,91 +93,17 @@ class SeamParityRule(Rule):
     id = "CDAS005"
     name = "seam-parity"
     description = (
-        "the async/remote service seam and protocol implementors keep "
-        "method-name and arity parity with their contracts"
+        "protocol implementors (market backends, journal stores) keep "
+        "method-name and arity parity with their protocol"
     )
 
-    def __init__(
-        self,
-        pairs: tuple[SeamPair, ...] = SEAM_PAIRS,
-        protocols: tuple[ProtocolSpec, ...] = PROTOCOLS,
-    ) -> None:
-        self.pairs = pairs
+    def __init__(self, protocols: tuple[ProtocolSpec, ...] = PROTOCOLS) -> None:
         self.protocols = protocols
-        self.scope = tuple(
-            {pair.reference[0] for pair in pairs}
-            | {pair.mirror[0] for pair in pairs}
-            | {spec.protocol[0] for spec in protocols}
-        )
+        self.scope = tuple({spec.protocol[0] for spec in protocols})
 
     def check_project(self, project: "Project") -> Iterator[Finding]:
-        for pair in self.pairs:
-            yield from self._check_pair(project, pair)
         for spec in self.protocols:
             yield from self._check_protocol(project, spec)
-
-    # -- seam pairs -----------------------------------------------------------
-
-    def _check_pair(self, project: "Project", pair: SeamPair) -> Iterator[Finding]:
-        ref_module = project.find(pair.reference[0])
-        mir_module = project.find(pair.mirror[0])
-        if ref_module is None or mir_module is None:
-            return  # half the seam isn't in this tree; nothing to compare
-        ref_cls = find_class(ref_module.tree, pair.reference[1])
-        mir_cls = find_class(mir_module.tree, pair.mirror[1])
-        for cls, module, name in (
-            (ref_cls, ref_module, pair.reference[1]),
-            (mir_cls, mir_module, pair.mirror[1]),
-        ):
-            if cls is None:
-                yield self.finding(
-                    module,
-                    1,
-                    0,
-                    f"seam class {name} not found in {module.relpath} — the "
-                    "CDAS005 contract table needs updating alongside renames",
-                    symbol=name,
-                )
-        if ref_cls is None or mir_cls is None:
-            return
-        ref_members = class_members(ref_cls)
-        mir_members = class_members(mir_cls)
-        label = f"{pair.reference[1]}/{pair.mirror[1]}"
-        for member in pair.members:
-            ref = ref_members.get(member)
-            mir = mir_members.get(member)
-            if ref is None:
-                yield self.finding(
-                    ref_module,
-                    ref_cls.lineno,
-                    ref_cls.col_offset,
-                    f"seam contract names {pair.reference[1]}.{member} but "
-                    "the reference class does not define it",
-                    symbol=f"{pair.reference[1]}.{member}",
-                )
-                continue
-            if mir is None:
-                yield self.finding(
-                    mir_module,
-                    mir_cls.lineno,
-                    mir_cls.col_offset,
-                    f"{pair.mirror[1]} is missing {member!r}, which the "
-                    f"{pair.reference[1]} surface it duck-types provides "
-                    f"({ref.describe()})",
-                    symbol=f"{pair.mirror[1]}.{member}",
-                )
-                continue
-            problems = _compare(member, ref, mir)
-            if problems:
-                yield self.finding(
-                    mir_module,
-                    mir.line,
-                    0,
-                    f"seam parity broken on {label}.{member}: "
-                    + "; ".join(problems)
-                    + f" (reference: {ref.describe()}; mirror: {mir.describe()})",
-                    symbol=f"{pair.mirror[1]}.{member}",
-                )
 
     # -- protocol conformance ---------------------------------------------------
 
@@ -257,7 +153,7 @@ class SeamParityRule(Rule):
                             symbol=f"{node.name}.{name}",
                         )
                         continue
-                    problems = _compare(name, proto_sig, impl)
+                    problems = _compare(proto_sig, impl)
                     if problems:
                         yield self.finding(
                             module,

@@ -17,7 +17,6 @@ The layering (DESIGN.md §14), bottom-up:
 """
 
 from repro.cluster.router import (
-    RemoteDecision,
     RemotePlan,
     RemoteQueryHandle,
     RemoteShardService,
@@ -28,7 +27,6 @@ from repro.cluster.shards import assign_shard, shard_names, shard_seed
 from repro.cluster.workloads import WORKLOADS, build_workload
 
 __all__ = [
-    "RemoteDecision",
     "RemotePlan",
     "RemoteQueryHandle",
     "RemoteShardService",

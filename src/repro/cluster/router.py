@@ -4,11 +4,11 @@
 :class:`~repro.engine.aio.ServiceMux`: it spawns one
 :mod:`repro.cluster.worker` process per shard, hands each a workload
 *recipe* (never live objects), and exposes every shard as a
-:class:`RemoteShardService` that duck-types the
-:class:`~repro.engine.aio.AsyncSchedulerService` surface the gateway
-already speaks — so ``GatewayApp(router, ...)`` serves ``POST
-/v1/queries`` across processes with zero gateway-core changes beyond
-letting ``submit``/``plan`` be awaitable.
+:class:`RemoteShardService` offering the same service surface as
+:class:`~repro.engine.aio.AsyncSchedulerService` (observation, metrics,
+``flush_journal``) — so ``GatewayApp(router, ...)`` serves ``POST
+/v1/queries`` across processes without asking which flavour it holds;
+only ``submit``/``plan`` are awaitable here.
 
 The observation model is push, not poll (DESIGN.md §14): workers stream
 ``progress``/``terminal``/``stats`` events, the router applies them to
@@ -45,18 +45,18 @@ from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
 from repro.cluster.shards import assign_shard, shard_names
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import AsyncHandleBase
-from repro.engine.planner import PlanInfeasible
+from repro.engine.aio import AsyncHandleBase, state_counts
+from repro.engine.planner import CounterOffer, PlanDecision, PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
     AdmissionRejected,
     QueryCancelled,
     QueryProgress,
     QueryState,
+    TenantPolicy,
 )
 
 __all__ = [
-    "RemoteDecision",
     "RemotePlan",
     "RemoteQueryHandle",
     "RemoteShardService",
@@ -79,45 +79,29 @@ def progress_from_dict(data: dict[str, Any]) -> QueryProgress:
     )
 
 
-class _DictFacade:
-    """A dict dressed as an object: attribute reads plus ``to_dict()``.
+def _decision_from_dict(data: dict[str, Any]) -> PlanDecision:
+    """Rebuild a :class:`PlanDecision` from its ``to_dict()`` projection
+    (whose keys are the field names)."""
+    offer = data.get("counter_offer")
+    return PlanDecision(**{
+        **data,
+        "counter_offer": None if offer is None else CounterOffer(**offer),
+    })
 
-    The wire carries plans and decisions as their canonical ``to_dict``
-    projections; the gateway (and :class:`PlanInfeasible`) only ever
-    read attributes and call ``to_dict()`` back, so a thin facade over
-    the dict round-trips the 402 contract without re-instantiating
-    engine dataclasses router-side.
+
+@dataclasses.dataclass(frozen=True)
+class RemotePlan:
+    """A shard-side :class:`QueryPlan`, held as its ``to_dict()``
+    projection — the plan itself cannot cross the wire (its job spec
+    holds a callable text filter).  Carries the shard's admission
+    decision so the gateway's sync ``preadmit(plan)`` stays a local read.
     """
 
-    def __init__(self, data: dict[str, Any] | None) -> None:
-        self._data = dict(data or {})
-
-    def __getattr__(self, name: str) -> Any:
-        data = self.__dict__.get("_data") or {}
-        if name in data:
-            return data[name]
-        raise AttributeError(name)
+    data: dict[str, Any]
+    decision: PlanDecision | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return dict(self._data)
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self._data!r})"
-
-
-class RemoteDecision(_DictFacade):
-    """A shard-side :class:`PlanDecision`, observed through its dict."""
-
-
-class RemotePlan(_DictFacade):
-    """A shard-side :class:`QueryPlan`; carries its admission decision
-    so the gateway's sync ``preadmit(plan)`` stays a local read."""
-
-    def __init__(
-        self, data: dict[str, Any] | None, decision: RemoteDecision | None = None
-    ) -> None:
-        super().__init__(data)
-        self.decision = decision
+        return dict(self.data)
 
 
 #: A query object surrogate for handles adopted from a recovered shard,
@@ -135,9 +119,7 @@ class RemoteQueryHandle(AsyncHandleBase):
     result()``) over a router-side cache that worker pushes keep
     current: progress arrives as ``_apply``/``_absorb`` frames, ``cancel``
     is an RPC, and a DONE query's terminal value is the wire's canonical
-    ``result_summary`` (the live result object stays in the worker).  Two
-    remote-only duck-type hooks, ``result_summary()`` and ``error_text``,
-    let the gateway codec serve terminal payloads.
+    ``result_summary`` (the live result object stays in the worker).
 
     Updates freeze at the first terminal snapshot: a late or reordered
     push can never un-finish a query (the cancel response and the pump's
@@ -188,7 +170,7 @@ class RemoteQueryHandle(AsyncHandleBase):
     def progress(self) -> QueryProgress:
         return self._last
 
-    # -- the gateway codec's remote duck-type hooks --------------------------
+    # -- terminal payloads (pushed with the terminal event) ------------------
 
     def result_summary(self) -> dict[str, Any] | None:
         """The canonical result summary pushed with the terminal event."""
@@ -272,19 +254,16 @@ class RemoteQueryHandle(AsyncHandleBase):
 
 
 class RemoteShardService:
-    """One shard process behind the AsyncSchedulerService duck-type.
+    """One shard process behind the gateway's service surface.
 
-    Reads (``handles``, ``idle``, ``steps_taken``, ``metrics_snapshot``,
-    ``ledger_summary``) are cache lookups fed by worker pushes; mutations
-    (``submit``/``plan``/``register_tenant`` — awaitable here, which the
-    gateway's routes tolerate via ``_maybe_await``) are RPC round trips
-    that rebuild the engine's own exception types from the wire
-    taxonomy, so the gateway's 402/403/400 mapping is untouched.
-
-    ``service`` is ``None`` by design: there is no local sans-IO core
-    behind this facade, and every ``getattr(service.service, ...)``
-    probe in the gateway degrades to its no-journal branch (the worker
-    already applied the durability barrier before acking).
+    Reads (``handles``, ``idle``, ``steps_taken``, ``drains``,
+    ``metrics_snapshot``, ``ledger_summary``) are cache lookups fed by
+    worker pushes; mutations (``submit``/``plan``/``register_tenant`` —
+    awaitable here, which the gateway's routes tolerate via
+    ``_maybe_await``) are RPC round trips that rebuild the engine's own
+    exception types from the wire taxonomy, so the gateway's 402/403/400
+    mapping is untouched.  ``flush_journal`` is a no-op: the worker
+    applies the durability barrier before it acks.
     """
 
     def __init__(
@@ -293,9 +272,6 @@ class RemoteShardService:
         self.router = router
         self.name = name
         self.journal = journal
-        self.service = None
-        self.on_drain = None
-        self.on_step = None
         self.alive = False
         self.abandoned = False
         self.recovered = False
@@ -306,7 +282,9 @@ class RemoteShardService:
         self._handles: dict[int, RemoteQueryHandle] = {}
         self._order: list[int] = []
         self._stats: dict[str, Any] = {}
-        self._registered: set[str] = set()
+        #: ``tenant → (budget_cap, priority)`` last registered on the
+        #: live worker; a differing redeclaration is re-sent.
+        self._registered: dict[str, tuple[float | None, float]] = {}
         #: Events that raced ahead of their handle's adoption: a fast
         #: shard can push progress (even terminal) for a submission
         #: before the submit() coroutine resumes with the reply.  They
@@ -320,7 +298,7 @@ class RemoteShardService:
             f"queries={len(self._order)})"
         )
 
-    # -- duck-typed observation ----------------------------------------------
+    # -- observation (cache reads) -------------------------------------------
 
     @property
     def recoverable(self) -> bool:
@@ -349,23 +327,28 @@ class RemoteShardService:
     def steps_taken(self) -> int:
         return int(self._stats.get("steps_taken", 0))
 
+    @property
+    def drains(self) -> int:
+        """The worker's drain count (restarts at a respawn, as
+        ``steps_taken`` does)."""
+        return int(self._stats.get("drains", 0))
+
     def _ensure_driver(self) -> None:
         """No-op: the driver loop lives in the worker process."""
 
     def _wake_driver(self) -> None:
         """No-op: worker drivers wake on their own submissions."""
 
+    def flush_journal(self) -> None:
+        """No-op: the worker flushes its journal before acking."""
+
     def metrics_snapshot(self) -> dict[str, Any]:
         """The per-service ``/v1/metrics`` entry, from pushed stats."""
-        states: dict[str, int] = {}
-        for handle in self.handles:
-            key = handle.state.value
-            states[key] = states.get(key, 0) + 1
         return {
             "alive": self.alive,
             "steps_taken": self.steps_taken,
-            "drains": int(self._stats.get("drains", 0)),
-            "queries": states,
+            "drains": self.drains,
+            "queries": state_counts(self.handles),
             "ledger": self.ledger_summary(),
             "journal": self._stats.get("journal"),
         }
@@ -400,17 +383,8 @@ class RemoteShardService:
             self._update_stats(frame.get("stats"))
 
     def _update_stats(self, stats: dict[str, Any] | None) -> None:
-        if not stats:
-            return
-        before = int(self._stats.get("drains", 0))
-        self._stats = dict(stats)
-        after = int(stats.get("drains", 0))
-        # Fire the mux-style drain hook once per worker-side drain.  A
-        # respawned worker restarts its count at zero; the negative
-        # delta is simply not a drain.
-        if self.on_drain is not None:
-            for _ in range(max(0, after - before)):
-                self.on_drain(self)
+        if stats:
+            self._stats = dict(stats)
 
     def _adopt_snapshot(
         self, snapshot: dict[str, Any], query: Any = None
@@ -462,8 +436,8 @@ class RemoteShardService:
             data = exc.data or {}
             return PlanInfeasible(
                 str(exc),
-                RemotePlan(data.get("plan")),
-                RemoteDecision(data.get("decision")),
+                RemotePlan(data["plan"]),
+                _decision_from_dict(data["decision"]),
             )
         if exc.kind == "admission-rejected":
             return AdmissionRejected(str(exc))
@@ -479,7 +453,8 @@ class RemoteShardService:
         budget_cap: float | None = None,
         priority: float = 1.0,
     ) -> None:
-        if name in self._registered:
+        declared = (budget_cap, priority)
+        if self._registered.get(name) == declared:
             return
         try:
             await self._call(
@@ -490,7 +465,7 @@ class RemoteShardService:
             )
         except RpcError as exc:
             raise self._rebuild_error(exc) from None
-        self._registered.add(name)
+        self._registered[name] = declared
 
     async def plan(
         self,
@@ -515,17 +490,16 @@ class RemoteShardService:
             )
         except RpcError as exc:
             raise self._rebuild_error(exc) from None
-        return RemotePlan(reply["plan"], decision=RemoteDecision(reply["decision"]))
+        return RemotePlan(reply["plan"], _decision_from_dict(reply["decision"]))
 
-    def preadmit(self, plan: RemotePlan) -> RemoteDecision:
-        decision = getattr(plan, "decision", None)
+    def preadmit(self, plan: RemotePlan) -> PlanDecision:
+        decision = plan.decision
         if decision is None:
             raise ValueError(
                 "preadmit() needs a plan returned by this service's plan()"
             )
         return decision
 
-    # cdas-lint: disable=CDAS005 plan= never crosses the RPC boundary: plans are re-projected shard-side, and every remote caller submits by (job_name, query) positionally
     async def submit(
         self,
         job_name: str,
@@ -754,10 +728,9 @@ class ShardRouter:
         if initial and service.recovered:
             self.recovered_queries += len(snapshots)
         service._update_stats(reply.get("stats"))
-        # Journal recovery replays tenant registrations worker-side, but
-        # the wire-level register handler is idempotent anyway — always
-        # re-register lazily after a (re)spawn.
-        service._registered = set()
+        # Journal recovery replays tenant registrations worker-side; a
+        # repeat just redeclares, so re-register lazily after a (re)spawn.
+        service._registered = {}
         service.alive = True
         service.ready.set()
 
@@ -832,8 +805,11 @@ class ShardRouter:
 
         Returns the home shard's name.  The record is what lazy
         re-homing replays: whichever shard a later route picks gets the
-        same cap/priority registered before any submit runs there.
+        same cap/priority registered before any submit runs there.  An
+        invalid cap or priority raises ``ValueError`` before the record
+        changes, as the in-process service keeps its previous policy.
         """
+        TenantPolicy(name=name, budget_cap=budget_cap, priority=priority)
         self._tenants[name] = {
             "budget_cap": None if budget_cap is None else float(budget_cap),
             "priority": float(priority),
@@ -856,8 +832,10 @@ class ShardRouter:
     async def _ensure_registered(
         self, service: RemoteShardService, tenant: str
     ) -> None:
+        """Register the tenant's current record on ``service``; the
+        shard re-sends only when its cached registration differs."""
         record = self._tenants.get(tenant)
-        if record is None or tenant in service._registered:
+        if record is None:
             return
         await service.register_tenant(
             tenant,

@@ -17,7 +17,8 @@ the canonical result summary (or error) plus fresh shard stats, and
 drains push a ``stats`` event — so the router's poll/metrics/SSE paths
 are all local reads of its caches, never a blocking round trip.  Stats
 are the gateway's per-service ``/v1/metrics`` entry
-(:func:`repro.scenarios.service_stats`) plus the shard's ``idle`` flag.
+(:meth:`AsyncSchedulerService.metrics_snapshot`) plus the shard's
+``idle`` flag.
 
 With a journal the worker composes durability unchanged: a fresh
 journal makes the service a :class:`DurableSchedulerService` (the
@@ -57,8 +58,6 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
     submit/cancel responses, the init recovery report, the ``outcomes``
     RPC (what the scaling bench fingerprints), and ``terminal`` events.
     """
-    from repro.scenarios import result_summary
-
     progress = ahandle.progress()
     plan = ahandle.plan
     snapshot: dict[str, Any] = {
@@ -71,12 +70,9 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
     }
     state = progress.state.value
     if state == "done":
-        snapshot["result"] = result_summary(ahandle.handle.result())
+        snapshot["result"] = ahandle.result_summary()
     elif state == "failed":
-        record = ahandle.handle._record
-        snapshot["error"] = (
-            str(record.error) if record.error is not None else "failed"
-        )
+        snapshot["error"] = ahandle.error_text
     if ahandle.stranded is not None and state not in (
         "done", "cancelled", "failed"
     ):
@@ -91,7 +87,6 @@ class _Worker:
         self.shard = shard
         self.outbox = outbox
         self.service: AsyncSchedulerService | None = None
-        self.drains = 0
         self._pumps: list[asyncio.Task[None]] = []
 
     # -- push side -----------------------------------------------------------
@@ -100,17 +95,10 @@ class _Worker:
         self.outbox.put_nowait(frame)
 
     def stats(self) -> dict[str, Any]:
-        from repro.scenarios import service_stats
-
         assert self.service is not None
-        stats = service_stats(self.service, self.drains)
+        stats = self.service.metrics_snapshot()
         stats["idle"] = self.service.idle
         return stats
-
-    def _flush(self) -> None:
-        flush = getattr(self.service.service, "flush_journal", None)
-        if flush is not None:
-            flush()
 
     def pump(self, ahandle: AsyncQueryHandle) -> None:
         """Stream one handle's changed snapshots to the router."""
@@ -132,7 +120,7 @@ class _Worker:
                     # Result/error extraction and the ledger totals ride
                     # along, so the router's caches turn terminal in one
                     # ordered frame.
-                    self._flush()
+                    self.service.flush_journal()
                     self.post({
                         "event": "terminal",
                         "seq": ahandle.seq,
@@ -178,8 +166,7 @@ class _Worker:
         service = AsyncSchedulerService(inner, name=self.shard)
 
         def on_drain(_svc: AsyncSchedulerService) -> None:
-            self.drains += 1
-            self._flush()
+            # The driver flushed the journal before draining.
             self.post({"event": "stats", "stats": self.stats()})
 
         service.on_drain = on_drain
@@ -201,18 +188,15 @@ class _Worker:
         }
 
     def register_tenant(self, params: dict[str, Any]) -> dict[str, Any]:
+        # A repeat (recovered shard, re-homing replay) just redeclares;
+        # invalid caps/priorities raise and cross as ``bad-request``.
         budget_cap = params.get("budget_cap")
-        try:
-            self.service.register_tenant(
-                params["name"],
-                budget_cap=None if budget_cap is None else float(budget_cap),
-                priority=float(params.get("priority", 1.0)),
-            )
-        except ValueError:
-            # Idempotent at the RPC layer: a journal-recovered shard (or a
-            # router re-homing replay) already holds the registration.
-            pass
-        self._flush()
+        self.service.register_tenant(
+            params["name"],
+            budget_cap=None if budget_cap is None else float(budget_cap),
+            priority=float(params.get("priority", 1.0)),
+        )
+        self.service.flush_journal()
         return {"ok": True}
 
     def _decode_submission(self, params: dict[str, Any]):
@@ -254,7 +238,7 @@ class _Worker:
             **inputs,
         )
         # Durability barrier before the ack, as the gateway's 201.
-        self._flush()
+        self.service.flush_journal()
         self.pump(ahandle)
         return {"handle": handle_snapshot(ahandle)}
 
@@ -263,7 +247,7 @@ class _Worker:
         for ahandle in self.service.handles:
             if ahandle.seq == seq:
                 cancelled = await ahandle.cancel()
-                self._flush()
+                self.service.flush_journal()
                 return {
                     "cancelled": cancelled,
                     "handle": handle_snapshot(ahandle),
@@ -283,7 +267,7 @@ class _Worker:
             except (asyncio.CancelledError, Exception):
                 pass
         if self.service is not None:
-            self._flush()
+            self.service.flush_journal()
             await self.service.aclose()
 
 

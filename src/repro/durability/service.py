@@ -275,6 +275,9 @@ class DurableSchedulerService(SchedulerService):
         priority: float = 1.0,
     ) -> TenantPolicy:
         self._ensure_healthy()
+        # Validate before journaling: a record that raises on replay
+        # would make the whole journal unrecoverable.
+        TenantPolicy(name=name, budget_cap=budget_cap, priority=priority)
         self._observed(
             {
                 "k": "tenant",

@@ -41,7 +41,7 @@ results gathered concurrently are bit-identical to sequential runs.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import AsyncIterator, Callable
+from collections.abc import AsyncIterator, Callable, Iterable
 from typing import Any
 
 from repro.engine.planner import QueryPlan
@@ -61,6 +61,7 @@ __all__ = [
     "AsyncSchedulerService",
     "ServiceMux",
     "DEFAULT_UPDATE_QUEUE",
+    "state_counts",
 ]
 
 #: Default bound on each update subscriber's pending-snapshot queue.
@@ -72,6 +73,16 @@ __all__ = [
 #: most this many snapshots, never unbounded memory, and never stalls
 #: the driver (publication stays non-blocking).
 DEFAULT_UPDATE_QUEUE = 256
+
+
+def state_counts(handles: Iterable[AsyncHandleBase]) -> dict[str, int]:
+    """``state → count`` over ``handles``: the ``queries`` field of a
+    service's ``/v1/metrics`` entry."""
+    states: dict[str, int] = {}
+    for handle in handles:
+        key = handle.state.value
+        states[key] = states.get(key, 0) + 1
+    return states
 
 
 class AsyncHandleBase:
@@ -87,7 +98,9 @@ class AsyncHandleBase:
       with each changed snapshot and sets ``_terminal`` at terminal
       states (or calls :meth:`_mark_stranded`);
     * how :meth:`cancel` gets to the query;
-    * the terminal value :meth:`_terminal_value` returns or raises.
+    * the terminal value :meth:`_terminal_value` returns or raises, and
+      its wire forms: :meth:`result_summary` for a DONE query,
+      :attr:`error_text` for a FAILED one.
 
     ``service`` must offer ``_ensure_driver()``: awaiting or subscribing
     to a live query makes sure something is pumping it.
@@ -185,6 +198,16 @@ class AsyncHandleBase:
 
     def _terminal_value(self) -> Any:
         """The result of a terminal query (or the error it raises)."""
+        raise NotImplementedError
+
+    def result_summary(self) -> dict[str, Any] | None:
+        """The canonical summary of a DONE query's result
+        (:func:`repro.scenarios.result_summary`); ``None`` otherwise."""
+        raise NotImplementedError
+
+    @property
+    def error_text(self) -> str:
+        """Why a FAILED query failed, as the poll payload reports it."""
         raise NotImplementedError
 
     async def cancel(self) -> bool:
@@ -329,6 +352,18 @@ class AsyncQueryHandle(AsyncHandleBase):
         # Terminal: the sync result() returns/raises without pumping.
         return self.handle.result()
 
+    def result_summary(self) -> dict[str, Any] | None:
+        from repro.scenarios import result_summary
+
+        if self.state is not QueryState.DONE:
+            return None
+        return result_summary(self.handle.result())
+
+    @property
+    def error_text(self) -> str:
+        error = self.handle._record.error
+        return "failed" if error is None else str(error)
+
     async def cancel(self) -> bool:
         """Cancel the query (charge-final, as the sync path) and wake
         everyone: ``result()`` waiters raise
@@ -399,12 +434,14 @@ class AsyncSchedulerService:
         #: Total ``service.step()`` calls the driver has made (productive
         #: or not) — observability, and the spin-vs-sleep regression gate.
         self.steps_taken = 0
+        #: Times the driver drained (every submitted query terminal or
+        #: stranded, nothing in flight).
+        self.drains = 0
         #: Observer called after each *productive* step
         #: (:class:`ServiceMux` wires its interleave log here).
         self.on_step: Callable[["AsyncSchedulerService"], None] | None = None
-        #: Observer called once each time the driver drains (every
-        #: submitted query terminal or stranded, nothing in flight) —
-        #: the gateway counts these for its metrics endpoint.
+        #: Observer called once each time the driver drains, after
+        #: :attr:`drains` counts it (a shard worker pushes stats here).
         self.on_drain: Callable[["AsyncSchedulerService"], None] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -469,6 +506,29 @@ class AsyncSchedulerService:
     @property
     def idle(self) -> bool:
         return self.service.idle
+
+    # -- observation and durability ------------------------------------------
+
+    def flush_journal(self) -> None:
+        """Durability barrier of the wrapped service (a no-op unjournaled)."""
+        self.service.flush_journal()
+
+    def ledger_summary(self) -> dict[str, Any]:
+        """The market ledger's totals (:func:`repro.scenarios.ledger_summary`)."""
+        from repro.scenarios import ledger_summary
+
+        return ledger_summary(self.service.engine.market.ledger)
+
+    def metrics_snapshot(self) -> dict[str, Any]:
+        """This service's ``/v1/metrics`` entry: pump steps, drains, query
+        states, ledger totals and journal stats (``None`` unjournaled)."""
+        return {
+            "steps_taken": self.steps_taken,
+            "drains": self.drains,
+            "queries": state_counts(self._handles),
+            "ledger": self.ledger_summary(),
+            "journal": self.service.journal_stats(),
+        }
 
     # -- submission ----------------------------------------------------------
 
@@ -544,10 +604,6 @@ class AsyncSchedulerService:
 
     async def _drive(self) -> None:
         service = self.service
-        # Durable services batch journal fsyncs; barrier them at the
-        # loop's natural pauses (dormancy, drain) so the per-event hot
-        # path never waits on the disk.
-        flush_journal = getattr(service, "flush_journal", None)
         try:
             while True:
                 stepped = service.step()
@@ -564,8 +620,10 @@ class AsyncSchedulerService:
                 if eta is not None:
                     # Dormant: sleep exactly until the next arrival
                     # unlocks, or an external submit()/cancel() wakes us.
-                    if flush_journal is not None:
-                        flush_journal()
+                    # Durable services batch journal fsyncs; barrier them
+                    # at the loop's natural pauses (dormancy, drain) so
+                    # the per-event hot path never waits on the disk.
+                    service.flush_journal()
                     self._wake.clear()
                     try:
                         await asyncio.wait_for(
@@ -583,8 +641,7 @@ class AsyncSchedulerService:
                     )
                 # Drained: nothing left anywhere.  Queries that are still
                 # non-terminal can never advance — wake their waiters.
-                if flush_journal is not None:
-                    flush_journal()
+                service.flush_journal()
                 for handle in self._handles:
                     if not handle.done:
                         handle._strand(
@@ -594,6 +651,7 @@ class AsyncSchedulerService:
                                 f"{handle.state.value}"
                             )
                         )
+                self.drains += 1
                 if self.on_drain is not None:
                     self.on_drain(self)
                 return

@@ -1399,6 +1399,16 @@ class SchedulerService:
             record.state in TERMINAL_STATES for record in self._records
         )
 
+    # -- durability surface (no-ops without a journal) -------------------------
+
+    def flush_journal(self) -> None:
+        """Durability barrier; nothing to flush without a journal
+        (the journaled subclass fsyncs here)."""
+
+    def journal_stats(self) -> dict[str, Any] | None:
+        """Journal counters, or ``None`` for an unjournaled service."""
+        return None
+
     def _admit_queued(self) -> None:
         """QUEUED → ADMITTED while the tenant has budget headroom.
 

@@ -125,22 +125,6 @@ class GatewayApp:
             "cancels": 0,
             "sse_streams": 0,
         }
-        #: Driver drain count per service (wired through ``on_drain``).
-        self.drains: dict[str, int] = {}
-        for service in self.mux.services:
-            self._hook_drain(service)
-
-    def _hook_drain(self, service: AsyncSchedulerService) -> None:
-        name = service.name or "svc"
-        self.drains.setdefault(name, 0)
-        previous = service.on_drain
-
-        def count(svc: AsyncSchedulerService) -> None:
-            if previous is not None:
-                previous(svc)
-            self.drains[name] = self.drains.get(name, 0) + 1
-
-        service.on_drain = count
 
     def _kick_drivers(self) -> None:
         """Restart drivers for services holding live queries.

@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.amt.trace import canonical_json
 from repro.durability import codec as dcodec
+from repro.engine.aio import AsyncHandleBase
 from repro.engine.query import Query
 
 __all__ = [
@@ -129,7 +130,7 @@ def parse_inputs(
     return resolved
 
 
-def handle_payload(query_id: str, ahandle: Any) -> dict[str, Any]:
+def handle_payload(query_id: str, ahandle: AsyncHandleBase) -> dict[str, Any]:
     """The ``GET /v1/queries/{id}`` body for one handle.
 
     Identity plus the full ``QueryProgress.to_dict()`` snapshot; a DONE
@@ -138,8 +139,6 @@ def handle_payload(query_id: str, ahandle: Any) -> dict[str, Any]:
     FAILED one carries its error message.  Cheap and side-effect-free —
     safe to poll.
     """
-    from repro.scenarios import result_summary
-
     progress = ahandle.progress()
     payload: dict[str, Any] = {
         "id": query_id,
@@ -150,20 +149,7 @@ def handle_payload(query_id: str, ahandle: Any) -> dict[str, Any]:
     }
     state = progress.state.value
     if state == "done":
-        summarise = getattr(ahandle, "result_summary", None)
-        if summarise is not None:
-            # Remote shard handle: the worker computed (and pushed) the
-            # canonical summary — the live result object never crossed.
-            payload["result"] = summarise()
-        else:
-            payload["result"] = result_summary(ahandle.handle.result())
+        payload["result"] = ahandle.result_summary()
     elif state == "failed":
-        error_text = getattr(ahandle, "error_text", None)
-        if error_text is not None:
-            payload["error"] = error_text
-        else:
-            record = ahandle.handle._record
-            payload["error"] = (
-                str(record.error) if record.error is not None else "failed"
-            )
+        payload["error"] = ahandle.error_text
     return payload

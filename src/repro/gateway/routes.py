@@ -55,19 +55,10 @@ def healthz(app: "GatewayApp") -> dict[str, Any]:
 def metrics(app: "GatewayApp") -> dict[str, Any]:
     """Scheduler / ledger / journal counters, per service, plus the
     gateway's own request counters.  Read-only and cheap."""
-    from repro.scenarios import service_stats
-
-    services: dict[str, Any] = {}
-    for service in app.mux.services:
-        name = service.name or "svc"
-        if service.service is None and hasattr(service, "metrics_snapshot"):
-            # Remote shard: its stats were pushed over the socket; the
-            # gateway-level drain counter still wins for consistency.
-            entry = service.metrics_snapshot()
-            entry["drains"] = app.drains.get(name, 0)
-            services[name] = entry
-        else:
-            services[name] = service_stats(service, app.drains.get(name, 0))
+    services = {
+        (service.name or "svc"): service.metrics_snapshot()
+        for service in app.mux.services
+    }
     return {"gateway": dict(app.counters), "services": services}
 
 
@@ -165,11 +156,9 @@ async def submit(
         reserve=options["mode"] == "reserve",
         **inputs,
     ))
-    flush = getattr(service.service, "flush_journal", None)
-    if flush is not None:
-        # Durable gateway: the submit record must hit disk before the
-        # client is told 201 — an acknowledged id must survive kill -9.
-        flush()
+    # Durable gateway: the submit record must hit disk before the
+    # client is told 201 — an acknowledged id must survive kill -9.
+    service.flush_journal()
     app.counters["submits"] += 1
     query_id = app.query_id(service, handle)
     if key is not None:
@@ -205,19 +194,11 @@ async def cancel(app: "GatewayApp", tenant: str, query_id: str) -> dict[str, Any
     """
     service, handle = app.resolve(tenant, query_id)
     cancelled = await handle.cancel()
-    flush = getattr(service.service, "flush_journal", None)
-    if flush is not None:
-        # The cancel record is written ahead of the market forfeit; make
-        # it durable before acknowledging, mirroring submit's barrier.
-        flush()
-    from repro.scenarios import ledger_summary
-
+    # The cancel record is written ahead of the market forfeit; make it
+    # durable before acknowledging, mirroring submit's barrier.
+    service.flush_journal()
     payload = handle_payload(query_id, handle)
     payload["cancelled"] = cancelled
-    if service.service is None and hasattr(service, "ledger_summary"):
-        # Remote shard: the cancel reply refreshed the pushed ledger.
-        payload["ledger"] = service.ledger_summary()
-    else:
-        payload["ledger"] = ledger_summary(service.service.engine.market.ledger)
+    payload["ledger"] = service.ledger_summary()
     assert handle.state in TERMINAL_STATES
     return payload

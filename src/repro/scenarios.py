@@ -68,7 +68,6 @@ __all__ = [
     "replay_scenario",
     "result_summary",
     "run_scenario",
-    "service_stats",
 ]
 
 #: Pool size every scenario's simulated market draws from.
@@ -191,25 +190,6 @@ def _ledger_summary(ledger) -> dict[str, Any]:
         "cancelled_assignments": ledger.cancelled_assignments,
         "total_cost": _round6(ledger.total_cost),
         "avoided_cost": _round6(ledger.avoided_cost),
-    }
-
-
-def service_stats(aservice, drains: int) -> dict[str, Any]:
-    """One in-process async service's counters: pump steps, drains, query
-    states, ledger totals and journal stats (``None`` unjournaled).  The
-    gateway's ``/v1/metrics`` and a shard worker's stats pushes both
-    serve this dict."""
-    states: dict[str, int] = {}
-    for handle in aservice.handles:
-        key = handle.state.value
-        states[key] = states.get(key, 0) + 1
-    journal_stats = getattr(aservice.service, "journal_stats", None)
-    return {
-        "steps_taken": aservice.steps_taken,
-        "drains": drains,
-        "queries": states,
-        "ledger": _ledger_summary(aservice.service.engine.market.ledger),
-        "journal": None if journal_stats is None else journal_stats(),
     }
 
 

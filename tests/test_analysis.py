@@ -34,7 +34,7 @@ from repro.analysis.rules import (
     DurabilityOrderingRule,
     SeamParityRule,
 )
-from repro.analysis.rules.seam_parity import ProtocolSpec, SeamPair
+from repro.analysis.rules.seam_parity import ProtocolSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -304,9 +304,7 @@ ROUTES_OK = """
 async def submit(app, tenant, body):
     service = app.mux[tenant]
     handle = await service.submit(body["job"], body["query"])
-    flush = getattr(service.service, "flush_journal", None)
-    if flush is not None:
-        flush()
+    service.flush_journal()
     return 201, handle
 """
 
@@ -501,30 +499,29 @@ class TestCodecClosure:
 
 
 # ---------------------------------------------------------------------------
-# CDAS005 — seam parity
+# CDAS005 — seam parity (protocol conformance)
 # ---------------------------------------------------------------------------
 
-REFERENCE_SEAM = """
-class Ref:
-    def submit(self, job_name, query, *, tenant=None, budget=None):
-        return (job_name, query, tenant, budget)
+SUBMITTER_PROTOCOL = """
+from typing import Protocol
+
+class Submitter(Protocol):
+    def submit(self, job_name, query, *, tenant=None, budget=None): ...
 
     @property
-    def idle(self):
-        return True
+    def idle(self): ...
 """
 
 
 def seam_rule():
     return SeamParityRule(
-        pairs=(
-            SeamPair(
-                reference=("repro/a.py", "Ref"),
-                mirror=("repro/b.py", "Mir"),
-                members=("submit", "idle"),
+        protocols=(
+            ProtocolSpec(
+                protocol=("repro/a.py", "Submitter"),
+                anchor="submit",
+                scope=("repro/impl/",),
             ),
         ),
-        protocols=(),
     )
 
 
@@ -533,8 +530,8 @@ class TestSeamParity:
         root = make_tree(
             tmp_path,
             {
-                "repro/a.py": REFERENCE_SEAM,
-                "repro/b.py": """
+                "repro/a.py": SUBMITTER_PROTOCOL,
+                "repro/impl/b.py": """
                 class Mir:
                     async def submit(self, job_name, query, *, tenant=None, budget=None):
                         return (job_name, query, tenant, budget)
@@ -552,8 +549,8 @@ class TestSeamParity:
         root = make_tree(
             tmp_path,
             {
-                "repro/a.py": REFERENCE_SEAM,
-                "repro/b.py": """
+                "repro/a.py": SUBMITTER_PROTOCOL,
+                "repro/impl/b.py": """
                 class Mir:
                     def submit(self, job_name, query, *, tenant=None, budget=None):
                         return None
@@ -563,14 +560,14 @@ class TestSeamParity:
         result = run_lint(root, rules=[seam_rule()])
         (finding,) = rule_findings(result, "CDAS005")
         assert "idle" in finding.message
-        assert finding.path.endswith("repro/b.py")
+        assert finding.path.endswith("repro/impl/b.py")
 
     def test_arity_and_kwonly_drift_fire(self, tmp_path):
         root = make_tree(
             tmp_path,
             {
-                "repro/a.py": REFERENCE_SEAM,
-                "repro/b.py": """
+                "repro/a.py": SUBMITTER_PROTOCOL,
+                "repro/impl/b.py": """
                 class Mir:
                     def submit(self, job_name, *, tenant=None):
                         return None
@@ -590,8 +587,8 @@ class TestSeamParity:
         root = make_tree(
             tmp_path,
             {
-                "repro/a.py": REFERENCE_SEAM,
-                "repro/b.py": """
+                "repro/a.py": SUBMITTER_PROTOCOL,
+                "repro/impl/b.py": """
                 class Mir:
                     def submit(self, job_name, query, *, tenant=None, budget=None):
                         return None
@@ -607,7 +604,6 @@ class TestSeamParity:
 
     def test_protocol_implementor_missing_member_fires(self, tmp_path):
         rule = SeamParityRule(
-            pairs=(),
             protocols=(
                 ProtocolSpec(
                     protocol=("repro/proto.py", "Store"),

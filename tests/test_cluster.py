@@ -8,8 +8,9 @@ Three layers, bottom-up:
 * one live 2-process router — submit/result/cancel across the process
   boundary, per-shard outcomes **bit-identical** (canonical JSON) to an
   in-process rebuild of the same shard recipe;
-* the HTTP gateway served directly by the router — submit, poll,
-  metrics, healthz and the 402 counter-offer all crossing the RPC.
+* the HTTP gateway contract — explain, submit, poll, cancel, metrics,
+  healthz and the 402 counter-offer — served alike by an in-process
+  ``ServiceMux`` and by the router across the RPC.
 """
 
 from __future__ import annotations
@@ -263,79 +264,227 @@ def test_router_matches_in_process_bit_for_bit():
         assert canonical_json(local) == canonical_json(remote[shard])
 
 
-def test_gateway_served_by_router():
-    """GatewayApp speaks to shards over RPC: submit/poll/metrics/healthz
-    and the 402 counter-offer all work unchanged."""
+def _local_shard(shard: str, shards: list[str]):
+    """The in-process twin of one router shard: the same ``bench``
+    recipe (pool slice + derived seed) the worker builds."""
+    from repro.cluster.workloads import bench
+
+    config = {
+        "seed": SEED,
+        "shard": shard,
+        "shards": shards,
+        "weights": {name: 1.0 for name in shards},
+        "pool_size": bench.default_pool_size,
+    }
+    return bench(config).service(max_in_flight=4)
+
+
+#: The gateway contract both service flavours serve: per request, the
+#: status and the payload's key set.
+GATEWAY_CONTRACT = [
+    ("explain", 200, {"service", "plan", "decision"}),
+    ("poll", 200, {"id", "job", "subject", "tenant", "progress", "result"}),
+    ("submit", 201, {"id", "job", "subject", "tenant", "progress", "plan"}),
+    ("cancel", 200, {
+        "id", "job", "subject", "tenant", "progress", "cancelled", "ledger",
+    }),
+    ("poll", 200, {"id", "job", "subject", "tenant", "progress"}),
+    ("metrics", 200, {"gateway", "services"}),
+    ("healthz", 200, {"status", "services"}),
+    ("refused", 402, {"error", "message", "plan", "decision"}),
+]
+METRICS_ENTRY = {"steps_taken", "drains", "queries", "ledger", "journal"}
+
+
+@pytest.mark.parametrize("flavour", ["mux", "router"])
+def test_gateway_served_by_router(flavour):
+    """One gateway contract for both service flavours: an in-process
+    ``ServiceMux`` and a 2-shard ``ShardRouter`` answer explain, submit,
+    poll, cancel, metrics, healthz and the 402 counter-offer with the same
+    statuses and payload keys (remote metrics entries add ``alive``)."""
     from repro.cluster import ShardRouter
+    from repro.engine.aio import AsyncSchedulerService, ServiceMux
     from repro.gateway.app import GatewayApp
     from repro.gateway.auth import TokenAuth
     from repro.gateway.testing import InProcessClient
 
     gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
     tweets = generate_tweets(["rio"], per_movie=6, seed=SEED + 2)
+    # Big enough that the DELETE lands while the query still runs.
+    many = generate_tweets(["solaris"], per_movie=600, seed=SEED + 3)
+    shards = ["shard0", "shard1"]
+    homes = {
+        tenant: assign_shard(tenant, {name: 1.0 for name in shards})
+        for tenant in ("acme", "globex")
+    }
+    policies = {
+        "acme": {"priority": 2.0},
+        "globex": {"priority": 1.0, "budget_cap": 0.02},
+    }
+
+    def body(subject: str, preset: str) -> dict:
+        return {
+            "job": "twitter-sentiment",
+            "query": {
+                "keywords": [subject], "required_accuracy": 0.85,
+                "domain": ["positive", "neutral", "negative"],
+                "subject": subject,
+            },
+            "inputs": {"$preset": preset},
+        }
+
+    async def drive(app) -> list:
+        transcript = []
+
+        def record(step, response):
+            transcript.append((step, response.status, set(response.json())))
+            return response.json()
+
+        client = InProcessClient(app, token="acme-token")
+        record("explain", await client.post("/v1/explain", body("rio", "demo")))
+        # Not recorded: whether this small query is already DONE (and
+        # its 201 carries a result) is timing, remotely.
+        submitted = await client.post("/v1/queries", body("rio", "demo"))
+        assert submitted.status == 201
+        query_id = submitted.json()["id"]
+        assert query_id.startswith(homes["acme"])
+        for _ in range(300):
+            polled = await client.get(f"/v1/queries/{query_id}")
+            if polled.json()["progress"]["state"] == "done":
+                break
+            await asyncio.sleep(0.05)
+        record("poll", polled)
+
+        doomed = record(
+            "submit", await client.post("/v1/queries", body("solaris", "many"))
+        )["id"]
+        cancel = record("cancel", await client.delete(f"/v1/queries/{doomed}"))
+        assert cancel["cancelled"] is True
+        frozen = record("poll", await client.get(f"/v1/queries/{doomed}"))
+        assert frozen["progress"] == cancel["progress"]
+        assert frozen["progress"]["state"] == "cancelled"
+
+        metrics = record("metrics", await client.get("/v1/metrics"))
+        assert set(metrics["services"]) == set(shards)
+        for entry in metrics["services"].values():
+            assert set(entry) - {"alive"} == METRICS_ENTRY
+            if flavour == "router":
+                assert entry["alive"] is True
+            else:
+                assert "alive" not in entry
+        entry = metrics["services"][homes["acme"]]
+        assert entry["queries"] == {"done": 1, "cancelled": 1}
+        assert entry["ledger"] == cancel["ledger"]
+        assert entry["ledger"]["charged_assignments"] > 0
+        assert entry["drains"] >= 1
+        health = record("healthz", await client.get("/v1/healthz"))
+        assert set(health["services"]) == set(shards)
+
+        # The counter-offer crosses the seam: globex's cap refuses the
+        # same submission with the full 402 payload.
+        refused = record("refused", await InProcessClient(
+            app, token="globex-token"
+        ).post("/v1/queries", body("rio", "demo")))
+        assert refused["error"] == "plan-infeasible"
+        return transcript
+
+    def gateway(mux, routes=None):
+        return GatewayApp(
+            mux,
+            TokenAuth({"acme-token": "acme", "globex-token": "globex"}),
+            routes=routes,
+            presets={
+                "demo": dict(
+                    tweets=tweets, gold_tweets=gold,
+                    worker_count=5, batch_size=6,
+                ),
+                "many": dict(
+                    tweets=many, gold_tweets=gold,
+                    worker_count=5, batch_size=6,
+                ),
+            },
+        )
 
     async def run():
-        async with ShardRouter(2, workload="bench", seed=SEED) as router:
-            await router.register_tenant("acme", priority=2.0)
-            await router.register_tenant("globex", priority=1.0, budget_cap=0.02)
-            app = GatewayApp(
-                router,
-                TokenAuth({"acme-token": "acme", "globex-token": "globex"}),
-                presets={
-                    "demo": dict(
-                        tweets=tweets, gold_tweets=gold,
-                        worker_count=5, batch_size=6,
-                    )
-                },
-            )
-            client = InProcessClient(app, token="acme-token")
-            body = {
-                "job": "twitter-sentiment",
-                "query": {
-                    "keywords": ["rio"], "required_accuracy": 0.85,
-                    "domain": ["positive", "neutral", "negative"],
-                    "subject": "rio",
-                },
-                "inputs": {"$preset": "demo"},
-            }
-            response = await client.post("/v1/queries", body)
-            assert response.status == 201
-            payload = response.json()
-            query_id = payload["id"]
-            assert query_id.startswith("shard")
-            assert "plan" in payload
+        if flavour == "router":
+            async with ShardRouter(2, workload="bench", seed=SEED) as router:
+                for tenant, policy in policies.items():
+                    await router.register_tenant(tenant, **policy)
+                return await drive(gateway(router))
+        mux = ServiceMux()
+        for name in shards:
+            mux.add(name, AsyncSchedulerService(_local_shard(name, shards)))
+        for tenant, policy in policies.items():
+            mux[homes[tenant]].register_tenant(tenant, **policy)
+        async with mux:
+            return await drive(gateway(mux, routes=homes))
 
-            for _ in range(300):
-                payload = (await client.get(f"/v1/queries/{query_id}")).json()
-                if payload["progress"]["state"] == "done":
-                    break
-                await asyncio.sleep(0.05)
-            assert payload["progress"]["state"] == "done"
-            assert "result" in payload
+    assert asyncio.run(run()) == GATEWAY_CONTRACT
 
-            explain = await client.post("/v1/explain", body)
-            assert explain.status == 200
-            assert set(explain.json()) == {"service", "plan", "decision"}
 
-            health = (await client.get("/v1/healthz")).json()
-            assert set(health["services"]) == {"shard0", "shard1"}
+def _plain_submit(service, **kwargs):
+    _, query, inputs = _submissions()[0]
+    return service.submit(
+        "twitter-sentiment", query, tenant="acme", reserve=False,
+        **inputs, **kwargs,
+    )
 
-            metrics = (await client.get("/v1/metrics")).json()
-            shard = query_id.rsplit("-", 1)[0]
-            entry = metrics["services"][shard]
-            assert entry["alive"] is True
-            assert entry["queries"].get("done", 0) >= 1
-            assert entry["ledger"]["charged_assignments"] > 0
 
-            # The counter-offer crosses the RPC: globex's cap refuses
-            # the same submission with the full 402 payload.
-            refused = await InProcessClient(app, token="globex-token").post(
-                "/v1/queries", body
-            )
-            assert refused.status == 402
-            refusal = refused.json()
-            assert refusal["error"] == "plan-infeasible"
-            assert "plan" in refusal and "decision" in refusal
+def test_router_tenant_redeclaration_reaches_shard():
+    """A redeclared cap reaches the shard: lowering acme's cap to zero
+    refuses its next submit over the RPC exactly as in-process
+    (committed ≤ cap at the declared cap), and raising it again admits."""
+    from repro.cluster import ShardRouter
+    from repro.engine.service import AdmissionRejected
+
+    local = _local_shard("shard0", ["shard0"])
+    local.register_tenant("acme", budget_cap=5.0)
+    local.register_tenant("acme", budget_cap=0.0)
+    with pytest.raises(AdmissionRejected):
+        _plain_submit(local)
+
+    async def run():
+        async with ShardRouter(1, workload="bench", seed=SEED) as router:
+            await router.register_tenant("acme", budget_cap=5.0)
+            await router.register_tenant("acme", budget_cap=0.0)
+            with pytest.raises(AdmissionRejected):
+                await _plain_submit(router["shard0"])
+            await router.register_tenant("acme", budget_cap=5.0)
+            handle = await _plain_submit(router["shard0"])
+            await handle.result(timeout=120)
+            assert handle.state.value == "done"
+
+    asyncio.run(run())
+
+
+def test_router_rejects_invalid_tenant():
+    """An invalid cap or priority raises ``ValueError`` over the RPC, as
+    in-process, instead of being swallowed by the worker; a refused
+    redeclaration leaves the last good registration in force.  The
+    router refuses before its record changes; the shard service sends
+    the registration and rebuilds the worker's ``bad-request``."""
+    from repro.cluster import ShardRouter
+    from repro.engine.service import AdmissionRejected
+
+    invalid = ({"priority": 0.0}, {"budget_cap": -1.0})
+    local = _local_shard("shard0", ["shard0"])
+    for bad in invalid:
+        with pytest.raises(ValueError):
+            local.register_tenant("bad", **bad)
+
+    async def run():
+        async with ShardRouter(1, workload="bench", seed=SEED) as router:
+            await router.register_tenant("acme", budget_cap=0.0)
+            for bad in invalid:
+                with pytest.raises(ValueError):
+                    await router.register_tenant("bad", **bad)
+                with pytest.raises(ValueError):
+                    await router.register_tenant("acme", **bad)
+                with pytest.raises(ValueError):
+                    await router["shard0"].register_tenant("bad", **bad)
+            # Still the zero cap, not a re-sent invalid record.
+            with pytest.raises(AdmissionRejected):
+                await _plain_submit(router["shard0"])
 
     asyncio.run(run())
 

@@ -507,6 +507,27 @@ class TestFailureModes:
         assert service.journal_offset == before
         service.close()
 
+    def test_invalid_tenant_journals_nothing(self, small_pool, journal_path):
+        """A refused registration leaves no record: one that raises on
+        replay would make every later recover() of the journal fail."""
+        service = _build_system(small_pool).service(journal=journal_path)
+        service.register_tenant("acme", budget_cap=1.0)
+        with pytest.raises(ValueError, match="priority"):
+            service.register_tenant("bad", priority=0)
+        with pytest.raises(ValueError, match="budget cap"):
+            service.register_tenant("bad", budget_cap=-1.0)
+        service.flush_journal()
+        service.close()
+        tenants = [
+            record["name"]
+            for record in open_store(journal_path).read_records()
+            if record["k"] == "tenant"
+        ]
+        assert tenants == ["acme"]
+        recovered = recover(journal_path, _build_system(small_pool))
+        assert [t.name for t in recovered.admission.tenants] == ["acme"]
+        recovered.close()
+
     def test_durable_wrapper_exposes_the_service_surface(
         self, small_pool, journal_path
     ):
