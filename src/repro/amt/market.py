@@ -355,9 +355,9 @@ class SimulatedMarket:
     def publish(self, hit: HIT) -> PublishedHIT:
         """Broadcast ``hit``; returns the handle streaming its submissions.
 
-        A single HIT's substreams are too few to amortise vectorised
-        seeding (see DESIGN.md §11), so this delegates to the scalar
-        reference; batch callers use :meth:`publish_many`.
+        Delegates to the scalar reference: a one-HIT vectorised publish
+        costs nearly 3× as much, since ``fastrng.pcg64_init`` alone has a
+        fixed cost of about half a scalar publish (DESIGN.md §11).
 
         Raises
         ------
@@ -418,12 +418,15 @@ class SimulatedMarket:
     def publish_many(self, hits) -> list[PublishedHIT]:
         """Publish a batch of HITs; bit-identical to sequential ``publish``.
 
-        Two or more HITs amortise the vectorised substream seeding well
-        past the scalar path; any condition the vectorised model does not
-        cover (duplicate ids, unknown behaviours, pathological draws)
-        re-runs the batch through :meth:`publish_reference` sequentially,
-        so error behaviour — including which HITs end up registered when a
-        publish raises — matches per-HIT publishes exactly.
+        Pays off only for large batches: chunks of 2 or 4 HITs cost more
+        per HIT than the scalar path, break-even lies around 8 to 16, and
+        on reason-keyword (TSA) HITs most worker lanes replay through the
+        scalar generator anyway (DESIGN.md §11).  Any condition the
+        vectorised model does not cover (duplicate ids, unknown
+        behaviours, pathological draws) re-runs the batch through
+        :meth:`publish_reference` sequentially, so error behaviour —
+        including which HITs end up registered when a publish raises —
+        matches per-HIT publishes exactly.
         """
         hits = list(hits)
         if len(hits) < 2:

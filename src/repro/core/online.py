@@ -119,6 +119,16 @@ class OnlineAggregator:
     def trajectory(self) -> tuple[TrajectoryPoint, ...]:
         return tuple(self._trajectory)
 
+    @property
+    def best_confidence(self) -> float:
+        """The best answer's confidence after the latest arrival (needs
+        ≥ 1 answer).  Stored by :meth:`submit`, so reading it costs no
+        Equation 4 work; equal, bit for bit, to
+        ``max(self.confidences().values())``."""
+        if not self._trajectory:
+            raise ValueError("no answers received yet")
+        return self._trajectory[-1].best_confidence
+
     def snapshot(self) -> TerminationSnapshot:
         """The current :class:`TerminationSnapshot` (needs ≥ 1 answer)."""
         if not self._answers:

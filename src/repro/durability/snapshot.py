@@ -67,7 +67,6 @@ def _capture_pickle(service: Any) -> bytes:
                 rec._peeked,
                 rec._peeked_group,
                 rec._peeked_source,
-                rec._sealed_progress,
                 rec.observer,
             )
         )
@@ -75,9 +74,6 @@ def _capture_pickle(service: Any) -> bytes:
         rec.finalize = None
         rec.plan_thunk = None
         rec._peeked = rec._peeked_group = rec._peeked_source = None
-        # Keyed by id(session); ids are not stable across a pickle
-        # round-trip, so the cache must not survive one.
-        rec._sealed_progress = {}
         rec.observer = None
     saved_observer = service.observer
     saved_on_event = service.scheduler._on_event
@@ -105,7 +101,6 @@ def _capture_pickle(service: Any) -> bytes:
                 rec._peeked,
                 rec._peeked_group,
                 rec._peeked_source,
-                rec._sealed_progress,
                 rec.observer,
             ) = entry[1:]
 

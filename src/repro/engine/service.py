@@ -83,7 +83,7 @@ from repro.engine.scheduler import (
 from repro.engine.session import HITSession, SessionState
 
 if TYPE_CHECKING:
-    from repro.engine.engine import CrowdsourcingEngine
+    from repro.engine.engine import CrowdsourcingEngine, HITRunResult
 
 __all__ = [
     "QueryState",
@@ -315,6 +315,38 @@ class QueryIntake:
         )
 
 
+def _verdict_confidences(result: HITRunResult) -> list[float]:
+    """A sealed session's verdict confidences, in record order."""
+    return [
+        record.verdict.confidence
+        for record in result.records
+        if record.verdict.confidence is not None
+    ]
+
+
+class _SealedPrefix:
+    """Progress and spend terms of a query's leading run of sealed sessions.
+
+    A sealed session's votes and verdicts never change, and its handle is
+    done, so the market charges its HIT nothing further.  Caching its
+    terms once lets every later poll walk only the sessions past
+    :attr:`length` — a standing query accumulates hundreds of sealed
+    windows.  Sessions are only ever removed while unpublished (cancel's
+    withdraw), never from inside the prefix, so it is keyed by position
+    and survives a snapshot's pickle round-trip.
+    """
+
+    def __init__(self) -> None:
+        #: How many leading sessions the aggregate covers.
+        self.length = 0
+        #: ``ledger.cost_of`` per covered session, in session order.
+        self.costs: list[float] = []
+        #: Their verdict confidences, in session then record order.
+        self.confidences: list[float] = []
+        self.answered = 0
+        self.finalized = 0
+
+
 class _QueryRecord:
     """Service-internal state of one submitted query."""
 
@@ -372,14 +404,17 @@ class _QueryRecord:
         self._peeked_group: SessionGroup | None = None
         self._peeked_source: _PlainSource | None = None
         self._final_spend: float | None = None
-        #: Per-session ``(items finalized, verdict confidences)``, cached
-        #: once the session's result is sealed (keyed by ``id(session)``;
-        #: the sessions list keeps every session alive, so ids are
-        #: stable).  Keeps :meth:`QueryHandle.progress` from re-walking
-        #: every completed window's records on every poll — a standing
-        #: query accumulates hundreds of sealed sessions, and their
-        #: results never change.
-        self._sealed_progress: dict[int, tuple[int, int, tuple[float, ...]]] = {}
+        #: What the leading run of sealed sessions contributes to
+        #: :meth:`spend` and :meth:`QueryHandle.progress`, extended
+        #: lazily by :meth:`sealed_prefix`.
+        self._sealed = _SealedPrefix()
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A snapshot written before the aggregate existed holds an
+        # id-keyed cache instead; its records start the aggregate empty.
+        state.pop("_sealed_progress", None)
+        state.setdefault("_sealed", _SealedPrefix())
+        self.__dict__.update(state)
 
     # -- batch source --------------------------------------------------------
 
@@ -474,27 +509,22 @@ class _QueryRecord:
 
     # -- observations --------------------------------------------------------
 
-    def sealed_progress(
-        self, session: HITSession
-    ) -> tuple[int, int, tuple[float, ...]]:
-        """``(items answered, items finalized, verdict confidences)`` of
-        one *sealed* session, computed once and cached (a sealed
-        session's votes and result are immutable)."""
-        cached = self._sealed_progress.get(id(session))
-        if cached is None:
-            assert session.result is not None
-            confidences = tuple(
-                record.verdict.confidence
-                for record in session.result.records
-                if record.verdict.confidence is not None
-            )
-            cached = (
-                session.questions_answered,
-                len(session.result.records),
-                confidences,
-            )
-            self._sealed_progress[id(session)] = cached
-        return cached
+    def sealed_prefix(self, ledger) -> _SealedPrefix:
+        """The aggregate of the leading run of sealed sessions, first
+        extended over any sessions that sealed since the last call."""
+        prefix = self._sealed
+        sessions = self.sessions
+        while prefix.length < len(sessions):
+            session = sessions[prefix.length]
+            result = session.result
+            if result is None:
+                break
+            prefix.costs.append(ledger.cost_of(session.hit_id))
+            prefix.confidences.extend(_verdict_confidences(result))
+            prefix.answered += session.questions_answered
+            prefix.finalized += len(result.records)
+            prefix.length += 1
+        return prefix
 
     def spend(self, ledger) -> float:
         """Market dollars charged to this query's published HITs.
@@ -502,14 +532,21 @@ class _QueryRecord:
         Memoised once terminal: nothing charges a DONE / CANCELLED /
         FAILED query again, and admission sums spend across every record a
         tenant ever ran on each grant — without the cache a long-lived
-        service would re-walk the whole ledger history per slot.
+        service would re-walk the whole ledger history per slot.  Until
+        then only the sessions past the sealed prefix are read from the
+        ledger, but every cost term still goes, in session order, into
+        one ``sum()`` (``0`` when nothing is published).
         """
         if self._final_spend is not None:
             return self._final_spend
+        prefix = self.sealed_prefix(ledger)
         total = sum(
-            ledger.cost_of(session.hit_id)
-            for session in self.sessions
-            if session.handle is not None
+            prefix.costs
+            + [
+                ledger.cost_of(session.hit_id)
+                for session in self.sessions[prefix.length:]
+                if session.handle is not None
+            ]
         )
         if self.state in TERMINAL_STATES:
             self._final_spend = total
@@ -686,8 +723,10 @@ class AdmissionController:
             grantable = [r for r in records if self._grantable(r, ledger)]
             if not grantable:
                 continue
-            tenant_committed = sum(r.committed(ledger) for r in records)
-            if not self.tenant_headroom(policy, tenant_committed):
+            # Only a capped tenant's committed total can refuse a slot.
+            if policy.budget_cap is not None and not self.tenant_headroom(
+                policy, sum(r.committed(ledger) for r in records)
+            ):
                 # Tenant at its cap.  A plan-reserved query whose spend
                 # has not yet consumed its reservation is pre-approved —
                 # its projected work is exactly what filled the cap — so
@@ -811,28 +850,27 @@ class QueryHandle:
     def progress(self) -> QueryProgress:
         """Snapshot the query's progress (cheap; safe at any state).
 
-        Sealed sessions' finalized counts and verdict confidences are
-        cached on first observation (their results never change), so
-        polling a standing query with hundreds of completed windows costs
-        O(live sessions), not O(sessions × records).
+        The leading run of sealed sessions is read from the record's
+        cached aggregate (their results never change), so polling a
+        standing query with hundreds of completed windows walks only the
+        sessions past it, not O(sessions × records).
         """
         record = self._record
         ledger = self._service.engine.market.ledger
-        answered = 0
-        finalized = 0
-        completed = 0
+        prefix = record.sealed_prefix(ledger)
+        answered = prefix.answered
+        finalized = prefix.finalized
+        completed = prefix.length
         in_flight = 0
-        confidences: list[float] = []
-        for session in record.sessions:
-            if session.result is not None:
+        confidences = prefix.confidences.copy()
+        for session in record.sessions[prefix.length:]:
+            answered += session.questions_answered
+            result = session.result
+            if result is not None:
                 completed += 1
-                sealed = record.sealed_progress(session)
-                sealed_answered, sealed_finalized, sealed_confidences = sealed
-                answered += sealed_answered
-                finalized += sealed_finalized
-                confidences.extend(sealed_confidences)
+                finalized += len(result.records)
+                confidences.extend(_verdict_confidences(result))
             else:
-                answered += session.questions_answered
                 if session.state is SessionState.COLLECTING:
                     in_flight += 1
                 confidences.extend(session.live_best_confidences())

@@ -143,11 +143,13 @@ class HITSession:
     def live_best_confidences(self) -> tuple[float, ...]:
         """Best-answer confidence per answered question, from the live
         :class:`OnlineAggregator`\\ s (empty without ``track_trajectories``
-        — callers degrade to finalized verdicts only)."""
+        — callers degrade to finalized verdicts only).  Each is the value
+        the aggregator stored at its latest arrival, not a recomputation."""
         if not self._track:
             return ()
+        aggregators = self._aggregators
         return tuple(
-            max(self._aggregators[qid].confidences().values())
+            aggregators[qid].best_confidence
             for qid, votes in self._votes.items()
             if votes
         )

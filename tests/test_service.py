@@ -651,8 +651,8 @@ class TestSlowBackendBlocking:
 
 
 class TestProgressCaching:
-    """Sealed sessions' progress is computed once, not re-scanned per poll
-    (ISSUE-3 satellite: O(sessions × records) progress fix)."""
+    """The leading run of sealed sessions is aggregated once, not
+    re-scanned per poll: progress walks only the sessions past it."""
 
     def test_sealed_sessions_cached_and_reused(self, small_pool):
         service = _cdas(small_pool).service(max_in_flight=2)
@@ -662,16 +662,14 @@ class TestProgressCaching:
         )
         result = handle.result()
         assert len(result.records) == 18
-        fresh = handle.progress()  # populates the per-session cache
-        record = handle._record
-        assert len(record._sealed_progress) == fresh.hits_completed > 0
+        fresh = handle.progress()  # extends the sealed-prefix aggregate
+        prefix = handle._record._sealed
+        assert prefix.length == fresh.hits_completed > 0
         # Repeated polls reproduce the same observation...
         assert handle.progress() == fresh
-        # ...and actually read the cache: poisoning one sealed entry
-        # shows up in the next snapshot (the records are NOT re-walked).
-        key = next(iter(record._sealed_progress))
-        answered, finalized, confidences = record._sealed_progress[key]
-        record._sealed_progress[key] = (answered, finalized + 1000, confidences)
+        # ...and actually read the aggregate: poisoning it shows up in
+        # the next snapshot (the sealed records are NOT re-walked).
+        prefix.finalized += 1000
         assert handle.progress().items_finalized == fresh.items_finalized + 1000
 
     def test_cache_only_covers_sealed_sessions(self, small_pool):
@@ -685,8 +683,12 @@ class TestProgressCaching:
             if not service.step():
                 break
             progress = handle.progress()
-            # Never more cache entries than sealed sessions, and live
-            # counters stay monotone while the cache fills.
+            # The aggregate never covers an unsealed session, and live
+            # counters stay monotone while it grows.
             sealed = sum(1 for s in record.sessions if s.result is not None)
-            assert len(record._sealed_progress) <= sealed
+            assert all(
+                s.result is not None
+                for s in record.sessions[: record._sealed.length]
+            )
+            assert record._sealed.length <= sealed
             assert progress.hits_completed == sealed
