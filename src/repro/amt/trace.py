@@ -49,15 +49,17 @@ Trace format (one JSON object per line)
     canonicalised logical records (wall-clock offsets excluded), the
     digest CI compares across Python versions.
 
-A trace without its ``end`` record is truncated and refuses to load; a
-trace whose recomputed fingerprint disagrees with its ``end`` record is
-corrupt and refuses to load.
+Lines are framed by :func:`~repro.util.records.read_frames`, the rule
+the write-ahead journal shares: each must be a newline-terminated JSON
+object.  A torn or unterminated line, or a trace without its ``end``
+record, is truncated and refuses to load; a trace whose recomputed
+fingerprint disagrees with its ``end`` record is corrupt and refuses to
+load.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field
@@ -68,6 +70,7 @@ from repro.amt.backend import HITHandle, MarketBackend, arrival_eta
 from repro.amt.hit import HIT, Assignment, Question
 from repro.amt.pricing import CostLedger, PriceSchedule
 from repro.amt.worker import WorkerProfile
+from repro.util.records import RecordFormat, canonical_json, digest, read_frames
 
 __all__ = [
     "TRACE_FORMAT",
@@ -122,14 +125,8 @@ class TraceDivergence(RuntimeError):
         super().__init__(f"{prefix}: {detail}")
 
 
-def canonical_json(value: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, repr-exact floats."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def _expect_digest(outcome: Mapping[str, Any]) -> str:
-    """Digest sealing an ``expect`` record into the ``end`` record."""
-    return hashlib.sha256(canonical_json(outcome).encode("utf-8")).hexdigest()
+#: The trace's header rule (:class:`~repro.util.records.RecordFormat`).
+TRACE = RecordFormat(TRACE_FORMAT, TRACE_VERSION, kind_key="type", error=TraceError)
 
 
 # -- (de)serialisation of the market vocabulary -------------------------------
@@ -199,43 +196,37 @@ def _profile_from_json(data: Mapping[str, Any]) -> WorkerProfile:
     )
 
 
+#: The fingerprint's projection of a file record: these fields, with
+#: ``type`` renamed ``t`` and ``hit_id`` renamed ``hit``.  Everything else
+#: (``at`` offsets, indices, ``format``, ``version``, ``meta``) is left out.
+_LOGICAL_FIELDS = {"type": "t", "hit_id": "hit"} | {
+    name: name for name in ("price", "hit", "assignment", "profile", "outstanding")
+}
+
+
 class _Fingerprint:
     """SHA-256 over the canonicalised *logical* interaction stream.
 
-    Wall-clock offsets are excluded — two recordings of the same logical
-    run at different speeds (or a time-compressed replay) fingerprint
-    identically.  The recorder, the loader, and the replay backend all
-    fold the same canonical records, so one digest pins all three.
+    Each header, publish, submission and cancel record is folded through
+    one projection (:data:`_LOGICAL_FIELDS`).  Wall-clock offsets are
+    excluded — two recordings of the same logical run at different speeds
+    (or a time-compressed replay) fingerprint identically.  The recorder,
+    the loader, and the replay backend all fold the same records, so one
+    digest pins all three.
     """
 
-    def __init__(self, price: Mapping[str, float]) -> None:
+    def __init__(self, header: Mapping[str, Any]) -> None:
         self._hash = hashlib.sha256()
-        self.fold({"t": "header", "price": dict(price)})
+        self.fold(header)
 
     def fold(self, record: Mapping[str, Any]) -> None:
-        self._hash.update(canonical_json(record).encode("utf-8"))
+        logical = {
+            _LOGICAL_FIELDS[key]: value
+            for key, value in record.items()
+            if key in _LOGICAL_FIELDS
+        }
+        self._hash.update(canonical_json(logical).encode("utf-8"))
         self._hash.update(b"\n")
-
-    def fold_publish(self, hit_json: Mapping[str, Any]) -> None:
-        self.fold({"t": "publish", "hit": hit_json})
-
-    def fold_submission(
-        self,
-        hit_id: str,
-        assignment_json: Mapping[str, Any],
-        profile_json: Mapping[str, Any],
-    ) -> None:
-        self.fold(
-            {
-                "t": "submission",
-                "hit": hit_id,
-                "assignment": assignment_json,
-                "profile": profile_json,
-            }
-        )
-
-    def fold_cancel(self, hit_id: str, outstanding: int) -> None:
-        self.fold({"t": "cancel", "hit": hit_id, "outstanding": outstanding})
 
     def hexdigest(self) -> str:
         return self._hash.hexdigest()
@@ -334,21 +325,16 @@ class TraceRecorder:
         self._cancels = 0
         self._expect_digest: str | None = None
         self._closed = False
-        price = {
-            "worker_reward": inner.ledger.schedule.worker_reward,
-            "platform_fee": inner.ledger.schedule.platform_fee,
-        }
-        self._fingerprint = _Fingerprint(price)
-        self._file: TextIO = self.path.open("w", encoding="utf-8")
-        self._write(
-            {
-                "type": "header",
-                "format": TRACE_FORMAT,
-                "version": TRACE_VERSION,
-                "price": price,
-                "meta": self.meta,
-            }
+        header = TRACE.header(
+            price={
+                "worker_reward": inner.ledger.schedule.worker_reward,
+                "platform_fee": inner.ledger.schedule.platform_fee,
+            },
+            meta=self.meta,
         )
+        self._fingerprint = _Fingerprint(header)
+        self._file: TextIO = self.path.open("w", encoding="utf-8")
+        self._write(header)
 
     # -- backend protocol ------------------------------------------------------
 
@@ -363,16 +349,14 @@ class TraceRecorder:
         # market rejection, network error) must not leave a phantom
         # publish record the market never performed.
         handle = self.inner.publish(hit)
-        hit_json = _hit_to_json(hit)
-        self._write(
+        self._log(
             {
                 "type": "publish",
                 "index": self._publishes,
                 "at": self._now(),
-                "hit": hit_json,
+                "hit": _hit_to_json(hit),
             }
         )
-        self._fingerprint.fold_publish(hit_json)
         self._publishes += 1
         return _RecordingHandle(self, handle)
 
@@ -391,26 +375,28 @@ class TraceRecorder:
         # interaction on disk — recognisably truncated, not empty.
         self._file.flush()
 
+    def _log(self, record: Mapping[str, Any]) -> None:
+        """Write an interaction record and fold it into the fingerprint."""
+        self._write(record)
+        self._fingerprint.fold(record)
+
     def _record_submission(
         self, hit_id: str, index: int, assignment: Assignment, profile: WorkerProfile
     ) -> None:
-        assignment_json = _assignment_to_json(assignment)
-        profile_json = _profile_to_json(profile)
-        self._write(
+        self._log(
             {
                 "type": "submission",
                 "hit_id": hit_id,
                 "index": index,
                 "at": self._now(),
-                "assignment": assignment_json,
-                "profile": profile_json,
+                "assignment": _assignment_to_json(assignment),
+                "profile": _profile_to_json(profile),
             }
         )
-        self._fingerprint.fold_submission(hit_id, assignment_json, profile_json)
         self._submissions += 1
 
     def _record_cancel(self, hit_id: str, outstanding: int) -> None:
-        self._write(
+        self._log(
             {
                 "type": "cancel",
                 "hit_id": hit_id,
@@ -418,7 +404,6 @@ class TraceRecorder:
                 "at": self._now(),
             }
         )
-        self._fingerprint.fold_cancel(hit_id, outstanding)
         self._cancels += 1
 
     # -- lifecycle -------------------------------------------------------------
@@ -437,7 +422,7 @@ class TraceRecorder:
         if self._expect_digest is not None:
             raise TraceError(f"trace {self.path} already pins an outcome")
         payload = dict(outcome)
-        self._expect_digest = _expect_digest(payload)
+        self._expect_digest = digest(payload)
         self._write({"type": "expect", "outcome": payload})
 
     def fingerprint(self) -> str:
@@ -541,140 +526,123 @@ class Trace:
         )
 
 
+#: Fields :func:`load_trace` and the replay backend read, by record type.
+_REQUIRED_FIELDS = {
+    "publish": ("index", "at", "hit"),
+    "submission": ("hit_id", "index", "at", "assignment", "profile"),
+    "cancel": ("hit_id", "outstanding"),
+    "expect": ("outcome",),
+}
+
+
 def load_trace(path: str | Path) -> Trace:
     """Load and validate a trace file.
 
     Raises
     ------
     TraceError
-        On invalid JSON (with the offending line number), wrong format
-        or version, records referencing unknown HITs, a missing ``end``
-        record (truncation), count mismatches, or a fingerprint that no
-        longer matches the records (corruption/tampering).
+        On a line that is not a newline-terminated JSON object (with the
+        offending line number), wrong format or version, records missing
+        a field or referencing unknown HITs, a missing ``end`` record
+        (truncation), count mismatches, or a fingerprint that no longer
+        matches the records (corruption/tampering).
     """
     path = Path(path)
-    header: dict[str, Any] | None = None
+    # One buffered read, split by the shared framing rule: long recordings
+    # (thousands of submissions) load in a single I/O batch.
+    frames = read_frames(path.read_bytes())
+    if frames.fault is not None:
+        lineno, reason = frames.fault
+        raise TraceError(
+            f"{path}:{lineno}: {reason} — truncated or corrupt trace file"
+        )
+    if not frames.records:
+        raise TraceError(f"{path}: empty file — not a {TRACE_FORMAT} trace")
+    header = TRACE.check_header(frames.records[0], f"{path}:{frames.lines[0]}: ")
+    fingerprint = _Fingerprint(header)
     hits: list[RecordedHIT] = []
     by_id: dict[str, RecordedHIT] = {}
     expect: dict[str, Any] | None = None
     end: dict[str, Any] | None = None
-    fingerprint: _Fingerprint | None = None
     submission_counter = 0
 
-    with path.open("r", encoding="utf-8") as handle:
-        # One buffered read + in-memory line sweep instead of per-line
-        # file iteration: long recordings (thousands of submissions) load
-        # in a single I/O batch, and the hot loop walks a plain list.
-        for lineno, line in enumerate(handle.read().splitlines(), start=1):
-            if not line.strip():
-                continue
-            if end is not None:
-                raise TraceError(f"{path}:{lineno}: records after the end marker")
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+    for lineno, record in zip(frames.lines[1:], frames.records[1:]):
+        if end is not None:
+            raise TraceError(f"{path}:{lineno}: records after the end marker")
+        kind = record.get("type")
+        for name in _REQUIRED_FIELDS.get(kind, ()):
+            if name not in record:
                 raise TraceError(
-                    f"{path}:{lineno}: not valid JSON ({exc.msg}) — "
-                    "truncated or corrupt trace file"
-                ) from None
-            kind = record.get("type")
-            if header is None:
-                if kind != "header":
-                    raise TraceError(
-                        f"{path}:{lineno}: first record must be a header, "
-                        f"got {kind!r} — not a {TRACE_FORMAT} file"
-                    )
-                if record.get("format") != TRACE_FORMAT:
-                    raise TraceError(
-                        f"{path}: format {record.get('format')!r} is not "
-                        f"{TRACE_FORMAT!r}"
-                    )
-                if record.get("version") != TRACE_VERSION:
-                    raise TraceError(
-                        f"{path}: unsupported trace version "
-                        f"{record.get('version')!r} (expected {TRACE_VERSION})"
-                    )
-                header = record
-                fingerprint = _Fingerprint(record["price"])
-                continue
-            assert fingerprint is not None
-            if kind == "publish":
-                recorded = RecordedHIT(
-                    index=record["index"], at=record["at"], hit=record["hit"]
+                    f"{path}:{lineno}: {kind} record has no {name!r} field"
                 )
-                if recorded.index != len(hits):
-                    raise TraceError(
-                        f"{path}:{lineno}: publish index {recorded.index} out "
-                        f"of order (expected {len(hits)})"
-                    )
-                if recorded.hit_id in by_id:
-                    raise TraceError(
-                        f"{path}:{lineno}: HIT {recorded.hit_id!r} published twice"
-                    )
-                hits.append(recorded)
-                by_id[recorded.hit_id] = recorded
-                fingerprint.fold_publish(recorded.hit)
-            elif kind == "submission":
-                hit_id = record["hit_id"]
-                recorded = by_id.get(hit_id)
-                if recorded is None:
-                    raise TraceError(
-                        f"{path}:{lineno}: submission for unknown HIT {hit_id!r}"
-                    )
-                if record["index"] != len(recorded.submissions):
-                    raise TraceError(
-                        f"{path}:{lineno}: submission index {record['index']} "
-                        f"out of order for HIT {hit_id!r}"
-                    )
-                if recorded.cancel is not None:
-                    raise TraceError(
-                        f"{path}:{lineno}: submission after cancel for HIT "
-                        f"{hit_id!r}"
-                    )
-                # Global collection order across every HIT (file order):
-                # replay serves submissions in exactly this order, which
-                # on slow/live recordings differs from simulated-arrival
-                # order (wall-clock dormancy reorders collections).
-                record["global_index"] = submission_counter
-                submission_counter += 1
-                recorded.submissions.append(record)
-                fingerprint.fold_submission(
-                    hit_id, record["assignment"], record["profile"]
-                )
-            elif kind == "cancel":
-                hit_id = record["hit_id"]
-                recorded = by_id.get(hit_id)
-                if recorded is None:
-                    raise TraceError(
-                        f"{path}:{lineno}: cancel of unknown HIT {hit_id!r}"
-                    )
-                if recorded.cancel is not None:
-                    raise TraceError(
-                        f"{path}:{lineno}: HIT {hit_id!r} cancelled twice"
-                    )
-                recorded.cancel = record
-                fingerprint.fold_cancel(hit_id, record["outstanding"])
-            elif kind == "expect":
-                if expect is not None:
-                    raise TraceError(
-                        f"{path}:{lineno}: multiple expect records"
-                    )
-                expect = record["outcome"]
-            elif kind == "end":
-                end = record
-            else:
+        if kind == "publish":
+            recorded = RecordedHIT(
+                index=record["index"], at=record["at"], hit=record["hit"]
+            )
+            if recorded.index != len(hits):
                 raise TraceError(
-                    f"{path}:{lineno}: unknown record type {kind!r}"
+                    f"{path}:{lineno}: publish index {recorded.index} out "
+                    f"of order (expected {len(hits)})"
                 )
+            if recorded.hit_id in by_id:
+                raise TraceError(
+                    f"{path}:{lineno}: HIT {recorded.hit_id!r} published twice"
+                )
+            hits.append(recorded)
+            by_id[recorded.hit_id] = recorded
+            fingerprint.fold(record)
+        elif kind == "submission":
+            hit_id = record["hit_id"]
+            recorded = by_id.get(hit_id)
+            if recorded is None:
+                raise TraceError(
+                    f"{path}:{lineno}: submission for unknown HIT {hit_id!r}"
+                )
+            if record["index"] != len(recorded.submissions):
+                raise TraceError(
+                    f"{path}:{lineno}: submission index {record['index']} "
+                    f"out of order for HIT {hit_id!r}"
+                )
+            if recorded.cancel is not None:
+                raise TraceError(
+                    f"{path}:{lineno}: submission after cancel for HIT "
+                    f"{hit_id!r}"
+                )
+            # Global collection order across every HIT (file order):
+            # replay serves submissions in exactly this order, which
+            # on slow/live recordings differs from simulated-arrival
+            # order (wall-clock dormancy reorders collections).
+            record["global_index"] = submission_counter
+            submission_counter += 1
+            recorded.submissions.append(record)
+            fingerprint.fold(record)
+        elif kind == "cancel":
+            hit_id = record["hit_id"]
+            recorded = by_id.get(hit_id)
+            if recorded is None:
+                raise TraceError(
+                    f"{path}:{lineno}: cancel of unknown HIT {hit_id!r}"
+                )
+            if recorded.cancel is not None:
+                raise TraceError(
+                    f"{path}:{lineno}: HIT {hit_id!r} cancelled twice"
+                )
+            recorded.cancel = record
+            fingerprint.fold(record)
+        elif kind == "expect":
+            if expect is not None:
+                raise TraceError(f"{path}:{lineno}: multiple expect records")
+            expect = record["outcome"]
+        elif kind == "end":
+            end = record
+        else:
+            raise TraceError(f"{path}:{lineno}: unknown record type {kind!r}")
 
-    if header is None:
-        raise TraceError(f"{path}: empty file — not a {TRACE_FORMAT} trace")
     if end is None:
         raise TraceError(
             f"{path}: no end record — the trace is truncated (recorder was "
             "never closed, or the file was cut short)"
         )
-    assert fingerprint is not None
     counts = {
         "publishes": len(hits),
         "submissions": sum(len(h.submissions) for h in hits),
@@ -693,7 +661,7 @@ def load_trace(path: str | Path) -> Trace:
         )
     sealed_expect = end.get("expect_digest")
     if (expect is None) != (sealed_expect is None) or (
-        expect is not None and _expect_digest(expect) != sealed_expect
+        expect is not None and digest(expect) != sealed_expect
     ):
         raise TraceError(
             f"{path}: the pinned outcome does not match the digest sealed in "
@@ -842,9 +810,7 @@ class _ReplayHandle:
         self._cursor += 1
         self._backend._served_global += 1
         self._backend.ledger.charge(self._hit.hit_id, 1)
-        self._backend._fingerprint.fold_submission(
-            self._hit.hit_id, submission["assignment"], submission["profile"]
-        )
+        self._backend._fingerprint.fold(submission)
         return assignment
 
     def next_arrival_eta(self) -> float | None:
@@ -917,7 +883,9 @@ class _ReplayHandle:
         if avoided:
             self._backend.ledger.cancel(self._hit.hit_id, avoided)
         self._cancelled = True
-        self._backend._fingerprint.fold_cancel(self._hit.hit_id, avoided)
+        self._backend._fingerprint.fold(
+            {"type": "cancel", "hit_id": self._hit.hit_id, "outstanding": avoided}
+        )
         return avoided
 
     def worker_profile(self, worker_id: str) -> WorkerProfile:
@@ -968,7 +936,7 @@ class TraceReplayBackend:
         self._clock = clock
         self._t0: float | None = None
         self.ledger = CostLedger(schedule=trace.price_schedule)
-        self._fingerprint = _Fingerprint(trace.header["price"])
+        self._fingerprint = _Fingerprint(trace.header)
         self._next_publish = 0
         #: Submissions served so far across every HIT — the global-order
         #: cursor (see :meth:`_ReplayHandle._released`).
@@ -1022,7 +990,7 @@ class TraceReplayBackend:
                 hit_id=recorded.hit_id,
             )
         self._next_publish += 1
-        self._fingerprint.fold_publish(recorded.hit)
+        self._fingerprint.fold({"type": "publish", "hit": recorded.hit})
         handle = _ReplayHandle(self, recorded, hit)
         self._handles.append(handle)
         return handle

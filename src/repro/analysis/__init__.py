@@ -3,8 +3,8 @@
 A self-contained, stdlib-``ast`` lint engine with codebase-specific
 rules (DESIGN.md §15).  The reproduction's correctness story —
 bit-identical replay, sans-IO cores driven by async pumps,
-journal-before-apply durability, duck-typed protocols — is otherwise
-enforced only dynamically, by tests and golden traces; these rules turn
+journal-before-apply durability — is otherwise enforced only
+dynamically, by tests and golden traces; these rules turn
 each contract into a merge gate:
 
 * **CDAS001 determinism** — no wall-clock/ambient-entropy calls in the
@@ -15,8 +15,10 @@ each contract into a merge gate:
   service's ``super()`` mutations; flush-before-ack in the gateway routes.
 * **CDAS004 codec closure** — every dataclass in a journal/RPC boundary
   module is registered with the §12 codec.
-* **CDAS005 seam parity** — protocol implementors (market backends,
-  journal stores) keep method-name and arity parity.
+
+Protocol conformance (market backends, HIT handles, journal stores) is
+not a lint rule: a runtime test compares each implementor's members and
+signatures with its protocol, inherited members included.
 
 Findings can be waived in place (``# cdas-lint: disable=CDAS001 why``)
 or carried by a checked-in baseline that only ratchets down.  Run it as

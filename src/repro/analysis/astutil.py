@@ -1,16 +1,14 @@
 """Shared AST plumbing for the lint rules.
 
 Everything here is pure stdlib-``ast`` bookkeeping: resolving dotted
-call names through a module's import aliases, and summarising class
-members into comparable signatures.  Rules stay declarative — they say
-*which* dotted names are banned or *which* members must match — and this
-module answers "what is this node, really".
+call names through a module's import aliases.  Rules stay declarative —
+they say *which* dotted names are banned — and this module answers
+"what is this node, really".
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass
 
 
 class ImportMap:
@@ -87,123 +85,6 @@ def enclosing_symbol(tree: ast.Module, target: ast.AST) -> str:
 
     visit(tree, [])
     return ".".join(path)
-
-
-_PROPERTY_DECORATORS = {"property", "cached_property", "functools.cached_property"}
-
-
-@dataclass(frozen=True)
-class MemberSig:
-    """One class member, summarised for seam-parity comparison.
-
-    ``kind`` is ``"method"`` for callables and ``"data"`` for properties
-    and instance attributes — a property and a plain attribute satisfy
-    the same duck-typed reads, so parity treats them as one kind.
-    """
-
-    name: str
-    kind: str  # "method" | "data"
-    is_async: bool
-    line: int
-    required_pos: int
-    total_pos: int
-    has_vararg: bool
-    kwonly: tuple[str, ...]
-    has_kwarg: bool
-
-    def describe(self) -> str:
-        if self.kind == "data":
-            return f"{self.name} (data)"
-        req = self.required_pos
-        opt = self.total_pos - self.required_pos
-        bits = [f"{req} required positional"]
-        if opt:
-            bits.append(f"{opt} optional")
-        if self.kwonly:
-            bits.append("kwonly {" + ", ".join(self.kwonly) + "}")
-        if self.has_kwarg:
-            bits.append("**kwargs")
-        return f"{self.name}({', '.join(bits)})"
-
-
-def _signature_of(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> MemberSig:
-    args = fn.args
-    positional = list(args.posonlyargs) + list(args.args)
-    if positional and positional[0].arg in ("self", "cls"):
-        positional = positional[1:]
-    total = len(positional)
-    required = total - len(args.defaults)
-    kind = "method"
-    for decorator in fn.decorator_list:
-        name = dotted_name(decorator) if isinstance(decorator, (ast.Name, ast.Attribute)) else None
-        if name in _PROPERTY_DECORATORS:
-            kind = "data"
-    return MemberSig(
-        name=fn.name,
-        kind=kind,
-        is_async=isinstance(fn, ast.AsyncFunctionDef),
-        line=fn.lineno,
-        required_pos=max(required, 0) if kind == "method" else 0,
-        total_pos=total if kind == "method" else 0,
-        has_vararg=args.vararg is not None,
-        kwonly=tuple(a.arg for a in args.kwonlyargs),
-        has_kwarg=args.kwarg is not None,
-    )
-
-
-def class_members(cls: ast.ClassDef) -> dict[str, MemberSig]:
-    """Public member signatures of one class body.
-
-    Methods and properties come from their defs; instance attributes are
-    harvested from ``self.X = ...`` assignments anywhere in the class's
-    methods (an attribute set in ``__init__`` satisfies the same reads a
-    property would).  Later defs win over attribute sightings.
-    """
-    members: dict[str, MemberSig] = {}
-    for node in cls.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            sig = _signature_of(node)
-            members[sig.name] = sig
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            members.setdefault(
-                node.target.id,
-                MemberSig(node.target.id, "data", False, node.lineno, 0, 0, False, (), False),
-            )
-        elif isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name):
-                    members.setdefault(
-                        target.id,
-                        MemberSig(target.id, "data", False, node.lineno, 0, 0, False, (), False),
-                    )
-    for node in cls.body:
-        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            continue
-        for sub in ast.walk(node):
-            if (
-                isinstance(sub, (ast.Assign, ast.AnnAssign))
-                and (targets := sub.targets if isinstance(sub, ast.Assign) else [sub.target])
-            ):
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        members.setdefault(
-                            target.attr,
-                            MemberSig(
-                                target.attr, "data", False, sub.lineno, 0, 0, False, (), False
-                            ),
-                        )
-    return members
-
-
-def find_class(tree: ast.Module, name: str) -> ast.ClassDef | None:
-    for node in tree.body:
-        if isinstance(node, ast.ClassDef) and node.name == name:
-            return node
-    return None
 
 
 def statement_line(tree: ast.AST, target: ast.AST) -> int:

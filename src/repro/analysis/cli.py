@@ -202,8 +202,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         description=(
             "AST-based invariant checker for the CDAS reproduction: "
             "determinism (CDAS001), async purity (CDAS002), durability "
-            "ordering (CDAS003), codec closure (CDAS004), seam parity "
-            "(CDAS005)."
+            "ordering (CDAS003), codec closure (CDAS004).  Protocol "
+            "conformance is a runtime test (tests/test_protocol_conformance.py)."
         ),
     )
     add_arguments(parser)

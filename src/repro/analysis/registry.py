@@ -72,14 +72,12 @@ def default_rules() -> tuple[Rule, ...]:
     from repro.analysis.rules.codec_closure import CodecClosureRule
     from repro.analysis.rules.determinism import DeterminismRule
     from repro.analysis.rules.durability import DurabilityOrderingRule
-    from repro.analysis.rules.seam_parity import SeamParityRule
 
     return (
         DeterminismRule(),
         AsyncPurityRule(),
         DurabilityOrderingRule(),
         CodecClosureRule(),
-        SeamParityRule(),
     )
 
 

@@ -1,15 +1,13 @@
-"""The codebase-specific rule implementations (CDAS001–CDAS005)."""
+"""The codebase-specific rule implementations (CDAS001–CDAS004)."""
 
 from repro.analysis.rules.asyncpurity import AsyncPurityRule
 from repro.analysis.rules.codec_closure import CodecClosureRule
 from repro.analysis.rules.determinism import DeterminismRule
 from repro.analysis.rules.durability import DurabilityOrderingRule
-from repro.analysis.rules.seam_parity import SeamParityRule
 
 __all__ = [
     "DeterminismRule",
     "AsyncPurityRule",
     "DurabilityOrderingRule",
     "CodecClosureRule",
-    "SeamParityRule",
 ]

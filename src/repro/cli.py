@@ -45,8 +45,8 @@ Commands
     1 reproduces the recording's pacing).
 ``lint [PATHS] [--json FILE] [--write-baseline]``
     Run the cdas-lint invariant checker (DESIGN.md §15): determinism in
-    the sans-IO core, async purity, durability ordering, codec closure
-    and seam parity.  Exits 1 on new findings, 0 when everything is
+    the sans-IO core, async purity, durability ordering and codec
+    closure.  Exits 1 on new findings, 0 when everything is
     clean, waived or baselined.  Same engine as
     ``python -m repro.analysis``.
 """
@@ -69,6 +69,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.base import DEFAULT_SEED
 from repro.experiments.latency_study import run_latency_study
+from repro.util.records import digest
 
 __all__ = ["main", "experiment_registry"]
 
@@ -520,7 +521,7 @@ def _cmd_recover(args: argparse.Namespace) -> int:
     if not records:
         print(f"journal {args.journal} is empty; nothing to recover")
         return 2
-    header = check_header(records[0])
+    header = check_header(records[0], f"{args.journal}: ")
     seed = header.get("seed")
     if seed is None:
         seed = args.seed
@@ -590,15 +591,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
     return 0
 
 
-def _outcome_digest(outcome) -> str:
-    """Short digest of a canonical scenario outcome (human comparison aid)."""
-    import hashlib
-
-    from repro.scenarios import canonical_json
-
-    return hashlib.sha256(canonical_json(outcome).encode("utf-8")).hexdigest()[:16]
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.scenarios import record_scenario
 
@@ -609,7 +601,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
     print(f"recorded scenario  : {report.scenario} (seed {report.seed})")
     print(f"trace file         : {report.trace_path}")
     print(f"trace fingerprint  : {report.fingerprint}")
-    print(f"outcome digest     : {_outcome_digest(report.outcome)}")
+    print(f"outcome digest     : {digest(report.outcome)[:16]}")
     print(
         f"market activity    : {ledger['charged_assignments']} assignments "
         f"charged, {ledger['cancelled_assignments']} cancelled "
@@ -632,7 +624,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         return 1
     print(f"replayed scenario  : {report.scenario} (seed {report.seed})")
     print(f"trace fingerprint  : {report.fingerprint}")
-    print(f"outcome digest     : {_outcome_digest(report.outcome)}")
+    print(f"outcome digest     : {digest(report.outcome)[:16]}")
     print("replay reproduced the recording bit for bit")
     return 0
 
@@ -651,7 +643,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     profiler.disable()
 
     print(f"profiled scenario  : {args.scenario} (seed {args.seed})")
-    print(f"outcome digest     : {_outcome_digest(outcome)}")
+    print(f"outcome digest     : {digest(outcome)[:16]}")
     phases = getattr(market, "phase_seconds", None)
     if phases is not None:
         total = sum(phases.values())

@@ -31,6 +31,8 @@ import json
 from collections.abc import Callable
 from typing import Any
 
+from repro.util.records import canonical_json
+
 __all__ = [
     "MAX_FRAME_BYTES",
     "RpcError",
@@ -60,8 +62,8 @@ class ShardDied(RuntimeError):
 
 
 def encode_frame(payload: dict[str, Any]) -> bytes:
-    """One wire frame: length prefix + compact JSON."""
-    body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    """One wire frame: length prefix + canonical JSON."""
+    body = canonical_json(payload).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {len(body)} bytes exceeds {MAX_FRAME_BYTES}")
     return len(body).to_bytes(4, "big") + body

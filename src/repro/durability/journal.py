@@ -39,6 +39,8 @@ import time
 from pathlib import Path
 from typing import Any, Iterable, Protocol, runtime_checkable
 
+from repro.util.records import RecordFormat, read_frames
+
 JOURNAL_FORMAT = "cdas-journal"
 JOURNAL_VERSION = 1
 
@@ -68,6 +70,13 @@ class JournalFailed(JournalError):
     """
 
 
+#: The journal's header rule (:class:`~repro.util.records.RecordFormat`).
+JOURNAL = RecordFormat(JOURNAL_FORMAT, JOURNAL_VERSION, kind_key="k", error=JournalError)
+
+#: Validate a journal's first record; returns it.
+check_header = JOURNAL.check_header
+
+
 def make_header(
     *,
     seed: int | None,
@@ -75,31 +84,9 @@ def make_header(
     meta: dict[str, Any] | None = None,
 ) -> dict[str, Any]:
     """The record that opens every journal."""
-    return {
-        "k": "header",
-        "t": 0,
-        "format": JOURNAL_FORMAT,
-        "version": JOURNAL_VERSION,
-        "seed": seed,
-        "service": dict(service),
-        "meta": dict(meta or {}),
-    }
-
-
-def check_header(record: dict[str, Any]) -> dict[str, Any]:
-    """Validate a journal's first record; returns it."""
-    if record.get("k") != "header":
-        raise JournalError(
-            f"journal does not open with a header record (got {record.get('k')!r})"
-        )
-    if record.get("format") != JOURNAL_FORMAT:
-        raise JournalError(f"not a {JOURNAL_FORMAT} journal: {record.get('format')!r}")
-    if record.get("version") != JOURNAL_VERSION:
-        raise JournalError(
-            f"journal version {record.get('version')!r} unsupported "
-            f"(this build reads version {JOURNAL_VERSION})"
-        )
-    return record
+    return JOURNAL.header(
+        {"t": 0}, seed=seed, service=dict(service), meta=dict(meta or {})
+    )
 
 
 @runtime_checkable
@@ -132,9 +119,14 @@ class JournalStore(Protocol):
 class FileJournalStore:
     """JSONL journal with fsync-batched group commit.
 
-    One record per line.  A torn final line (crash mid-write) is detected
-    at read time and truncated away before the next append, so the file
-    is always a clean prefix of the logical journal.
+    One record per line, framed by :func:`~repro.util.records.read_frames`.
+    A torn final line (crash mid-write) is detected at read time and
+    truncated away before the next append, so the file is always a clean
+    prefix of the logical journal.
+
+    The batching policy lives here; :class:`SqliteJournalStore` inherits
+    it and overrides only the storage primitives (``_write_line``,
+    ``_sync``, ``read_records``, ``close``).
     """
 
     def __init__(self, path: str | Path, fsync_every: int = DEFAULT_FSYNC_EVERY) -> None:
@@ -157,48 +149,19 @@ class FileJournalStore:
         if not self.path.exists():
             return []
         data = self.path.read_bytes()
-        records: list[dict[str, Any]] = []
-        clean = 0
-        offset = 0
-        for line in data.split(b"\n"):
-            end = offset + len(line)
-            if line:
-                # A record line is only trusted when it parsed AND was
-                # terminated — an unterminated or unparsable line (and
-                # anything after it) is a torn write from the crash.
-                terminated = end < len(data)
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    break
-                if not terminated or not isinstance(record, dict):
-                    break
-                records.append(record)
-                clean = end + 1
-            offset = end + 1
-        if clean < len(data):
+        frames = read_frames(data)
+        if frames.end < len(data) and self._fh is None:
             # Drop the torn garbage now so a later append continues the
             # clean prefix (requires the file not be open for append yet).
-            if self._fh is None:
-                with open(self.path, "r+b") as fh:
-                    fh.truncate(clean)
-        return records
+            with open(self.path, "r+b") as fh:
+                fh.truncate(frames.end)
+        return frames.records
 
     # -- writing -------------------------------------------------------------
 
-    def _writer(self) -> io.BufferedWriter:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            if self.path.exists():
-                # Clear any torn tail before continuing the journal.
-                self.read_records()
-            self._fh = open(self.path, "ab")
-        return self._fh
-
     def append(self, record: dict[str, Any]) -> None:
         start = time.perf_counter()
-        line = json.dumps(record, separators=(",", ":"), allow_nan=False)
-        self._writer().write(line.encode("utf-8") + b"\n")
+        self._write_line(json.dumps(record, separators=(",", ":"), allow_nan=False))
         self.appended += 1
         self._unsynced += 1
         if record.get("k") in DURABLE_KINDS or self._unsynced >= self.fsync_every:
@@ -211,13 +174,9 @@ class FileJournalStore:
         self.write_seconds += time.perf_counter() - start
 
     def _commit(self) -> None:
-        if self._fh is None or self._unsynced == 0:
+        if self._unsynced == 0:
             return
-        self._fh.flush()
-        # fdatasync is the journal barrier of choice where the platform has
-        # it: record data hits the platter without a metadata flush (the
-        # file is append-only; size is re-derived at recovery anyway).
-        getattr(os, "fdatasync", os.fsync)(self._fh.fileno())
+        self._sync()
         self.syncs += 1
         self._unsynced = 0
 
@@ -233,11 +192,30 @@ class FileJournalStore:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
+    # -- storage primitives --------------------------------------------------
 
-class SqliteJournalStore:
+    def _write_line(self, line: str) -> None:
+        if self._fh is None:
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self.path.exists():
+                # Clear any torn tail before continuing the journal.
+                self.read_records()
+            self._fh = open(self.path, "ab")
+        self._fh.write(line.encode("utf-8") + b"\n")
+
+    def _sync(self) -> None:
+        assert self._fh is not None
+        self._fh.flush()
+        # fdatasync is the journal barrier of choice where the platform has
+        # it: record data hits the platter without a metadata flush (the
+        # file is append-only; size is re-derived at recovery anyway).
+        getattr(os, "fdatasync", os.fsync)(self._fh.fileno())
+
+
+class SqliteJournalStore(FileJournalStore):
     """The same journal behind stdlib :mod:`sqlite3`.
 
-    Appends accumulate in one open transaction; :meth:`commit` is a real
+    Appends accumulate in one open transaction; a commit is a real
     transaction commit (sqlite's own durability barrier), so group-commit
     batching and torn-tail tolerance come for free — an uncommitted
     transaction simply never happened.
@@ -250,54 +228,25 @@ class SqliteJournalStore:
     )
 
     def __init__(self, path: str | Path, fsync_every: int = DEFAULT_FSYNC_EVERY) -> None:
-        if fsync_every < 1:
-            raise ValueError(f"fsync_every must be >= 1, got {fsync_every}")
-        self.path = Path(path)
-        self.fsync_every = fsync_every
+        super().__init__(path, fsync_every)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._con = sqlite3.connect(str(self.path))
         self._con.execute(self._SCHEMA)
         self._con.commit()
-        self._unsynced = 0
-        self.syncs = 0
-        self.appended = 0
-        self.write_seconds = 0.0
 
     def read_records(self) -> list[dict[str, Any]]:
         rows = self._con.execute("SELECT record FROM journal ORDER BY id").fetchall()
         return [json.loads(row[0]) for row in rows]
 
-    def append(self, record: dict[str, Any]) -> None:
-        start = time.perf_counter()
-        line = json.dumps(record, separators=(",", ":"), allow_nan=False)
+    def _write_line(self, line: str) -> None:
         self._con.execute("INSERT INTO journal (record) VALUES (?)", (line,))
-        self.appended += 1
-        self._unsynced += 1
-        if record.get("k") in DURABLE_KINDS or self._unsynced >= self.fsync_every:
-            self._commit()
-        self.write_seconds += time.perf_counter() - start
 
-    def commit(self) -> None:
-        start = time.perf_counter()
-        self._commit()
-        self.write_seconds += time.perf_counter() - start
-
-    def _commit(self) -> None:
-        if self._unsynced == 0:
-            return
+    def _sync(self) -> None:
         self._con.commit()
-        self.syncs += 1
-        self._unsynced = 0
 
     def close(self) -> None:
         self.commit()
         self._con.close()
-
-    def __enter__(self) -> "SqliteJournalStore":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
 
 
 #: Path suffixes routed to the sqlite store by :func:`open_store`.

@@ -23,7 +23,6 @@ replays a recorded market verbatim.
 
 from __future__ import annotations
 
-import hashlib
 from typing import TYPE_CHECKING, Any
 
 from repro.durability import codec
@@ -35,6 +34,7 @@ from repro.durability.journal import (
 )
 from repro.durability.service import DurableSchedulerService
 from repro.durability.snapshot import install_snapshot, resolve_snapshot
+from repro.util.records import digest
 
 if TYPE_CHECKING:
     from pathlib import Path
@@ -90,7 +90,7 @@ def recover(
     records = store.read_records()
     if not records:
         raise RecoveryError(f"journal {store.path} is empty; nothing to recover")
-    header = check_header(records[0])
+    header = check_header(records[0], f"{store.path}: ")
     system_seed = getattr(system.engine, "seed", None)
     if header.get("seed") is not None and system_seed != header["seed"]:
         raise RecoveryError(
@@ -202,7 +202,6 @@ def outcome_summary(service: Any) -> dict[str, Any]:
     """Canonical terminal observation of a (durable or plain) service:
     every handle's summary, the ledger, per-tenant reservations and the
     admission grant log.  Two runs are *the same run* iff these match."""
-    from repro.amt.trace import canonical_json  # noqa: F401 - doc pointer
     from repro.scenarios import _handle_summary, _ledger_summary
 
     admission = service.admission
@@ -223,7 +222,4 @@ def outcome_summary(service: Any) -> dict[str, Any]:
 
 def outcome_digest(service: Any) -> str:
     """SHA-256 (first 16 hex chars) of :func:`outcome_summary`."""
-    from repro.amt.trace import canonical_json
-
-    summary = canonical_json(outcome_summary(service))
-    return hashlib.sha256(summary.encode("utf-8")).hexdigest()[:16]
+    return digest(outcome_summary(service))[:16]

@@ -14,7 +14,7 @@ projections the rest of the codebase already pins:
   (:mod:`repro.durability.codec`) — the exact encoding the write-ahead
   journal already round-trips — plus server-registered ``$preset``
   names so a `curl` body can stay human-writable;
-* bytes on the wire are :func:`repro.amt.trace.canonical_json`
+* bytes on the wire are :func:`repro.util.records.canonical_json`
   (sorted keys, minimal separators), which is what makes response
   fingerprints stable across interpreter versions.
 """
@@ -24,10 +24,10 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
-from repro.amt.trace import canonical_json
 from repro.durability import codec as dcodec
 from repro.engine.aio import AsyncHandleBase
 from repro.engine.query import Query
+from repro.util.records import canonical_json
 
 __all__ = [
     "BadRequest",

@@ -51,12 +51,8 @@ from repro.amt.backend import MarketBackend
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
-from repro.amt.trace import (
-    TraceDivergence,
-    TraceRecorder,
-    TraceReplayBackend,
-    canonical_json,
-)
+from repro.amt.trace import TraceDivergence, TraceRecorder, TraceReplayBackend
+from repro.util.records import canonical_json
 
 __all__ = [
     "SCENARIOS",

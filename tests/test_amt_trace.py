@@ -420,7 +420,7 @@ class TestScenarioRoundTrips:
         rewritten consistently (a tampered expect without a matching
         digest refuses to load instead — see TestTraceFileHygiene).
         """
-        from repro.amt.trace import _expect_digest
+        from repro.util.records import digest as _expect_digest
 
         record_scenario("cancel-mid-flight", tmp_path / "t.jsonl", seed=7)
         path = tmp_path / "t.jsonl"

@@ -32,9 +32,7 @@ from repro.analysis.rules import (
     CodecClosureRule,
     DeterminismRule,
     DurabilityOrderingRule,
-    SeamParityRule,
 )
-from repro.analysis.rules.seam_parity import ProtocolSpec
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -499,148 +497,6 @@ class TestCodecClosure:
 
 
 # ---------------------------------------------------------------------------
-# CDAS005 — seam parity (protocol conformance)
-# ---------------------------------------------------------------------------
-
-SUBMITTER_PROTOCOL = """
-from typing import Protocol
-
-class Submitter(Protocol):
-    def submit(self, job_name, query, *, tenant=None, budget=None): ...
-
-    @property
-    def idle(self): ...
-"""
-
-
-def seam_rule():
-    return SeamParityRule(
-        protocols=(
-            ProtocolSpec(
-                protocol=("repro/a.py", "Submitter"),
-                anchor="submit",
-                scope=("repro/impl/",),
-            ),
-        ),
-    )
-
-
-class TestSeamParity:
-    def test_parity_holds_even_across_async(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "repro/a.py": SUBMITTER_PROTOCOL,
-                "repro/impl/b.py": """
-                class Mir:
-                    async def submit(self, job_name, query, *, tenant=None, budget=None):
-                        return (job_name, query, tenant, budget)
-
-                    @property
-                    def idle(self):
-                        return False
-                """,
-            },
-        )
-        result = run_lint(root, rules=[seam_rule()])
-        assert rule_findings(result, "CDAS005") == []
-
-    def test_missing_member_fires_on_the_mirror(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "repro/a.py": SUBMITTER_PROTOCOL,
-                "repro/impl/b.py": """
-                class Mir:
-                    def submit(self, job_name, query, *, tenant=None, budget=None):
-                        return None
-                """,
-            },
-        )
-        result = run_lint(root, rules=[seam_rule()])
-        (finding,) = rule_findings(result, "CDAS005")
-        assert "idle" in finding.message
-        assert finding.path.endswith("repro/impl/b.py")
-
-    def test_arity_and_kwonly_drift_fire(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "repro/a.py": SUBMITTER_PROTOCOL,
-                "repro/impl/b.py": """
-                class Mir:
-                    def submit(self, job_name, *, tenant=None):
-                        return None
-
-                    @property
-                    def idle(self):
-                        return False
-                """,
-            },
-        )
-        result = run_lint(root, rules=[seam_rule()])
-        (finding,) = rule_findings(result, "CDAS005")
-        assert "arity differs" in finding.message
-        assert "budget" in finding.message
-
-    def test_kind_mismatch_fires(self, tmp_path):
-        root = make_tree(
-            tmp_path,
-            {
-                "repro/a.py": SUBMITTER_PROTOCOL,
-                "repro/impl/b.py": """
-                class Mir:
-                    def submit(self, job_name, query, *, tenant=None, budget=None):
-                        return None
-
-                    def idle(self):
-                        return False
-                """,
-            },
-        )
-        result = run_lint(root, rules=[seam_rule()])
-        (finding,) = rule_findings(result, "CDAS005")
-        assert "kind mismatch" in finding.message
-
-    def test_protocol_implementor_missing_member_fires(self, tmp_path):
-        rule = SeamParityRule(
-            protocols=(
-                ProtocolSpec(
-                    protocol=("repro/proto.py", "Store"),
-                    anchor="append",
-                    scope=("repro/stores/",),
-                ),
-            ),
-        )
-        root = make_tree(
-            tmp_path,
-            {
-                "repro/proto.py": """
-                from typing import Protocol
-
-                class Store(Protocol):
-                    def append(self, record): ...
-                    def commit(self): ...
-                """,
-                "repro/stores/memory.py": """
-                class MemoryStore:
-                    def append(self, record):
-                        pass
-                """,
-                "repro/stores/unrelated.py": """
-                class NotAStore:
-                    def read(self):
-                        pass
-                """,
-            },
-        )
-        result = run_lint(root, rules=[rule])
-        (finding,) = rule_findings(result, "CDAS005")
-        assert "MemoryStore" in finding.message
-        assert "commit" in finding.message
-
-
-# ---------------------------------------------------------------------------
 # Waivers
 # ---------------------------------------------------------------------------
 
@@ -879,7 +735,7 @@ class TestReportAndCli:
     def test_cli_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("CDAS001", "CDAS002", "CDAS003", "CDAS004", "CDAS005"):
+        for rule_id in ("CDAS001", "CDAS002", "CDAS003", "CDAS004"):
             assert rule_id in out
 
     def test_markdown_summary(self, tmp_path, capsys):
