@@ -17,22 +17,26 @@ given ``(pool, seed, HIT)`` triple always produces the same workers, the
 same answers and the same arrival order, regardless of how the engine
 interleaves its pulls.
 
-Publishing comes in two speeds with one observable behaviour
+Publishing takes one of three paths with one observable behaviour
 (DESIGN.md §11):
 
 * :meth:`SimulatedMarket.publish_reference` is the straight-line scalar
-  implementation — one private generator per worker substream, one python
-  draw per question.  It *defines* the market's draw sequences and stays
-  the bit-identity oracle for tests and benchmarks.
+  oracle — one private generator per worker substream, one behaviour
+  dispatch per question.  It *defines* the market's draw sequences and
+  stays the bit-identity reference for tests and benchmarks.
+* :meth:`SimulatedMarket.publish` is the lean scalar lane every
+  steady-state publish takes: the same generators and draws in the same
+  order, with per-question facts read once per HIT, the behaviour
+  resolved once per worker, and no ``Generator.choice`` call for a
+  one-keyword reason pool, where it would draw nothing.
 * :meth:`SimulatedMarket.publish_many` generates the same assignments for
   a whole batch of HITs with vectorised arithmetic
   (:mod:`repro.util.fastrng` replays NumPy's seeding + PCG64 pipeline
-  over arrays of substream seeds), falling back per-worker or per-batch
-  to the scalar path whenever the vectorised word-consumption model
-  cannot be applied.  Every produced assignment is bit-for-bit what the
-  reference would have produced — vectorisation batches *within* each
-  worker's own substream, never across substreams, so draw sequences per
-  named substream are untouched.
+  over arrays of substream seeds), falling back per-worker to the lean
+  lane or per-batch to the oracle whenever the vectorised
+  word-consumption model cannot be applied.  Vectorisation batches
+  *within* each worker's own substream, never across substreams, so
+  draw sequences per named substream are untouched.
 
 :class:`SimulatedMarket` is the reference implementation of the
 :class:`repro.amt.backend.MarketBackend` protocol (and its handles of
@@ -54,7 +58,7 @@ from repro.amt.hit import HIT, Assignment, validate_assignment
 from repro.amt.latency import FixedLatency, LatencyModel, LognormalLatency
 from repro.amt.pool import WorkerPool
 from repro.amt.pricing import CostLedger, PriceSchedule
-from repro.amt.worker import WorkerProfile, behaviour_for
+from repro.amt.worker import WorkerProfile, _reasons_for, behaviour_for
 from repro.util import fastrng
 from repro.util.rng import derive_seed, substream
 
@@ -188,15 +192,18 @@ def _profile_entry(profile: WorkerProfile) -> tuple[bytes, int]:
 
 
 class _HITMeta:
-    """Per-HIT question facts the vectorised publish path reads repeatedly."""
+    """Per-HIT question facts both fast publish paths read repeatedly."""
 
     __slots__ = (
+        "questions",
         "qids",
         "options",
         "truth_dict",
         "wrongs",
+        "reasons",
+        "keyword_dict",
         "topics",
-        "has_reasons",
+        "draws_reasons",
         "trivial",
         "c1",
         "c2",
@@ -206,7 +213,7 @@ class _HITMeta:
     )
 
     def __init__(self, hit: HIT) -> None:
-        questions = hit.questions
+        questions = self.questions = hit.questions
         self.count = len(questions)
         qids = self.qids = []
         options = self.options = []
@@ -219,9 +226,10 @@ class _HITMeta:
         c2 = self.c2 = []
         nw = self.nw = []
         m = self.m = []
+        reasons = self.reasons = []
         truths = []
         topics = []
-        has_reasons = False
+        draws_reasons = False
         trivial = True
         facts_cache = _QUESTION_FACTS
         qid_push = qids.append
@@ -258,14 +266,21 @@ class _HITMeta:
             c2_push(facts[2])
             if d != 0.0:
                 trivial = False
-            if q.reason_keywords:
-                has_reasons = True
+            pool = q.reason_keywords
+            reasons.append(pool)
+            if len(pool) > 1:
+                draws_reasons = True
         # Prototype all-correct answers dict, in the reference path's
         # insertion order; reliable lanes copy it and overwrite misses.
         self.truth_dict = dict(zip(qids, truths))
+        # Likewise the all-correct keywords dict when no pool draws: a
+        # one-keyword pool's rng.choice(1, size=1, replace=False) consumes
+        # nothing (tests/test_fastrng.py pins it), so a correct answer
+        # attaches the pool as-is.  Reliable lanes copy it and drop misses.
+        self.keyword_dict = {qid: pool for qid, pool in zip(qids, reasons) if pool}
         t = tuple(topics)
         self.topics = _TOPICS_INTERN.setdefault(t, t)
-        self.has_reasons = has_reasons
+        self.draws_reasons = draws_reasons
         self.trivial = trivial
 
 
@@ -355,17 +370,60 @@ class SimulatedMarket:
     def publish(self, hit: HIT) -> PublishedHIT:
         """Broadcast ``hit``; returns the handle streaming its submissions.
 
-        Delegates to the scalar reference: a one-HIT vectorised publish
-        costs nearly 3× as much, since ``fastrng.pcg64_init`` alone has a
-        fixed cost of about half a scalar publish (DESIGN.md §11).
+        The lean scalar lane: the same generators, draws and order as
+        :meth:`publish_reference`, with the per-question facts read once
+        from :class:`_HITMeta` and the answers drawn by
+        :meth:`_answer_lane`.  A one-HIT vectorised publish would cost
+        nearly 3× as much, since ``fastrng.pcg64_init`` alone has a fixed
+        cost of about half a scalar publish (DESIGN.md §11).
 
         Raises
         ------
         ValueError
             If a HIT id is reused — silent republication would corrupt the
-            ledger's per-HIT attribution.
+            ledger's per-HIT attribution — or a worker's behaviour is
+            unknown (nothing is registered then).
         """
-        return self.publish_reference(hit)
+        hit_id = hit.hit_id
+        if hit_id in self._published:
+            raise ValueError(f"HIT id {hit_id!r} already published")
+        seed = self._seed
+        workers = tuple(
+            self.pool.sample(hit.assignments, substream(seed, f"accept:{hit_id}"))
+        )
+        meta = _HITMeta(hit)
+        latency_sample = self.latency.sample
+        assignments = []
+        for position, profile in enumerate(workers):
+            worker_id = profile.worker_id
+            answer_seed = derive_seed(seed, f"answers:{hit_id}:{worker_id}")
+            answers, keywords = self._answer_lane(
+                meta, profile, substream(answer_seed, "answers")
+            )
+            # Position epsilon breaks exact latency ties deterministically.
+            submit_time = (
+                latency_sample(substream(answer_seed, "latency")) + position * 1e-9
+            )
+            # validate_assignment is skipped, as on the batch path: answers
+            # are drawn from each question's own options by construction.
+            assignments.append(
+                Assignment(
+                    hit_id=hit_id,
+                    worker_id=worker_id,
+                    answers=answers,
+                    keywords=keywords,
+                    submit_time=submit_time,
+                )
+            )
+        assignments.sort(key=_SUBMIT_KEY)
+        handle = PublishedHIT(
+            hit=hit,
+            workers=workers,
+            _assignments=tuple(assignments),
+            _ledger=self.ledger,
+        )
+        self._register(handle)
+        return handle
 
     def publish_reference(self, hit: HIT) -> PublishedHIT:
         """The scalar reference publish: defines the market's draw sequences.
@@ -419,11 +477,11 @@ class SimulatedMarket:
         """Publish a batch of HITs; bit-identical to sequential ``publish``.
 
         Pays off only for large batches: chunks of 2 or 4 HITs cost more
-        per HIT than the scalar path, break-even lies around 8 to 16, and
-        on reason-keyword (TSA) HITs most worker lanes replay through the
-        scalar generator anyway (DESIGN.md §11).  Any condition the
-        vectorised model does not cover (duplicate ids, unknown
-        behaviours, pathological draws) re-runs the batch through
+        per HIT than :meth:`publish`, and break-even lies around 8 to 16
+        (DESIGN.md §11).  A worker lane replays through the lean scalar
+        lane only where the vectorised model stops: a reason pool of two
+        or more keywords or a rejected bounded draw.  A duplicate id or
+        an unknown behaviour re-runs the batch through
         :meth:`publish_reference` sequentially, so error behaviour —
         including which HITs end up registered when a publish raises —
         matches per-HIT publishes exactly.
@@ -595,11 +653,11 @@ class SimulatedMarket:
             # Per-worker substream seeds share the per-HIT label prefix:
             # hash it once, fork per worker; extract ints in one pass below.
             prefix = _sha(f"{seed}:answers:{hit.hit_id}:".encode())
-            if metas[idx].has_reasons:
-                # _reasons_for may draw from the answers stream when a
-                # correct answer meets reason keywords — data-dependent
-                # consumption the word model does not cover: replay
-                # reliable lanes through the real generator.
+            if metas[idx].draws_reasons:
+                # _reasons_for draws from the answers stream when a correct
+                # answer meets a pool of two or more keywords — data-
+                # dependent consumption the word model does not cover:
+                # replay reliable lanes through the real generator.
                 for profile in workers:
                     info = prof_info.get(id(profile))
                     if info is None:
@@ -715,6 +773,7 @@ class SimulatedMarket:
             meta = metas[idx]
             hit_id = hit.hit_id
             truth_dict = meta.truth_dict
+            keyword_dict = meta.keyword_dict
             qids = meta.qids
             wrongs = meta.wrongs
             colluder_rows: dict[int, dict[str, str]] = {}
@@ -732,6 +791,10 @@ class SimulatedMarket:
                         answers = None
                     else:
                         answers = truth_dict.copy()
+                        if keyword_dict:
+                            keywords = keyword_dict.copy()
+                            for k in range(mp, end):
+                                keywords.pop(qids[m_cols[k]], None)
                         while mp < end:
                             c = m_cols[mp]
                             answers[qids[c]] = wrongs[c][m_vals[mp]]
@@ -750,7 +813,7 @@ class SimulatedMarket:
                     replayed += 1
                     s, i = state_ints(state, inc, 2 * lane)
                     bg.state = state_dict(s, i)
-                    answers, keywords = self._replay_lane(hit, profile, gen)
+                    answers, keywords = self._answer_lane(meta, profile, gen)
                 if lat_common is not None and lat_common[lane]:
                     submit_time = lat_exp[lane] + position * 1e-9
                 elif fixed_latency is not None:
@@ -1052,23 +1115,60 @@ class SimulatedMarket:
             row[qid] = meta.wrongs[q][value % len(meta.wrongs[q])]
         return row
 
-    def _replay_lane(
-        self, hit: HIT, profile: WorkerProfile, rng: np.random.Generator
+    def _answer_lane(
+        self, meta: _HITMeta, profile: WorkerProfile, rng: np.random.Generator
     ) -> tuple[dict[str, str], dict[str, tuple[str, ...]]]:
-        """Scalar per-question loop on a transplanted answers stream.
+        """One worker's answers and keywords, drawn exactly as the reference.
 
-        Used for lanes outside the vectorised model (reason keywords,
-        unknown behaviours, rejected bounded draws); ``rng`` must already
-        sit at the lane's ``answers`` substream origin.
+        ``rng`` must sit at the worker's ``answers`` substream origin; the
+        draws are :meth:`publish_reference`'s, question by question, with
+        the behaviour resolved once per lane.  A correct answer to a
+        one-keyword pool attaches the pool without the ``choice`` call
+        that would draw nothing; larger pools draw through
+        ``_reasons_for``.  An unknown behaviour raises ``behaviour_for``'s
+        ``ValueError`` before any draw.
         """
-        behaviour = behaviour_for(profile)
-        answers: dict[str, str] = {}
+        info = self._profile_info.get(id(profile))
+        if info is None:
+            info = self._profile_info[id(profile)] = _profile_entry(profile)
+        tier = info[1]
+        if tier == _T_COLLUDER:
+            return dict(self._colluder_row(meta, profile.clique)), {}
+        qids = meta.qids
+        if tier == _T_SPAMMER:
+            integers = rng.integers
+            return {
+                qid: opts[integers(len(opts))]
+                for qid, opts in zip(qids, meta.options)
+            }, {}
+        if tier != _T_RELIABLE:
+            behaviour_for(profile)  # raises: the behaviour is unknown
+        key = (profile.worker_id, meta.topics)
+        p_row = self._accuracy_rows.get(key)
+        if p_row is None:
+            p_row = [profile.topic_accuracy(t) for t in meta.topics]
+            self._accuracy_rows[key] = p_row
+        if not meta.trivial:
+            # effective_accuracy's ((1±d)·a) + (d/m or −d), op for op.
+            p_row = [c1 * a + c2 for c1, a, c2 in zip(meta.c1, p_row, meta.c2)]
+        random = rng.random
+        integers = rng.integers
+        answers = meta.truth_dict.copy()
         keywords: dict[str, tuple[str, ...]] = {}
-        for question in hit.questions:
-            chosen, reasons = behaviour.answer(profile, question, rng)
-            answers[question.question_id] = chosen
-            if reasons:
-                keywords[question.question_id] = reasons
+        for q, (qid, pool) in enumerate(zip(qids, meta.reasons)):
+            if random() < p_row[q]:
+                if not pool:
+                    continue
+                if len(pool) == 1:
+                    keywords[qid] = pool
+                else:
+                    question = meta.questions[q]
+                    keywords[qid] = _reasons_for(question, question.truth, rng)
+            else:
+                # integers(1) draws nothing, so one wrong option is taken
+                # as is (the vectorised model relies on the same fact).
+                wrong = meta.wrongs[q]
+                answers[qid] = wrong[integers(len(wrong))] if len(wrong) > 1 else wrong[0]
         return answers, keywords
 
     # -- introspection -------------------------------------------------------

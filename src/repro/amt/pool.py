@@ -261,7 +261,11 @@ class WorkerPool:
         Models AMT's broadcast: any candidate worker may accept, so the
         requester effectively gets random workers (§3.1).
         """
-        candidates = [p for p in self.profiles if p.worker_id not in exclude]
+        candidates = (
+            [p for p in self.profiles if p.worker_id not in exclude]
+            if exclude
+            else self.profiles
+        )
         if count > len(candidates):
             raise ValueError(
                 f"requested {count} workers but only {len(candidates)} are eligible"

@@ -178,3 +178,33 @@ def test_integers_one_consumes_nothing() -> None:
     before = np.random.default_rng(5).bit_generator.random_raw(1)[0]
     assert int(rng.integers(1)) == 0
     assert rng.bit_generator.random_raw(1)[0] == before
+
+
+# -- Generator.choice draw consumption ------------------------------------------
+#
+# The market's lean publish lane attaches a one-keyword reason pool without
+# calling _reasons_for's ``choice(1, size=1, replace=False)``, and the
+# vectorised path keeps such lanes off replay, because that call consumes
+# no randomness.  Pools of two or more keywords still draw.  If a NumPy
+# release changes either fact, these fail by name instead of a golden
+# trace digest.
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choice_of_one_leaves_state_unchanged(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    rng.integers(3)  # primes the buffered 32-bit half-word
+    before = rng.bit_generator.state
+    assert before["has_uint32"] == 1
+    assert rng.choice(1, size=1, replace=False).tolist() == [0]
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choice_of_two_or_more_draws(seed: int, k: int) -> None:
+    rng = np.random.default_rng(seed)
+    rng.integers(3)
+    before = rng.bit_generator.state
+    rng.choice(k, size=2, replace=False)
+    assert rng.bit_generator.state != before
