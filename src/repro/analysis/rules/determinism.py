@@ -4,9 +4,8 @@ DESIGN.md §9/§11 pin the engine's replay story: given one seed, the
 scheduler, aggregation core, and simulated market reproduce results bit
 for bit across runs and interpreter versions.  That only holds while no
 code inside the core reads ambient entropy or the wall clock.  All
-randomness must flow through named substreams
-(:mod:`repro.util.rng` / :mod:`repro.util.fastrng`), which are derived
-from the run seed.
+randomness must flow through named substreams (:mod:`repro.util.rng`),
+which are derived from the run seed.
 
 The rule bans *calls* to ambient-entropy and wall-clock-reading
 functions inside the core scope.  ``time.monotonic``/``perf_counter``
@@ -31,12 +30,11 @@ if TYPE_CHECKING:
     from repro.analysis.engine import Module, Project
 
 #: Where the determinism contract holds (DESIGN.md §11): the engine and
-#: aggregation core, the simulated market, and the vectorised RNG.
+#: aggregation core and the simulated market.
 CORE_SCOPE = (
     "repro/engine/",
     "repro/core/",
     "repro/amt/market.py",
-    "repro/util/fastrng.py",
 )
 
 #: Dotted names whose *call* is nondeterministic, whatever the arguments.

@@ -644,18 +644,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
     print(f"profiled scenario  : {args.scenario} (seed {args.seed})")
     print(f"outcome digest     : {digest(outcome)[:16]}")
-    phases = getattr(market, "phase_seconds", None)
-    if phases is not None:
-        total = sum(phases.values())
-        print("vectorised publish phases (cumulative):")
-        for name, seconds in phases.items():
-            share = 100.0 * seconds / total if total > 0 else 0.0
-            print(f"  {name:<9} {seconds * 1e3:9.2f} ms  {share:5.1f}%")
-        print(
-            f"lanes              : {market.batch_lanes} vectorised, "
-            f"{market.replay_lanes} replayed, "
-            f"{market.fallback_batches} batch fallbacks"
-        )
     stream = io.StringIO()
     stats = pstats.Stats(profiler, stream=stream)
     stats.sort_stats(args.sort)
@@ -854,8 +842,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile_p = sub.add_parser(
         "profile",
-        help="run a scenario under cProfile; print top-N hot spots plus "
-        "the market's per-phase counters (DESIGN.md §11)",
+        help="run a scenario under cProfile; print its outcome digest "
+        "and the top-N hot spots (DESIGN.md §11)",
     )
     profile_p.add_argument(
         "scenario",

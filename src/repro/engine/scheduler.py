@@ -337,37 +337,20 @@ class HITScheduler:
     def _fill(self) -> None:
         """Publish queued sessions until slots or work run out.
 
-        When several slots free up at once and the market exposes
-        ``publish_many`` (the simulator's vectorised fast path), the batch
-        goes through one call.  Sessions are *prepared* in the same order
-        they would have published one at a time (compose RNG and HIT ids
-        advance engine-wide counters), the market generates each HIT
-        within its own named substreams, and handles enter the pump in
-        preparation order — so the merged event stream is bit-identical
-        to the serial path.
+        One session at a time: take the next session, publish it through
+        the market's ``publish``, then register its handle in the flight
+        table and the pump before the next session is drawn.  A publish
+        that raises therefore loses only its own session; every HIT
+        already live in the market is being collected, and sessions not
+        yet reached stay queued.
         """
-        publish_many = getattr(self.engine.market, "publish_many", None)
         while len(self._in_flight) < self.max_in_flight:
-            batch: list[HITSession] = []
-            while len(self._in_flight) + len(batch) < self.max_in_flight:
-                session = self._next_session()
-                if session is None:
-                    break
-                batch.append(session)
-            if not batch:
+            session = self._next_session()
+            if session is None:
                 return
-            if publish_many is not None and len(batch) > 1:
-                handles = publish_many([session.prepare() for session in batch])
-                for session, handle in zip(batch, handles):
-                    session.attach(handle)
-            else:
-                for session in batch:
-                    session.publish()
-            for session in batch:
-                handle = session.handle
-                assert handle is not None
-                self._in_flight[handle.hit.hit_id] = session
-                self._pump.add(handle, published_at=self.clock)
+            handle = session.publish()
+            self._in_flight[handle.hit.hit_id] = session
+            self._pump.add(handle, published_at=self.clock)
             self.peak_in_flight = max(self.peak_in_flight, len(self._in_flight))
 
     def _seal_finished(self) -> int:

@@ -163,24 +163,8 @@ class HITSession:
         the ``compose:<counter>`` substream of the engine seed *before* the
         counter is consumed by the HIT id.
         """
-        hit = self.prepare()
-        return self.attach(self._engine.market.publish(hit))
-
-    def prepare(self) -> HIT:
-        """Phase 1a: compose the questions, size ``n``, build the HIT.
-
-        Split from :meth:`publish` so the scheduler can prepare a whole
-        batch of sessions and publish them through the market's
-        ``publish_many`` fast path in one call; :meth:`attach` then adopts
-        each returned handle.  Preparation order matters exactly as much
-        as publish order did — the compose RNG and HIT id both advance
-        engine-wide counters — so callers must prepare in the same order
-        they would have published.
-        """
         if self.state is not SessionState.PLANNED:
             raise ValueError(f"cannot publish a session in state {self.state.value!r}")
-        if self._hit is not None:
-            raise ValueError("session already prepared; attach its handle instead")
         engine = self._engine
         rng = substream(engine.seed, f"compose:{engine.hit_counter}")
         questions = engine.compose_questions(
@@ -196,21 +180,7 @@ class HITSession:
             questions=questions,
             assignments=n,
         )
-        return self._hit
-
-    def attach(self, handle: HITHandle) -> HITHandle:
-        """Phase 1b: adopt the published handle for a prepared HIT."""
-        if self.state is not SessionState.PLANNED or self._hit is None:
-            raise ValueError("attach requires a prepared, unpublished session")
-        if handle.hit is not self._hit:
-            raise ValueError(
-                f"handle is for HIT {handle.hit.hit_id!r}, "
-                f"session prepared {self._hit.hit_id!r}"
-            )
-        engine = self._engine
-        questions = self._hit.questions
-        n = self._hit.assignments
-        self.handle = handle
+        self.handle = engine.market.publish(self._hit)
         self._real = [q for q in questions if not q.is_gold]
         self._votes = {q.question_id: [] for q in self._real}
         if self._track:

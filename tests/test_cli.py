@@ -267,3 +267,12 @@ class TestServeJournal:
         assert code == 2
         assert "drop --asyncio" in capsys.readouterr().out
         assert not journal.exists()
+
+
+class TestProfile:
+    def test_profile_prints_outcome_digest_and_top_n(self, capsys):
+        assert main(["profile", "mixed-service", "--top", "3"]) == 0
+        out = capsys.readouterr().out
+        assert "outcome digest     : 0ecc19aa17d1b5fc" in out
+        assert "cProfile top 3 by cumulative:" in out
+        assert "List reduced from" in out and "to 3 due to restriction <3>" in out

@@ -412,6 +412,54 @@ class TestSessionLifecycle:
         with pytest.raises(ValueError, match="publish"):
             session.publish()
 
+    def test_failed_publish_orphans_no_published_hit(self, small_pool):
+        """A publish that raises loses only its own session: every HIT the
+        market registered is being collected, and sessions not yet
+        reached stay queued."""
+
+        class FailingSecondPublish:
+            """A market without ``publish_many`` whose 2nd publish raises."""
+
+            def __init__(self, inner: SimulatedMarket) -> None:
+                self._inner = inner
+                self.ledger = inner.ledger
+                self.calls = 0
+
+            def publish(self, hit):
+                self.calls += 1
+                if self.calls == 2:
+                    raise RuntimeError("market refused the HIT")
+                return self._inner.publish(hit)
+
+            def __getattr__(self, name):
+                if name == "publish_many":
+                    raise AttributeError(name)
+                return getattr(self._inner, name)
+
+        inner = SimulatedMarket(small_pool, seed=21)
+        engine = CrowdsourcingEngine(FailingSecondPublish(inner), seed=21)
+        scheduler = HITScheduler(engine, max_in_flight=3)
+        sessions = [
+            scheduler.submit(
+                _questions(3, prefix=f"b{b}q"), 0.9, gold_pool=_gold(8), worker_count=5
+            )
+            for b in range(3)
+        ]
+        with pytest.raises(RuntimeError, match="refused"):
+            scheduler.step()
+        assert inner.published_hits == 1
+        assert scheduler.in_flight == 1
+        first = sessions[0]
+        assert first.state is SessionState.COLLECTING
+        assert first.handle is inner.handle(first.handle.hit.hit_id)
+        assert scheduler.pending_count == 1
+        assert sessions[2].state is SessionState.PLANNED
+        # The untouched session still runs; only the failed one has no result.
+        with pytest.raises(RuntimeError, match="1 sessions finished without a result"):
+            scheduler.run()
+        assert sessions[0].result is not None and sessions[2].result is not None
+        assert sessions[1].result is None
+
     def test_empty_batch_rejected_at_submission(self, small_pool):
         engine = _engine(small_pool)
         scheduler = HITScheduler(engine)

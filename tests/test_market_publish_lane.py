@@ -5,12 +5,13 @@ rather than through ``publish_reference``'s per-question behaviour
 dispatch.  These tests hold it to the oracle on fresh markets: the same
 workers, answers and keywords *in dict insertion order*, the same submit
 times and assignment order, and the same errors with the same markets
-left behind.  The last test covers the one-keyword branch of the
-vectorised batch path, which stops sending those lanes to replay.
+left behind.  The last tests pin the NumPy facts the lane's shortcuts
+rest on: ``integers(1)`` and a one-keyword ``choice`` draw nothing.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +21,7 @@ from repro.amt.latency import ExponentialLatency, FixedLatency, LognormalLatency
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import WorkerPool
 from repro.amt.worker import WorkerProfile
-from repro.util.rng import substream
+from repro.util.rng import derive_seed, substream
 
 LATENCIES = (LognormalLatency, ExponentialLatency, lambda: FixedLatency(30.0))
 TOPICS = ("sentiment", "imaging", "general")
@@ -177,17 +178,55 @@ def test_duplicate_id_raises_like_reference():
     assert messages[0] == messages[1]
 
 
-@pytest.mark.parametrize("seed", [3, 2012])
-def test_publish_many_one_keyword_pools_skip_replay(seed):
-    """One-keyword pools draw nothing, so reliable lanes stay vectorised."""
-    pool = _pool(seed, 0.15, 0.15)
-    hits = _hits(6, 8, [1, 0, 1], 0.3, True, True)
-    reference = SimulatedMarket(pool, seed=seed)
-    batched = SimulatedMarket(pool, seed=seed)
-    expected = [reference.publish_reference(h) for h in hits]
-    actual = batched.publish_many(hits)
-    assert batched.fallback_batches == 0
-    assert batched.batch_lanes == 6 * 7
-    assert batched.replay_lanes == 0
-    for ref, vec in zip(expected, actual):
-        assert _ordered_facts(vec) == _ordered_facts(ref)
+# -- NumPy draw consumption -----------------------------------------------------
+#
+# The lean lane takes a lone wrong option without ``integers(1)`` and
+# attaches a one-keyword reason pool without calling _reasons_for's
+# ``choice(1, size=1, replace=False)``, because neither call consumes
+# randomness.  Pools of two or more keywords still draw.  If a NumPy
+# release changes any of these facts, these fail by name instead of a
+# golden trace digest.
+
+# Edge seeds: zero entropy, 32-bit boundary straddlers, max derive_seed
+# output, plus real substream seeds the market actually uses.
+SEEDS = [
+    0,
+    1,
+    2**32 - 1,
+    2**32,
+    2**32 + 1,
+    2**63 - 1,
+    2**64 - 1,
+    derive_seed(2012, "answers:hit-00000:w00042"),
+    derive_seed(7, "accept:hit-00003"),
+    123456789,
+]
+
+
+def test_integers_one_consumes_nothing() -> None:
+    # n == 1 short-circuits to 0 without touching the stream; the word
+    # consumption model counts such draws as zero-width.
+    rng = np.random.default_rng(5)
+    before = np.random.default_rng(5).bit_generator.random_raw(1)[0]
+    assert int(rng.integers(1)) == 0
+    assert rng.bit_generator.random_raw(1)[0] == before
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choice_of_one_leaves_state_unchanged(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    rng.integers(3)  # primes the buffered 32-bit half-word
+    before = rng.bit_generator.state
+    assert before["has_uint32"] == 1
+    assert rng.choice(1, size=1, replace=False).tolist() == [0]
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_choice_of_two_or_more_draws(seed: int, k: int) -> None:
+    rng = np.random.default_rng(seed)
+    rng.integers(3)
+    before = rng.bit_generator.state
+    rng.choice(k, size=2, replace=False)
+    assert rng.bit_generator.state != before

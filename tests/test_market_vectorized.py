@@ -1,19 +1,13 @@
-"""The vectorised-simulation contract: fast paths change *nothing* but time.
+"""Fast paths change *nothing* but time: the pins that outlived the batch path.
 
-Three layers of evidence, from micro to macro:
-
-* property tests (hypothesis) — ``publish_many`` equals sequential
-  ``publish_reference`` bit for bit (worker sets, answers, keywords,
-  submit times, assignment order) across random seeds, pool behaviour
-  mixes, latency models, difficulties and reason keywords, with the
-  vectorised path actually taken (``fallback_batches == 0``);
-* the scheduler's batched ``_fill`` — draining sources through
-  ``publish_many`` yields the same results as a market that only offers
-  scalar ``publish``;
+* ``publish_many`` is a loop over ``publish``; on a duplicate id it
+  registers the prefix and raises exactly as per-HIT publishes do;
+* the memoized confidence math returns bit-identical values, and the
+  incremental aggregator's running sums equal a from-scratch rebuild;
 * re-recording every golden scenario reproduces the pinned
   interaction-stream fingerprints — the engine-wide end-to-end pin that
-  the memoized confidence math and incremental aggregation also sit
-  behind.
+  the lean publish lane, the memoized confidence math and incremental
+  aggregation all sit behind.
 """
 
 from __future__ import annotations
@@ -25,7 +19,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.amt.hit import HIT, Question
-from repro.amt.latency import ExponentialLatency, FixedLatency, LognormalLatency
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import WorkerPool
 from repro.amt.worker import WorkerProfile
@@ -33,13 +26,9 @@ from repro.core.confidence import answer_confidences, worker_confidence
 from repro.core.domain import AnswerDomain
 from repro.core.online import OnlineAggregator
 from repro.core.types import WorkerAnswer
-from repro.engine.engine import CrowdsourcingEngine
-from repro.engine.scheduler import HITScheduler
 from repro.util.rng import substream
 
 OPTIONS = ("pos", "neu", "neg")
-
-LATENCIES = (LognormalLatency, ExponentialLatency, lambda: FixedLatency(30.0))
 
 
 def _pool(seed: int, spam_frac: float, collude_frac: float, size: int = 40) -> WorkerPool:
@@ -90,45 +79,6 @@ def _hits(
     return hits
 
 
-def _handle_facts(handle):
-    return (
-        handle.hit.hit_id,
-        tuple(w.worker_id for w in handle.workers),
-        tuple(
-            (a.worker_id, tuple(sorted(a.answers.items())),
-             tuple(sorted(a.keywords.items())), a.submit_time)
-            for a in handle._assignments
-        ),
-    )
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    seed=st.integers(min_value=0, max_value=2**31 - 1),
-    spam_frac=st.floats(min_value=0.0, max_value=0.35),
-    collude_frac=st.floats(min_value=0.0, max_value=0.3),
-    latency_idx=st.integers(min_value=0, max_value=len(LATENCIES) - 1),
-    with_reasons=st.booleans(),
-    with_difficulty=st.booleans(),
-    n_questions=st.integers(min_value=2, max_value=8),
-    n_hits=st.integers(min_value=2, max_value=6),
-)
-def test_publish_many_matches_reference_bitwise(
-    seed, spam_frac, collude_frac, latency_idx, with_reasons, with_difficulty,
-    n_questions, n_hits,
-):
-    pool = _pool(seed, spam_frac, collude_frac)
-    hits = _hits(n_hits, n_questions, with_reasons, with_difficulty)
-    latency = LATENCIES[latency_idx]
-    reference = SimulatedMarket(pool, seed=seed, latency=latency())
-    vectorised = SimulatedMarket(pool, seed=seed, latency=latency())
-    expected = [reference.publish_reference(h) for h in hits]
-    actual = vectorised.publish_many(hits)
-    assert vectorised.fallback_batches == 0, "clean batch must not fall back"
-    for ref, vec in zip(expected, actual):
-        assert _handle_facts(ref) == _handle_facts(vec)
-
-
 def test_publish_many_duplicate_id_falls_back_like_reference():
     pool = _pool(3, 0.1, 0.1)
     hits = _hits(3, 4, False, False)
@@ -137,66 +87,6 @@ def test_publish_many_duplicate_id_falls_back_like_reference():
     clash = SimulatedMarket(pool, seed=3)
     with pytest.raises(ValueError, match="already published"):
         clash.publish_many(hits + [hits[0]])
-
-
-class _SerialOnlyMarket:
-    """Protocol shim hiding ``publish_many`` — forces the scalar path."""
-
-    def __init__(self, inner: SimulatedMarket) -> None:
-        self._inner = inner
-        self.ledger = inner.ledger
-
-    def publish(self, hit):
-        return self._inner.publish(hit)
-
-    def __getattr__(self, name):
-        if name == "publish_many":
-            raise AttributeError(name)
-        return getattr(self._inner, name)
-
-
-def _scheduled_results(market, seed: int, in_flight: int):
-    engine = CrowdsourcingEngine(market, seed=seed)
-    scheduler = HITScheduler(engine, max_in_flight=in_flight)
-    gold = [
-        Question(question_id=f"gold{i}", options=OPTIONS, truth=OPTIONS[i % 3])
-        for i in range(6)
-    ]
-    for b in range(8):
-        scheduler.submit(
-            [
-                Question(
-                    question_id=f"b{b}:q{i}", options=OPTIONS, truth=OPTIONS[i % 3]
-                )
-                for i in range(5)
-            ],
-            0.9,
-            gold_pool=gold,
-            worker_count=7,
-        )
-    return scheduler.run()
-
-
-@pytest.mark.parametrize("in_flight", [1, 4, 8])
-def test_scheduler_batched_fill_matches_serial_publish(in_flight):
-    seed = 2012
-    pool = _pool(seed, 0.15, 0.15, size=60)
-    batched = _scheduled_results(SimulatedMarket(pool, seed=seed), seed, in_flight)
-    serial = _scheduled_results(
-        _SerialOnlyMarket(SimulatedMarket(pool, seed=seed)), seed, in_flight
-    )
-    assert len(batched) == len(serial)
-    for fast, slow in zip(batched, serial):
-        assert fast.hit_id == slow.hit_id
-        assert fast.assignments_collected == slow.assignments_collected
-        assert fast.cost == slow.cost
-        assert [
-            (r.question.question_id, r.verdict.answer, r.verdict.confidence)
-            for r in fast.records
-        ] == [
-            (r.question.question_id, r.verdict.answer, r.verdict.confidence)
-            for r in slow.records
-        ]
 
 
 # -- memoized confidence math -------------------------------------------------
