@@ -164,8 +164,8 @@ _QUESTION_FACTS: dict[tuple, tuple] = {}
 _TOPICS_INTERN: dict[tuple, tuple] = {}
 
 
-def _profile_entry(profile: WorkerProfile) -> tuple[bytes, int]:
-    """Encoded worker id + behaviour tier, cached per profile object."""
+def _behaviour_tier(profile: WorkerProfile) -> int:
+    """The profile's behaviour tier, cached per profile object."""
     behaviour = profile.behaviour
     if behaviour == "reliable":
         tier = _T_RELIABLE
@@ -175,7 +175,7 @@ def _profile_entry(profile: WorkerProfile) -> tuple[bytes, int]:
         tier = _T_COLLUDER
     else:
         tier = _T_UNKNOWN  # _answer_lane lets behaviour_for raise
-    return profile.worker_id.encode(), tier
+    return tier
 
 
 class _HITMeta:
@@ -284,10 +284,9 @@ class SimulatedMarket:
         self._colluder_digests: dict[tuple[int, str], int] = {}
         # (worker_id, topics tuple) → per-question topic accuracies.
         self._accuracy_rows: dict[tuple[str, tuple], list[float]] = {}
-        # id(profile) → (utf-8 worker_id, behaviour tier).  Profiles live
-        # as long as the pool (which outlives the market), so ids are
-        # stable keys.
-        self._profile_info: dict[int, tuple[bytes, int]] = {}
+        # id(profile) → behaviour tier.  Profiles live as long as the
+        # pool (which outlives the market), so ids are stable keys.
+        self._profile_info: dict[int, int] = {}
 
     # -- pickling ------------------------------------------------------------
 
@@ -452,10 +451,9 @@ class SimulatedMarket:
         ``_reasons_for``.  An unknown behaviour raises ``behaviour_for``'s
         ``ValueError`` before any draw.
         """
-        info = self._profile_info.get(id(profile))
-        if info is None:
-            info = self._profile_info[id(profile)] = _profile_entry(profile)
-        tier = info[1]
+        tier = self._profile_info.get(id(profile))
+        if tier is None:
+            tier = self._profile_info[id(profile)] = _behaviour_tier(profile)
         if tier == _T_COLLUDER:
             return dict(self._colluder_row(meta, profile.clique)), {}
         qids = meta.qids

@@ -206,6 +206,11 @@ def install_snapshot(
     durable.scheduler = state["scheduler"]
     durable.admission = state["admission"]
     durable._records = state["records"]
+    # The live index is not pickled: rebuild it from the records, or the
+    # pump would never visit the queries the snapshot holds active.
+    durable._live = [
+        rec for rec in durable._records if rec.state not in TERMINAL_STATES
+    ]
     durable.scheduler._on_event = None
     durable.scheduler.add_event_observer(durable._observer.on_event)
 

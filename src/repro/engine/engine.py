@@ -28,6 +28,7 @@ against ground truth from the outside.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
@@ -359,20 +360,40 @@ class CrowdsourcingEngine:
         return [w for w in self.estimator.known_workers() if self.is_flagged(w)]
 
     def observation_of(
-        self, votes: Sequence[tuple[str, str, tuple[str, ...]]]
+        self,
+        votes: Sequence[tuple[str, str, tuple[str, ...]]],
+        facts: dict[str, float | None] | None = None,
     ) -> tuple[WorkerAnswer, ...]:
         """Build an observation with the estimator's *current* accuracies,
-        dropping flagged workers' votes (quality screen)."""
-        return tuple(
-            WorkerAnswer(
-                worker_id=worker_id,
-                answer=answer,
-                accuracy=self.estimator.accuracy(worker_id),
-                keywords=keywords,
-            )
-            for worker_id, answer, keywords in votes
-            if not self.is_flagged(worker_id)
-        )
+        dropping flagged workers' votes (quality screen).
+
+        ``facts`` memoises each worker's accuracy (``None`` when flagged)
+        across calls that see the same estimator state — a HIT's
+        verification reads each of its workers once, not once per
+        question.  Without it every worker is read afresh.
+        """
+        if facts is None:
+            facts = {}
+        observation = []
+        for worker_id, answer, keywords in votes:
+            try:
+                accuracy = facts[worker_id]
+            except KeyError:
+                accuracy = facts[worker_id] = (
+                    None
+                    if self.is_flagged(worker_id)
+                    else self.estimator.accuracy(worker_id)
+                )
+            if accuracy is not None:
+                observation.append(
+                    WorkerAnswer(
+                        worker_id=worker_id,
+                        answer=answer,
+                        accuracy=accuracy,
+                        keywords=keywords,
+                    )
+                )
+        return tuple(observation)
 
     def verifier_for(self, question: Question, collected: int) -> Verifier:
         """The configured §4.1 verifier, sized for one question."""
@@ -380,15 +401,20 @@ class CrowdsourcingEngine:
             return HalfVoting(hired_workers=collected)
         if self.config.verifier == "majority-voting":
             return MajorityVoting()
-        return ProbabilisticVerification(domain=AnswerDomain.closed(question.options))
+        return _probabilistic_verifier(tuple(question.options))
 
     def finalize_question(
         self,
         question: Question,
         votes: Sequence[tuple[str, str, tuple[str, ...]]],
+        facts: dict[str, float | None] | None = None,
     ) -> QuestionRecord:
-        """Accept the final answer for one question (§4.1)."""
-        observation = self.observation_of(votes)
+        """Accept the final answer for one question (§4.1).
+
+        ``facts`` is :meth:`observation_of`'s per-worker memo, shared by
+        the questions of one HIT.
+        """
+        observation = self.observation_of(votes, facts)
         if not observation:
             # Every submission was privacy-rejected: abstain explicitly.
             verdict = Verdict(answer=None, confidence=None, method=self.config.verifier)
@@ -400,6 +426,17 @@ class CrowdsourcingEngine:
         return QuestionRecord(
             question=question, verdict=verdict, observation=observation
         )
+
+
+@functools.lru_cache(maxsize=None)
+def _probabilistic_verifier(options: tuple[str, ...]) -> ProbabilisticVerification:
+    """The §4.1 verifier over one closed option set.
+
+    Frozen and stateless, so one instance serves every question with
+    these options; cached like ``worker_confidence`` — questions take
+    few distinct option sets.
+    """
+    return ProbabilisticVerification(domain=AnswerDomain.closed(options))
 
 
 def _as_gold(question: Question) -> Question:

@@ -118,10 +118,13 @@ class QueryState(Enum):
     FAILED = "failed"  # admission starved or finalization raised
 
 
-#: States from which a query never moves again.
-TERMINAL_STATES = frozenset(
-    {QueryState.DONE, QueryState.CANCELLED, QueryState.FAILED}
-)
+#: States from which a query never moves again.  A tuple, not a set: its
+#: ``in`` tests compare members by identity, without ``Enum.__hash__``.
+TERMINAL_STATES = (QueryState.DONE, QueryState.CANCELLED, QueryState.FAILED)
+
+#: States that draw publish slots and can complete.  Bound once: looking
+#: a member up on the enum class costs more than the test itself.
+_ACTIVE_STATES = (QueryState.ADMITTED, QueryState.RUNNING)
 
 
 class AdmissionRejected(RuntimeError):
@@ -408,12 +411,17 @@ class _QueryRecord:
         #: :meth:`spend` and :meth:`QueryHandle.progress`, extended
         #: lazily by :meth:`sealed_prefix`.
         self._sealed = _SealedPrefix()
+        #: Index of the first session :meth:`work_done` has not seen
+        #: sealed; every session before it is sealed for good.
+        self._first_unsealed = 0
 
     def __setstate__(self, state: dict[str, Any]) -> None:
         # A snapshot written before the aggregate existed holds an
         # id-keyed cache instead; its records start the aggregate empty.
+        # One written before the sealed cursor re-checks every session.
         state.pop("_sealed_progress", None)
         state.setdefault("_sealed", _SealedPrefix())
+        state.setdefault("_first_unsealed", 0)
         self.__dict__.update(state)
 
     # -- batch source --------------------------------------------------------
@@ -554,11 +562,20 @@ class _QueryRecord:
 
     @property
     def work_done(self) -> bool:
-        """No batches left to publish and every granted session sealed."""
-        return (
-            self.peek_batch() is None
-            and all(session.done for session in self.sessions)
-        )
+        """No batches left to publish and every granted session sealed.
+
+        Sessions never un-seal and are only appended while the query
+        runs, so the sealed run is tracked by a cursor that only moves
+        forward: each call checks just the sessions past it.
+        """
+        if self.peek_batch() is not None:
+            return False
+        sessions = self.sessions
+        index = self._first_unsealed
+        while index < len(sessions) and sessions[index].done:
+            index += 1
+        self._first_unsealed = index
+        return index == len(sessions)
 
 
 class AdmissionController:
@@ -583,9 +600,21 @@ class AdmissionController:
         self._tenant_pass: dict[str, float] = {}
         self._tenant_seq: dict[str, int] = {}
         self._records: dict[str, list[_QueryRecord]] = {}
+        #: Each tenant's records not yet seen terminal, in seq order — the
+        #: only ones a grant scan visits.
+        self._live: dict[str, list[_QueryRecord]] = {}
         #: ``(tenant, query seq)`` per granted slot — benchmarks and tests
         #: read the interleaving from here.
         self.grant_log: list[tuple[str, int]] = []
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A snapshot written before the live index existed rebuilds it.
+        if "_live" not in state:
+            state["_live"] = {
+                name: [r for r in records if r.state not in TERMINAL_STATES]
+                for name, records in state["_records"].items()
+            }
+        self.__dict__.update(state)
 
     # -- tenants -------------------------------------------------------------
 
@@ -601,6 +630,7 @@ class AdmissionController:
         self._tenant_seq.setdefault(name, len(self._tenant_seq))
         self._tenant_pass.setdefault(name, 0.0)
         self._records.setdefault(name, [])
+        self._live.setdefault(name, [])
         return policy
 
     def tenant(self, name: str) -> TenantPolicy:
@@ -634,6 +664,7 @@ class AdmissionController:
     def register(self, record: _QueryRecord) -> None:
         self.tenant(record.tenant.name)
         self._records[record.tenant.name].append(record)
+        self._live[record.tenant.name].append(record)
 
     def tenant_headroom(self, policy: TenantPolicy, tenant_committed: float) -> bool:
         return policy.budget_cap is None or tenant_committed < policy.budget_cap
@@ -663,7 +694,7 @@ class AdmissionController:
         fits the tenant's (or the query's) remaining budget is refused
         cleanly — the query completes with the windows already run.
         """
-        if record.state not in (QueryState.ADMITTED, QueryState.RUNNING):
+        if record.state not in _ACTIVE_STATES:
             return False
         if (
             record.budget is not None
@@ -718,11 +749,16 @@ class AdmissionController:
         the work already in flight.
         """
         candidates: dict[str, list[_QueryRecord]] = {}
-        for name, records in self._records.items():
-            policy = self._tenants[name]
-            grantable = [r for r in records if self._grantable(r, ledger)]
+        for name, live in self._live.items():
+            # A terminal record is never grantable (``_grantable`` returns
+            # False untouched), so it leaves the index the first time a
+            # scan sees it.
+            live[:] = [r for r in live if r.state not in TERMINAL_STATES]
+            grantable = [r for r in live if self._grantable(r, ledger)]
             if not grantable:
                 continue
+            policy = self._tenants[name]
+            records = self._records[name]
             # Only a capped tenant's committed total can refuse a slot.
             if policy.budget_cap is not None and not self.tenant_headroom(
                 policy, sum(r.committed(ledger) for r in records)
@@ -1015,6 +1051,9 @@ class SchedulerService:
         )
         self.admission = AdmissionController(allocation=allocation)
         self._records: list[_QueryRecord] = []
+        #: The records not yet seen terminal, in seq order: what each step
+        #: walks.  Anything that assigns :attr:`_records` rebuilds it.
+        self._live: list[_QueryRecord] = []
         self._handles: list[QueryHandle] = []
         #: Optional lifecycle observer (duck-typed; see the durability
         #: layer's ``_JournalObserver``).  Called ``on_grant(record,
@@ -1292,6 +1331,7 @@ class SchedulerService:
             **job_inputs,
         )
         self._records.append(record)
+        self._live.append(record)
         self.admission.register(record)
         handle = QueryHandle(self, record)
         self._handles.append(handle)
@@ -1355,6 +1395,7 @@ class SchedulerService:
             record.reserved = decision.upfront
             record.upfront_reservation = decision.upfront
         self._records.append(record)
+        self._live.append(record)
         self.admission.register(record)
         handle = QueryHandle(self, record)
         self._handles.append(handle)
@@ -1434,7 +1475,7 @@ class SchedulerService:
     def idle(self) -> bool:
         """Nothing in flight and nothing grantable right now."""
         return self.scheduler.in_flight == 0 and all(
-            record.state in TERMINAL_STATES for record in self._records
+            record.state in TERMINAL_STATES for record in self._live
         )
 
     # -- durability surface (no-ops without a journal) -------------------------
@@ -1457,8 +1498,9 @@ class SchedulerService:
         submit time and already counts toward the cap every other
         admission checks.
         """
-        for record in self._records:
-            if record.state is not QueryState.QUEUED:
+        queued = QueryState.QUEUED
+        for record in self._live:
+            if record.state is not queued:
                 continue
             policy = record.tenant
             if record.reserve or self.admission.tenant_headroom(
@@ -1506,29 +1548,44 @@ class SchedulerService:
         return granted
 
     def _sweep_completions(self) -> None:
-        """Finalize queries whose batches are all published and sealed."""
-        for record in self._records:
-            if record.state not in (QueryState.ADMITTED, QueryState.RUNNING):
-                continue
-            if not record.work_done:
-                continue
-            if record.budget_exhausted and not record.sessions:
-                record.error = AdmissionRejected(
-                    f"budget exhausted before any batch of query "
-                    f"{record.plan.query.subject!r} was published"
-                )
-                record.state = QueryState.FAILED
-                if self.observer is not None:
-                    self.observer.on_complete(record)
-                continue
+        """Finalize queries whose batches are all published and sealed,
+        and rebuild the live index without the records now terminal.
+
+        A record whose next batch is already peeked cannot be done, so
+        it skips :attr:`_QueryRecord.work_done`; every other running
+        record still materialises its next batch here, in seq order,
+        because window materialisation is journaled.  A record appended
+        during the pass is visited by the same iterator and kept.
+        """
+        live = []
+        for record in self._live:
+            if (
+                record._peeked is None
+                and record.state in _ACTIVE_STATES
+                and record.work_done
+            ):
+                self._complete(record)
+            if record.state not in TERMINAL_STATES:
+                live.append(record)
+        self._live = live
+
+    def _complete(self, record: _QueryRecord) -> None:
+        """Assemble a finished query's result (or its failure)."""
+        if record.budget_exhausted and not record.sessions:
+            record.error = AdmissionRejected(
+                f"budget exhausted before any batch of query "
+                f"{record.plan.query.subject!r} was published"
+            )
+            record.state = QueryState.FAILED
+        else:
             try:
                 record.result_value = record.finalize()
                 record.state = QueryState.DONE
             except Exception as exc:  # surfaced via handle.result()
                 record.error = exc
                 record.state = QueryState.FAILED
-            if self.observer is not None:
-                self.observer.on_complete(record)
+        if self.observer is not None:
+            self.observer.on_complete(record)
 
     # -- cancellation ----------------------------------------------------------
 

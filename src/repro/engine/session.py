@@ -321,8 +321,11 @@ class HITSession:
         assert self._hit is not None
         engine = self._engine
         n = self._hit.assignments
+        # Nothing touches the estimator while the HIT is verified, so each
+        # worker's accuracy (or flag) is read once for all its questions.
+        facts: dict[str, float | None] = {}
         records = tuple(
-            engine.finalize_question(q, self._votes[q.question_id])
+            engine.finalize_question(q, self._votes[q.question_id], facts)
             for q in self._real
         )
         self.result = HITRunResult(
