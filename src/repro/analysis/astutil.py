@@ -66,7 +66,7 @@ def call_name(call: ast.Call, imports: ImportMap) -> str | None:
 
 
 def enclosing_symbol(tree: ast.Module, target: ast.AST) -> str:
-    """Dotted class/function path enclosing ``target`` (for fingerprints)."""
+    """Dotted class/function path enclosing ``target`` (a finding's symbol)."""
     path: list[str] = []
 
     def visit(node: ast.AST, trail: list[str]) -> bool:
@@ -85,8 +85,3 @@ def enclosing_symbol(tree: ast.Module, target: ast.AST) -> str:
 
     visit(tree, [])
     return ".".join(path)
-
-
-def statement_line(tree: ast.AST, target: ast.AST) -> int:
-    """Line of ``target`` itself (statements and expressions both carry one)."""
-    return getattr(target, "lineno", 0)

@@ -1,8 +1,8 @@
 """Command-line front end: ``cdas-repro lint`` / ``python -m repro.analysis``.
 
-Exit codes: ``0`` — no new findings (waived/baselined ones may exist and
-are reported); ``1`` — at least one new finding; ``2`` — usage or
-configuration error (unreadable baseline, bad paths).
+Exit codes: ``0`` — no new findings (waived ones may exist and are
+reported); ``1`` — at least one new finding; ``2`` — usage error (bad
+paths).
 """
 
 from __future__ import annotations
@@ -13,13 +13,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE_NAME,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import LintResult, run_lint
+from repro.analysis.findings import report_dict
 from repro.analysis.registry import default_rules, rule_catalog
 
 
@@ -52,17 +47,6 @@ def add_arguments(parser: argparse.ArgumentParser) -> None:
         help="repo root (default: nearest ancestor with pyproject.toml)",
     )
     parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=None,
-        help=f"baseline file (default: <root>/{DEFAULT_BASELINE_NAME} when present)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    parser.add_argument(
         "--json",
         metavar="FILE",
         default=None,
@@ -90,8 +74,8 @@ def _markdown(result: LintResult) -> str:
     lines = [
         "### cdas-lint",
         "",
-        "| rule | findings | new | waived | baselined |",
-        "| --- | ---: | ---: | ---: | ---: |",
+        "| rule | findings | new | waived |",
+        "| --- | ---: | ---: | ---: |",
     ]
     by_rule: dict[str, list] = {}
     for finding in result.findings:
@@ -101,20 +85,13 @@ def _markdown(result: LintResult) -> str:
         lines.append(
             f"| {rule_id} | {len(bucket)} "
             f"| {sum(1 for f in bucket if f.new)} "
-            f"| {sum(1 for f in bucket if f.waived)} "
-            f"| {sum(1 for f in bucket if f.baselined)} |"
+            f"| {sum(1 for f in bucket if f.waived)} |"
         )
     lines.append("")
     lines.append(
         f"**{result.checked_files} files checked — "
         f"{len(result.new_findings)} new finding(s).**"
     )
-    if result.stale_baseline:
-        lines.append("")
-        lines.append(
-            f"{len(result.stale_baseline)} stale baseline entr(y/ies) can be "
-            "removed (`cdas-repro lint --write-baseline`)."
-        )
     return "\n".join(lines) + "\n"
 
 
@@ -132,12 +109,6 @@ def run(args: argparse.Namespace) -> int:
         return 0
 
     root = (args.root or find_root()).resolve()
-    baseline_path = args.baseline if args.baseline is not None else root / DEFAULT_BASELINE_NAME
-    try:
-        baseline = load_baseline(baseline_path)
-    except BaselineError as exc:
-        print(f"cdas-lint: {exc}", file=sys.stderr)
-        return 2
 
     paths = [p if p.is_absolute() else root / p for p in args.paths] or None
     if paths is not None:
@@ -149,24 +120,13 @@ def run(args: argparse.Namespace) -> int:
             )
             return 2
 
-    result = run_lint(root, paths=paths, baseline=baseline)
-
-    if args.write_baseline:
-        entries = write_baseline(baseline_path, result.findings)
-        print(
-            f"cdas-lint: wrote {sum(entries.values())} finding(s) "
-            f"({len(entries)} fingerprint(s)) to {baseline_path}"
-        )
-        return 0
-
-    from repro.analysis.findings import report_dict
+    result = run_lint(root, paths=paths)
 
     if args.json:
         report = report_dict(
             result.findings,
             checked_files=result.checked_files,
             rules=result.rules,
-            stale_baseline=result.stale_baseline,
         )
         _emit(json.dumps(report, indent=2, sort_keys=True) + "\n", args.json)
     if args.markdown:
@@ -180,19 +140,11 @@ def run(args: argparse.Namespace) -> int:
             print(finding.render(), file=human)
     new = len(result.new_findings)
     waived = sum(1 for f in result.findings if f.waived)
-    baselined = sum(1 for f in result.findings if f.baselined)
     print(
         f"cdas-lint: {len(result.findings)} finding(s): {new} new, "
-        f"{waived} waived, {baselined} baselined "
-        f"({result.checked_files} files checked)",
+        f"{waived} waived ({result.checked_files} files checked)",
         file=human,
     )
-    if result.stale_baseline:
-        print(
-            f"cdas-lint: {len(result.stale_baseline)} stale baseline "
-            "entr(y/ies); run --write-baseline to ratchet down",
-            file=human,
-        )
     return result.exit_code
 
 
@@ -201,9 +153,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         prog="cdas-lint",
         description=(
             "AST-based invariant checker for the CDAS reproduction: "
-            "determinism (CDAS001), async purity (CDAS002), durability "
-            "ordering (CDAS003), codec closure (CDAS004).  Protocol "
-            "conformance is a runtime test (tests/test_protocol_conformance.py)."
+            "determinism (CDAS001) and async purity (CDAS002).  Durability "
+            "ordering, codec closure and protocol conformance are runtime "
+            "tests (DESIGN.md §15)."
         ),
     )
     add_arguments(parser)

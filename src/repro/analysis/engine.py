@@ -1,4 +1,4 @@
-"""The lint engine: discover, parse, run rules, apply waivers + baseline.
+"""The lint engine: discover, parse, run rules, apply waivers.
 
 The engine is deliberately filesystem-shaped rather than import-shaped:
 it parses source text with :mod:`ast` and never imports the code under
@@ -15,7 +15,6 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from repro.analysis.astutil import ImportMap
-from repro.analysis.baseline import apply_baseline
 from repro.analysis.findings import ENGINE_RULE, Finding
 from repro.analysis.registry import Rule, default_rules, rule_catalog
 from repro.analysis.waivers import WaiverSet, scan_waivers
@@ -46,16 +45,6 @@ class Project:
     root: Path
     modules: list[Module] = field(default_factory=list)
     parse_failures: list[Finding] = field(default_factory=list)
-
-    def find(self, suffix: str) -> Module | None:
-        """The module whose relpath ends with ``suffix`` on a path
-        boundary (``repro/durability/codec.py`` finds the real file in
-        the repo and the synthetic one in a fixture tree)."""
-        for module in self.modules:
-            probe = "/" + module.relpath
-            if probe.endswith("/" + suffix):
-                return module
-        return None
 
 
 def _discover(root: Path, paths: Sequence[Path] | None) -> list[Path]:
@@ -122,7 +111,6 @@ class LintResult:
     findings: list[Finding]
     checked_files: int
     rules: dict[str, str]
-    stale_baseline: list[str]
 
     @property
     def new_findings(self) -> list[Finding]:
@@ -138,13 +126,11 @@ def run_lint(
     *,
     paths: Sequence[Path] | None = None,
     rules: Iterable[Rule] | None = None,
-    baseline: dict[str, int] | None = None,
 ) -> LintResult:
     """Lint ``root`` (or explicit ``paths``) and post-process findings.
 
     Pipeline: run every rule → attach waivers (a finding covered by a
-    reasoned ``# cdas-lint: disable=`` comment is kept but marked) →
-    attach the baseline (multiset; see :mod:`repro.analysis.baseline`).
+    reasoned ``# cdas-lint: disable=`` comment is kept but marked).
     Waiver-syntax problems and unparseable files surface as
     :data:`~repro.analysis.findings.ENGINE_RULE` findings, which can't
     be waived — fix the comment instead.
@@ -169,10 +155,8 @@ def run_lint(
         processed.append(finding)
 
     processed.sort(key=lambda f: (f.path, f.line, f.col, f.rule, f.message))
-    processed, stale = apply_baseline(processed, baseline or {})
     return LintResult(
         findings=processed,
         checked_files=len(project.modules),
         rules=rule_catalog(active),
-        stale_baseline=stale,
     )

@@ -1,21 +1,18 @@
 """The lint engine's output shape: findings and their JSON projection.
 
-A :class:`Finding` is one rule violation at one source location.  Its
-``fingerprint`` deliberately omits the line number — baselines must
-survive unrelated edits above a finding — and instead keys on the rule,
-the file, the enclosing symbol, and a digest of the message.
+A :class:`Finding` is one rule violation at one source location, keyed
+by the rule, the file, the line and the enclosing symbol.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 from dataclasses import dataclass
 from typing import Any
 
 #: Engine-level problems (syntax errors, malformed waiver comments) are
 #: reported under this pseudo-rule so they flow through the same
-#: baseline/exit-code machinery as real rule findings.
+#: exit-code machinery as real rule findings.
 ENGINE_RULE = "CDAS000"
 
 
@@ -32,8 +29,6 @@ class Finding:
     #: The waiver reason when a ``# cdas-lint: disable=`` comment covers
     #: this finding; ``None`` means not waived.
     waiver: str | None = None
-    #: True when the checked-in baseline already records this finding.
-    baselined: bool = False
 
     @property
     def waived(self) -> bool:
@@ -41,18 +36,11 @@ class Finding:
 
     @property
     def new(self) -> bool:
-        """Neither waived nor baselined — the kind that fails the build."""
-        return not self.waived and not self.baselined
-
-    def fingerprint(self) -> str:
-        digest = hashlib.sha256(self.message.encode("utf-8")).hexdigest()[:12]
-        return f"{self.rule}:{self.path}:{self.symbol}:{digest}"
+        """Not waived — the kind that fails the build."""
+        return not self.waived
 
     def with_waiver(self, reason: str) -> "Finding":
         return dataclasses.replace(self, waiver=reason)
-
-    def with_baselined(self) -> "Finding":
-        return dataclasses.replace(self, baselined=True)
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -62,19 +50,12 @@ class Finding:
             "col": self.col,
             "symbol": self.symbol,
             "message": self.message,
-            "fingerprint": self.fingerprint(),
             "waived": self.waived,
             "waiver": self.waiver,
-            "baselined": self.baselined,
         }
 
     def render(self) -> str:
-        tags = []
-        if self.waived:
-            tags.append(f"waived: {self.waiver}")
-        if self.baselined:
-            tags.append("baselined")
-        suffix = f" [{'; '.join(tags)}]" if tags else ""
+        suffix = f" [waived: {self.waiver}]" if self.waived else ""
         where = f"{self.path}:{self.line}:{self.col}"
         return f"{where} {self.rule} {self.message}{suffix}"
 
@@ -84,14 +65,13 @@ def report_dict(
     *,
     checked_files: int,
     rules: dict[str, str],
-    stale_baseline: list[str],
 ) -> dict[str, Any]:
-    """The machine-readable report (``--json``); schema version 1."""
+    """The machine-readable report (``--json``); schema version 2."""
     by_rule: dict[str, int] = {}
     for finding in findings:
         by_rule[finding.rule] = by_rule.get(finding.rule, 0) + 1
     return {
-        "version": 1,
+        "version": 2,
         "tool": "cdas-lint",
         "rules": rules,
         "findings": [f.to_dict() for f in findings],
@@ -100,8 +80,6 @@ def report_dict(
             "total": len(findings),
             "new": sum(1 for f in findings if f.new),
             "waived": sum(1 for f in findings if f.waived),
-            "baselined": sum(1 for f in findings if f.baselined),
             "by_rule": dict(sorted(by_rule.items())),
-            "stale_baseline_entries": sorted(stale_baseline),
         },
     }

@@ -69,16 +69,9 @@ class Rule:
 def default_rules() -> tuple[Rule, ...]:
     """The production rule set, in id order."""
     from repro.analysis.rules.asyncpurity import AsyncPurityRule
-    from repro.analysis.rules.codec_closure import CodecClosureRule
     from repro.analysis.rules.determinism import DeterminismRule
-    from repro.analysis.rules.durability import DurabilityOrderingRule
 
-    return (
-        DeterminismRule(),
-        AsyncPurityRule(),
-        DurabilityOrderingRule(),
-        CodecClosureRule(),
-    )
+    return (DeterminismRule(), AsyncPurityRule())
 
 
 def rule_catalog(rules: Iterable[Rule]) -> dict[str, str]:

@@ -3,15 +3,17 @@
 Syntax (anywhere a comment is legal)::
 
     # cdas-lint: disable=CDAS001 why this is safe
-    # cdas-lint: disable=CDAS001,CDAS003 one reason covering both
-    # cdas-lint: disable-file=CDAS004 applies to the whole file
+    # cdas-lint: disable=CDAS001,CDAS002 one reason covering both
+    # cdas-lint: disable-file=CDAS002 applies to the whole file
 
 A waiver covers findings on its own line **or the line directly below
 it** (so a comment can sit above a long statement).  The reason is
 mandatory: an undocumented suppression is itself a finding
 (:data:`~repro.analysis.findings.ENGINE_RULE`), because the whole point
 of the waiver channel is that every exemption carries its argument in
-the diff where reviewers see it.
+the diff where reviewers see it.  So is a waiver naming a rule the
+catalogue does not have: once a rule is retired, its leftover waivers
+must go too rather than rot unseen.
 
 Comments are found with :mod:`tokenize`, not regexes, so waiver-shaped
 text inside string literals never counts.
@@ -25,6 +27,7 @@ import tokenize
 from dataclasses import dataclass
 
 from repro.analysis.findings import ENGINE_RULE, Finding
+from repro.analysis.registry import default_rules
 
 #: A comment opens the waiver channel only when it *starts* with the
 #: marker — prose that merely mentions cdas-lint stays prose.
@@ -34,7 +37,6 @@ _WAIVER_RE = re.compile(
     r"(?:=\s*(?P<rules>[A-Za-z0-9]+(?:\s*,\s*[A-Za-z0-9]+)*))?"
     r"(?:\s+(?P<reason>\S.*?))?\s*$"
 )
-_RULE_ID_RE = re.compile(r"^CDAS\d{3}$")
 
 
 @dataclass(frozen=True)
@@ -94,7 +96,8 @@ def scan_waivers(source: str, path: str) -> WaiverSet:
             rule.strip() for rule in (match.group("rules") or "").split(",") if rule.strip()
         )
         reason = (match.group("reason") or "").strip()
-        bad_ids = [rule for rule in rules if not _RULE_ID_RE.match(rule)]
+        known = {rule.id for rule in default_rules()}
+        bad_ids = [rule for rule in rules if rule not in known]
         if not rules or bad_ids:
             problems.append(
                 Finding(
@@ -103,7 +106,8 @@ def scan_waivers(source: str, path: str) -> WaiverSet:
                     line=line,
                     col=token.start[1],
                     message=(
-                        f"waiver names invalid rule id(s) {bad_ids}"
+                        f"waiver names unknown rule id(s) {bad_ids}; "
+                        f"known: {', '.join(sorted(known))}"
                         if bad_ids
                         else "waiver names no rule ids (disable=CDASnnn[,CDASnnn...])"
                     ),

@@ -43,11 +43,10 @@ Commands
     structured divergence when it does not.  ``--time-scale`` stretches
     the recorded arrival timestamps (0 compresses all waiting away,
     1 reproduces the recording's pacing).
-``lint [PATHS] [--json FILE] [--write-baseline]``
+``lint [PATHS] [--json FILE] [--markdown FILE]``
     Run the cdas-lint invariant checker (DESIGN.md §15): determinism in
-    the sans-IO core, async purity, durability ordering and codec
-    closure.  Exits 1 on new findings, 0 when everything is
-    clean, waived or baselined.  Same engine as
+    the sans-IO core and async purity.  Exits 1 on new findings, 0 when
+    everything is clean or waived.  Same engine as
     ``python -m repro.analysis``.
 """
 

@@ -26,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.amt.market import SimulatedMarket
+from repro.amt.market import PublishedHIT, SimulatedMarket
 from repro.durability import (
     DurableSchedulerService,
     RecoveryDivergence,
@@ -151,6 +151,7 @@ def baseline(tmp_path_factory, small_pool):
         "digest": outcome_digest(service),
         "queries": summary["queries"],
         "summary": summary,
+        "tenants": service.admission.tenants,
         "pool": small_pool,
     }
 
@@ -265,6 +266,40 @@ class TestCancelAcrossRestart:
         assert doomed.reserved == 0.0
         assert service.tenant_reserved("acme") == 0.0
 
+    def test_cancel_is_committed_before_the_market_forfeits(
+        self, small_pool, journal_path, monkeypatch
+    ):
+        # Write-ahead: by the time the backend is told to forfeit a HIT,
+        # the cancel record is already committed, so no crash can leave
+        # a forfeited HIT behind a query that recovery would re-admit.
+        service = _build_system(small_pool).service(
+            max_in_flight=1, journal=journal_path
+        )
+        images = generate_images(per_subject=1, seed=SEED + 3)[:2]
+        handle = service.submit(
+            "image-tagging", _image_query("tags-a"),
+            images=images, gold_images=images[:1],
+            images_per_hit=2, worker_count=5,
+        )
+        while handle.progress().hits_in_flight == 0:
+            service.step()
+        committed_at_forfeit = []
+        forfeit = PublishedHIT.cancel
+
+        def probe(hit):
+            if not committed_at_forfeit:
+                committed_at_forfeit.append(service.store.read_records())
+            return forfeit(hit)
+
+        monkeypatch.setattr(PublishedHIT, "cancel", probe)
+        assert handle.cancel()
+        (records,) = committed_at_forfeit
+        assert any(
+            record["k"] == "cancel" and record["q"] == handle.seq
+            for record in records
+        )
+        service.close()
+
 
 class TestSnapshotCompaction:
     def test_recovery_from_snapshot_is_o_delta(self, baseline):
@@ -286,6 +321,11 @@ class TestSnapshotCompaction:
         without = _recover_and_finish(baseline, path, use_snapshot=False)
         assert outcome_digest(with_snap) == baseline["digest"]
         assert outcome_digest(without) == baseline["digest"]
+        # Tenant policies are inputs too: a registration that never
+        # reached the journal comes back from a full replay as a default
+        # tenant (a snapshot would mask it).
+        assert without.admission.tenants == baseline["tenants"]
+        assert with_snap.admission.tenants == baseline["tenants"]
         assert without.replayed_records > with_snap.replayed_records
         assert without.replayed_events >= with_snap.replayed_events
         assert without.replayed_records == sum(

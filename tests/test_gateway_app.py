@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import errno
+import json
 
 import pytest
 
@@ -474,47 +475,121 @@ class TestSse:
         assert [event for event, _ in frames] == ["progress", "end"]
 
 
+class _AckProbeStore(FileJournalStore):
+    """A JSONL journal that syncs only when told to commit.
+
+    The :class:`~repro.durability.journal.JournalStore` protocol lets
+    ``append`` defer every sync, so this is a legal store: nothing is
+    durable until something calls ``commit``.  It records how many bytes
+    each sync made durable, which is exactly what survives a crash.
+    """
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.synced = 0
+
+    def append(self, record):
+        self._write_line(json.dumps(record, separators=(",", ":")))
+        self.appended += 1
+        self._unsynced += 1
+
+    def _sync(self):
+        super()._sync()
+        self.synced = self._fh.tell()
+
+    def crash_copy(self, path):
+        """The journal a crash right now would leave: the synced prefix."""
+        path.write_bytes(self.path.read_bytes()[: self.synced])
+        return path
+
+
+def _resume_app(journal) -> GatewayApp:
+    cdas = _cdas(52)
+    return cdas.gateway(
+        TOKENS,
+        name="svc",
+        presets={"demo-tsa": _tsa_inputs()},
+        max_in_flight=2,
+        journal=journal,
+        resume=True,
+    )
+
+
 class TestDurableGateway:
-    def test_submit_is_journaled_before_the_201(self, journal_path):
+    def test_submit_is_journaled_before_the_201(self, journal_path, tmp_path):
+        store = _AckProbeStore(journal_path)
+
         async def run():
-            app = _make_app(journal=journal_path)
+            app = _make_app(journal=store)
             client = InProcessClient(app, token="acme-token")
             submitted = await client.post("/v1/queries", _query_body("alpha"))
             assert submitted.status == 201
+            # Crash the moment the client holds its id: only what was
+            # synced before the 201 left survives.
+            crashed = store.crash_copy(tmp_path / "acked.journal.jsonl")
             query_id = submitted.json()["id"]
-            # The acknowledgement barrier: the submit record is on disk
-            # by the time the client sees the id.
-            assert journal_path.exists()
-            text = journal_path.read_text()
-            assert '"submit"' in text
-            await _run_to_end(client, query_id)
+            frames = await _run_to_end(client, query_id)
             metrics = await client.get("/v1/metrics")
             journal = metrics.json()["services"]["svc"]["journal"]
             assert journal is not None
             assert journal["records"] > 0
             app.mux["svc"].service.close()
-            return query_id
+            return query_id, frames[-1][1], crashed
 
-        query_id = asyncio.run(run())
+        query_id, end, crashed = asyncio.run(run())
+
+        async def resume(journal):
+            app = _resume_app(journal)
+            client = InProcessClient(app, token="acme-token")
+            polled = await client.get(f"/v1/queries/{query_id}")
+            frames = await _run_to_end(client, query_id)
+            app.mux["svc"].service.close()
+            return polled, frames[-1][1]
+
+        # The acknowledged id resolves after the crash, and the query it
+        # names finishes exactly as the uninterrupted run finished it.
+        polled, resumed_end = asyncio.run(resume(crashed))
+        assert polled.status == 200
+        assert resumed_end == end
+        polled, _ = asyncio.run(resume(journal_path))
+        assert polled.status == 200
+        assert polled.json()["progress"]["state"] == "done"
+
+    def test_cancel_is_journaled_before_the_200(self, journal_path, tmp_path):
+        store = _AckProbeStore(journal_path)
+
+        async def run():
+            app = _make_app(journal=store)
+            client = InProcessClient(app, token="acme-token")
+            # A second query keeps the driver busy, so it never drains
+            # (and syncs) between the cancel and the DELETE's 200.
+            kept = await client.post("/v1/queries", _query_body("alpha"))
+            doomed = await client.post("/v1/queries", _query_body("beta"))
+            doomed_id = doomed.json()["id"]
+            deleted = await client.delete(f"/v1/queries/{doomed_id}")
+            crashed = store.crash_copy(tmp_path / "cancelled.journal.jsonl")
+            await app.mux["svc"].aclose()
+            app.mux["svc"].service.close()
+            return kept.json()["id"], doomed_id, deleted, crashed
+
+        kept_id, doomed_id, deleted, crashed = asyncio.run(run())
+        assert deleted.status == 200
+        assert deleted.json()["cancelled"] is True
 
         async def resume():
-            cdas = _cdas(52)
-            app = cdas.gateway(
-                TOKENS,
-                name="svc",
-                presets={"demo-tsa": _tsa_inputs()},
-                max_in_flight=2,
-                journal=journal_path,
-                resume=True,
-            )
+            app = _resume_app(crashed)
             client = InProcessClient(app, token="acme-token")
-            response = await client.get(f"/v1/queries/{query_id}")
+            polled = [
+                await client.get(f"/v1/queries/{query_id}")
+                for query_id in (kept_id, doomed_id)
+            ]
             app.mux["svc"].service.close()
-            return response
+            return polled
 
-        response = asyncio.run(resume())
-        assert response.status == 200
-        assert response.json()["progress"]["state"] == "done"
+        kept, doomed = asyncio.run(resume())
+        assert kept.status == 200
+        assert doomed.status == 200
+        assert doomed.json()["progress"]["state"] == "cancelled"
 
 
 class _EioAtFirstSubmit(FileJournalStore):
