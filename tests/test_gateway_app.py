@@ -555,6 +555,36 @@ class TestDurableGateway:
         assert polled.status == 200
         assert polled.json()["progress"]["state"] == "done"
 
+    def test_unflushed_submit_ack_is_lost_in_the_crash(
+        self, journal_path, tmp_path
+    ):
+        """The crash copy is not vacuous: without the route's durability
+        barrier, the id a client holds is gone after a crash."""
+        store = _AckProbeStore(journal_path)
+
+        async def run():
+            app = _make_app(journal=store)
+            # The same defect as deleting the routes' flush_journal calls.
+            app.mux["svc"].flush_journal = lambda: None
+            client = InProcessClient(app, token="acme-token")
+            submitted = await client.post("/v1/queries", _query_body("alpha"))
+            crashed = store.crash_copy(tmp_path / "unflushed.journal.jsonl")
+            await app.mux["svc"].aclose()
+            app.mux["svc"].service.close()
+            return submitted, crashed
+
+        submitted, crashed = asyncio.run(run())
+        assert submitted.status == 201
+
+        def submits(path):
+            lines = path.read_text().splitlines()
+            return [r for r in map(json.loads, lines) if r["k"] == "submit"]
+
+        # The submit reached the journal, but no sync covered it before
+        # the 201: a crash at the ack loses the id the client was given.
+        assert len(submits(journal_path)) == 1
+        assert submits(crashed) == []
+
     def test_cancel_is_journaled_before_the_200(self, journal_path, tmp_path):
         store = _AckProbeStore(journal_path)
 
