@@ -317,6 +317,10 @@ class RemoteShardService:
     def handles(self) -> tuple[RemoteQueryHandle, ...]:
         return tuple(self._handles[seq] for seq in self._order)
 
+    def handle_for(self, seq: int) -> RemoteQueryHandle | None:
+        """The handle with submission ordinal ``seq``, if any."""
+        return self._handles.get(seq)
+
     @property
     def idle(self) -> bool:
         return all(
@@ -335,6 +339,9 @@ class RemoteShardService:
 
     def _ensure_driver(self) -> None:
         """No-op: the driver loop lives in the worker process."""
+
+    def _kick(self) -> None:
+        """No-op: a respawned worker restarts its own driver."""
 
     def _wake_driver(self) -> None:
         """No-op: worker drivers wake on their own submissions."""

@@ -244,16 +244,16 @@ class _Worker:
 
     async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
         seq = int(params["seq"])
-        for ahandle in self.service.handles:
-            if ahandle.seq == seq:
-                cancelled = await ahandle.cancel()
-                self.service.flush_journal()
-                return {
-                    "cancelled": cancelled,
-                    "handle": handle_snapshot(ahandle),
-                    "stats": self.stats(),
-                }
-        raise KeyError(f"no query with seq {seq} on shard {self.shard!r}")
+        ahandle = self.service.handle_for(seq)
+        if ahandle is None:
+            raise KeyError(f"no query with seq {seq} on shard {self.shard!r}")
+        cancelled = await ahandle.cancel()
+        self.service.flush_journal()
+        return {
+            "cancelled": cancelled,
+            "handle": handle_snapshot(ahandle),
+            "stats": self.stats(),
+        }
 
     def outcomes(self, _params: dict[str, Any]) -> dict[str, Any]:
         return {"handles": [handle_snapshot(a) for a in self.service.handles]}

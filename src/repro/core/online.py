@@ -17,7 +17,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.confidence import answer_log_weights, worker_confidence
+from repro.core.confidence import (
+    answer_log_weights,
+    confidences_from_log_weights,
+    worker_confidence,
+)
 from repro.core.domain import AnswerDomain
 from repro.core.termination import TerminationSnapshot, TerminationStrategy
 from repro.core.types import Observation, Verdict, WorkerAnswer
@@ -170,7 +174,10 @@ class OnlineAggregator:
             self._log_weights[answer.answer] += worker_confidence(
                 answer.accuracy, self._domain.m
             )
-        confidences = self.confidences()
+        # Equation 4 on the running sums themselves: the dict, in label
+        # order, that a snapshot() would copy and evaluate, whose checks
+        # hold here by construction.
+        confidences = confidences_from_log_weights(self._log_weights, self._domain)
         best = max(self._domain.labels, key=lambda lab: confidences[lab])
         point = TrajectoryPoint(
             answers_received=len(self._answers),

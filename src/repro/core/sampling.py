@@ -144,17 +144,46 @@ class WorkerAccuracyEstimator:
     smoothing: float = 0.0
     _correct: dict[str, int] = field(default_factory=dict, repr=False)
     _total: dict[str, int] = field(default_factory=dict, repr=False)
+    #: Each known worker's current estimate, in ``_total``'s insertion
+    #: order: stored by :meth:`record`, so reading an estimate or ``μ``
+    #: re-derives nothing.  Derived state: rebuilt from the tallies at
+    #: construction and when an older pickle lacks it.
+    _estimates: dict[str, float] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.prior_accuracy <= 1.0:
             raise ValueError(f"prior accuracy {self.prior_accuracy} not in [0, 1]")
         if self.smoothing < 0.0:
             raise ValueError(f"smoothing must be non-negative, got {self.smoothing}")
+        self._rebuild_estimates()
+
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # A pickle written before the stored estimates existed lacks them.
+        self.__dict__.update(state)
+        if "_estimates" not in state:
+            self._rebuild_estimates()
+
+    def _rebuild_estimates(self) -> None:
+        self._estimates = {
+            worker_id: self._estimate(self._correct.get(worker_id, 0), total)
+            for worker_id, total in self._total.items()
+        }
+
+    def _estimate(self, correct: int, total: int) -> float:
+        """``â = (correct + s·p₀) / (total + s)`` — the one formula."""
+        return (correct + self.smoothing * self.prior_accuracy) / (
+            total + self.smoothing
+        )
 
     def record(self, worker_id: str, correct: bool) -> None:
         """Fold one gold-question outcome into the worker's tally."""
-        self._correct[worker_id] = self._correct.get(worker_id, 0) + (1 if correct else 0)
-        self._total[worker_id] = self._total.get(worker_id, 0) + 1
+        hits = self._correct.get(worker_id, 0) + (1 if correct else 0)
+        total = self._total.get(worker_id, 0) + 1
+        self._correct[worker_id] = hits
+        self._total[worker_id] = total
+        self._estimates[worker_id] = self._estimate(hits, total)
 
     def observations(self, worker_id: str) -> int:
         """How many gold outcomes have been recorded for the worker."""
@@ -162,13 +191,12 @@ class WorkerAccuracyEstimator:
 
     def accuracy(self, worker_id: str) -> float:
         """Point estimate ``â`` for the worker (prior if never seen)."""
-        total = self._total.get(worker_id, 0)
-        if total == 0 and self.smoothing == 0.0:
+        estimate = self._estimates.get(worker_id)
+        if estimate is not None:
+            return estimate
+        if self.smoothing == 0.0:
             return self.prior_accuracy
-        correct = self._correct.get(worker_id, 0)
-        return (correct + self.smoothing * self.prior_accuracy) / (
-            total + self.smoothing
-        )
+        return self._estimate(0, 0)
 
     def known_workers(self) -> list[str]:
         """Workers with at least one recorded gold outcome, insertion order."""
@@ -177,16 +205,18 @@ class WorkerAccuracyEstimator:
     def mean_accuracy(self) -> float:
         """Mean of the per-worker estimates (prior when nobody was seen).
 
-        This is the ``μ`` the prediction model consumes.
+        This is the ``μ`` the prediction model consumes.  It sums the
+        stored estimates in ``_total``'s order — the floats, and the
+        order, a per-worker :meth:`accuracy` walk would sum.
         """
-        workers = self.known_workers()
-        if not workers:
+        estimates = self._estimates
+        if not estimates:
             return self.prior_accuracy
-        return sum(self.accuracy(w) for w in workers) / len(workers)
+        return sum(estimates.values()) / len(estimates)
 
     def as_mapping(self) -> dict[str, float]:
         """Snapshot of all known workers' estimates."""
-        return {w: self.accuracy(w) for w in self.known_workers()}
+        return dict(self._estimates)
 
 
 def score_gold_answers(

@@ -322,7 +322,11 @@ class AsyncQueryHandle(AsyncHandleBase):
             service, handle.seq, handle.job_name, handle.query, handle.tenant
         )
         self.handle = handle
+        #: The snapshot last pushed — the dedup baseline while watched.
         self._last_published: QueryProgress | None = None
+        #: Set when a publish skipped the progress walk because nobody
+        #: watched, leaving ``_last_published`` behind the query.
+        self._baseline_stale = False
 
     # -- observation (sync reads of the sync handle) -------------------------
 
@@ -378,21 +382,44 @@ class AsyncQueryHandle(AsyncHandleBase):
             await asyncio.sleep(0)
         return cancelled
 
+    def subscribe(
+        self, max_pending: int = DEFAULT_UPDATE_QUEUE
+    ) -> "asyncio.Queue[QueryProgress]":
+        queue = super().subscribe(max_pending)
+        if self._baseline_stale:
+            # Driver steps and async cancels are each followed by a
+            # publish, so the snapshot now is the baseline the skipped
+            # publishes would have left: a subscriber sees exactly what
+            # an always-publishing driver sends.
+            self._last_published = self.handle.progress()
+            self._baseline_stale = False
+        return queue
+
     # -- driver side ---------------------------------------------------------
 
     def _publish(self) -> None:
-        """Push a changed snapshot to streams; latch terminal states."""
+        """Push a changed snapshot to subscribers; latch terminal states.
+
+        The progress walk runs only while someone is subscribed: with
+        nobody watching there is no one to push to, and ``await
+        result()`` needs only the terminal latch.
+        """
         if self._terminal.is_set():
             # The terminal snapshot was already published (or the handle
-            # was stranded); nothing can change — skip the progress walk
-            # so a long-lived service's finished handles cost nothing on
-            # every subsequent pump step.
+            # was stranded); nothing can change.
             return
-        snapshot = self.handle.progress()
-        if snapshot != self._last_published:
-            self._last_published = snapshot
-            self._push(snapshot)
-        if self.handle.done:
+        done = self.handle.done
+        if self._queues:
+            snapshot = self.handle.progress()
+            # Always push the snapshot latched on, even one equal to a
+            # baseline taken after a change made through the sync handle:
+            # nothing is published after it.
+            if done or snapshot != self._last_published:
+                self._last_published = snapshot
+                self._push(snapshot)
+        else:
+            self._baseline_stale = True
+        if done:
             self._terminal.set()
 
     def _strand(self, error: BaseException) -> None:
@@ -428,6 +455,11 @@ class AsyncSchedulerService:
         self.service = service
         self.name = name
         self._handles: list[AsyncQueryHandle] = []
+        self._by_seq: dict[int, AsyncQueryHandle] = {}
+        #: Handles whose terminal event is not latched yet, in submission
+        #: order — the only ones a step can change, so the only ones the
+        #: driver publishes.
+        self._live: list[AsyncQueryHandle] = []
         self._wake = asyncio.Event()
         self._driver: asyncio.Task[None] | None = None
         self._error: BaseException | None = None
@@ -503,6 +535,11 @@ class AsyncSchedulerService:
         """Every async handle this service has issued, in submission order."""
         return tuple(self._handles)
 
+    def handle_for(self, seq: int) -> AsyncQueryHandle | None:
+        """The handle with submission ordinal ``seq``, if any (one dict
+        read, however many queries the service has finished)."""
+        return self._by_seq.get(seq)
+
     @property
     def idle(self) -> bool:
         return self.service.idle
@@ -559,8 +596,7 @@ class AsyncSchedulerService:
             reserve=reserve,
             **job_inputs,
         )
-        ahandle = AsyncQueryHandle(self, handle)
-        self._handles.append(ahandle)
+        ahandle = self._add(handle)
         self._wake_driver()
         try:
             asyncio.get_running_loop()
@@ -581,17 +617,29 @@ class AsyncSchedulerService:
         resolvable (and streamable) after a restart.  Idempotent per
         underlying handle.
         """
-        for existing in self._handles:
-            if existing.handle is handle:
-                return existing
+        existing = self._by_seq.get(handle.seq)
+        if existing is not None and existing.handle is handle:
+            return existing
+        return self._add(handle)
+
+    def _add(self, handle: QueryHandle) -> AsyncQueryHandle:
         ahandle = AsyncQueryHandle(self, handle)
         self._handles.append(ahandle)
+        self._by_seq[ahandle.seq] = ahandle
+        self._live.append(ahandle)
         return ahandle
 
     # -- the driver ----------------------------------------------------------
 
     def _wake_driver(self) -> None:
         self._wake.set()
+
+    def _kick(self) -> None:
+        """Restart the driver if a live query has none pumping it — a
+        journal-recovered service's in-flight queries, which no submit
+        ever started a driver for."""
+        if any(not handle.done for handle in self._live):
+            self._ensure_driver()
 
     def _ensure_driver(self) -> None:
         """Start (or restart) the driver task; requires a running loop."""
@@ -642,7 +690,7 @@ class AsyncSchedulerService:
                 # Drained: nothing left anywhere.  Queries that are still
                 # non-terminal can never advance — wake their waiters.
                 service.flush_journal()
-                for handle in self._handles:
+                for handle in self._live:
                     if not handle.done:
                         handle._strand(
                             RuntimeError(
@@ -659,14 +707,19 @@ class AsyncSchedulerService:
             # Deliver the failure to every waiter instead of letting it
             # die unobserved inside the task.
             self._error = exc
-            for handle in self._handles:
+            for handle in self._live:
                 handle._strand(exc)
         finally:
             self._notify()
 
     def _notify(self) -> None:
-        for handle in self._handles:
+        """Publish every live handle, dropping those now latched."""
+        live = []
+        for handle in self._live:
             handle._publish()
+            if not handle._terminal.is_set():
+                live.append(handle)
+        self._live = live
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -684,7 +737,7 @@ class AsyncSchedulerService:
                 raise self._error
             if all(
                 handle.done or handle._stranded is not None
-                for handle in self._handles
+                for handle in self._live
             ):
                 return
 

@@ -220,6 +220,9 @@ class HITSession:
             engine.score_gold(
                 self._hit.questions, assignment.worker_id, assignment.answers
             )
+            # Scored above and untouched below: one accuracy read serves
+            # every question this assignment answered.
+            accuracy = engine.estimator.accuracy(assignment.worker_id)
             for q in self._real:
                 answer = assignment.answers.get(q.question_id)
                 if answer is None:
@@ -235,7 +238,7 @@ class HITSession:
                         WorkerAnswer(
                             worker_id=vote[0],
                             answer=vote[1],
-                            accuracy=engine.estimator.accuracy(vote[0]),
+                            accuracy=accuracy,
                             keywords=vote[2],
                             timestamp=assignment.submit_time,
                         )

@@ -131,11 +131,11 @@ class GatewayApp:
 
         A freshly recovered journal hands the gateway in-flight handles
         that no ``submit`` ever started a driver for; touching any
-        endpoint nudges them back to work.
+        endpoint nudges them back to work.  Each service checks only its
+        live queries, never its finished history.
         """
         for service in self.mux.services:
-            if any(not handle.done for handle in service.handles):
-                service._ensure_driver()
+            service._kick()
 
     # -- service / handle resolution -----------------------------------------
 
@@ -187,9 +187,9 @@ class GatewayApp:
             except KeyError:
                 service = None
             if service is not None:
-                for handle in service.handles:
-                    if handle.seq == seq and handle.tenant == tenant:
-                        return service, handle
+                handle = service.handle_for(seq)
+                if handle is not None and handle.tenant == tenant:
+                    return service, handle
         raise HttpError(404, "unknown-query", f"no query {query_id!r}")
 
     # -- ASGI ------------------------------------------------------------------

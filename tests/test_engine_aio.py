@@ -2,8 +2,10 @@
 
 Covers awaitable result/timeout/cancel semantics, progress streaming,
 bit-identical equivalence of concurrent gathers to sequential blocking
-runs, ServiceMux fairness, and the sleep-not-spin guarantee on a
-wall-clock-delaying backend.
+runs, ServiceMux fairness, the sleep-not-spin guarantee on a
+wall-clock-delaying backend, and watched-only publishing: every
+subscriber sees what a publish-everything driver would send, while
+unwatched queries cost the driver no progress walk.
 """
 
 from __future__ import annotations
@@ -18,8 +20,19 @@ from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
 from repro.cluster.router import RemoteQueryHandle, RemoteShardService
 from repro.cluster.worker import handle_snapshot
-from repro.engine.aio import AsyncSchedulerService, ServiceMux
-from repro.engine.service import TERMINAL_STATES, QueryCancelled, QueryState
+from repro.engine.aio import (
+    AsyncHandleBase,
+    AsyncQueryHandle,
+    AsyncSchedulerService,
+    ServiceMux,
+)
+from repro.engine.service import (
+    TERMINAL_STATES,
+    QueryCancelled,
+    QueryHandle,
+    QueryState,
+)
+from repro.gateway.sse import stream_updates
 from repro.it.images import generate_images
 from repro.system import CDAS
 from repro.tsa.app import movie_query
@@ -485,3 +498,241 @@ class TestRemoteUpdateFanout(TestUpdateFanout):
     @staticmethod
     def _verdicts(result) -> int:
         return len(result["verdicts"])
+
+
+# -- watched-only publishing ---------------------------------------------------
+
+
+class _PublishEveryHandle(AsyncQueryHandle):
+    """The reference publish: a progress walk on every call, watched or
+    not, deduplicated against the last snapshot taken."""
+
+    subscribe = AsyncHandleBase.subscribe
+
+    def _publish(self) -> None:
+        if self._terminal.is_set():
+            return
+        snapshot = self.handle.progress()
+        if snapshot != self._last_published:
+            self._last_published = snapshot
+            self._push(snapshot)
+        if self.handle.done:
+            self._terminal.set()
+
+
+class _PublishEveryDriver(AsyncSchedulerService):
+    """The reference driver: after every step it publishes every handle
+    it ever issued."""
+
+    def _add(self, handle):
+        ahandle = super()._add(handle)
+        ahandle.__class__ = _PublishEveryHandle
+        return ahandle
+
+    def _notify(self) -> None:
+        for handle in self._handles:
+            handle._publish()
+
+
+async def _drain_raw(handle, queue, out: list) -> None:
+    """A shard pump's loop: every queued snapshot, undeduplicated, up
+    to the terminal one."""
+    try:
+        while True:
+            snapshot = await queue.get()
+            out.append(snapshot)
+            if snapshot.state in TERMINAL_STATES or handle.stranded is not None:
+                return
+    finally:
+        handle.unsubscribe(queue)
+
+
+async def _pump_when_scheduled(handle, out: list) -> None:
+    """Subscribes when the task first runs — after the driver's first
+    step, as a shard worker's pump task does."""
+    await _drain_raw(handle, handle.subscribe(), out)
+
+
+async def _consume(stream, out: list) -> None:
+    async for snapshot in stream:
+        out.append(snapshot)
+
+
+async def _sse(handle, out: list) -> None:
+    never = asyncio.Event()
+
+    async def receive():
+        await never.wait()
+
+    async def send(message):
+        if message["type"] == "http.response.body":
+            out.append(message["body"])
+
+    await stream_updates(handle, send, receive, heartbeat=3600.0)
+
+
+#: Driver steps after which the mid-run consumers join, and the step
+#: after which ``gamma`` is cancelled.
+JOIN_AT = 12
+CANCEL_AT = 30
+
+
+def _watched_run(driver_cls) -> tuple[dict, dict, int]:
+    """Four queries under different watchers; ``gamma`` is cancelled
+    mid-run.  Returns every consumer's stream, the outcomes and the
+    number of driver steps.
+
+    * ``alpha`` is watched throughout: a raw queue subscribed at submit
+      and an ``updates()`` stream primed before the first step;
+    * ``beta`` by a raw pump that subscribes when its task first runs,
+      after the driver's first step — a shard worker's pump;
+    * ``gamma`` by nobody until step ``JOIN_AT``, then by an
+      ``updates()`` stream, an SSE stream and a raw queue;
+    * ``delta`` by an ``updates()`` stream that leaves after three
+      snapshots, then, from step ``JOIN_AT``, a raw queue.
+    """
+
+    async def run():
+        service = driver_cls(_cdas(77).service(max_in_flight=2), name="svc")
+        streams: dict[tuple[str, str], list] = {}
+        tasks = []
+
+        def spawn(coro):
+            tasks.append(asyncio.get_running_loop().create_task(coro))
+
+        handles = {
+            name: service.submit(
+                "twitter-sentiment",
+                movie_query(name, 0.9),
+                **_tsa_inputs(movies=(name,), per_movie=24, seed=20 + i),
+            )
+            for i, name in enumerate(("alpha", "beta", "gamma", "delta"))
+        }
+        alpha, beta, gamma, delta = handles.values()
+        streams["alpha", "raw-at-submit"] = []
+        spawn(_drain_raw(alpha, alpha.subscribe(), streams["alpha", "raw-at-submit"]))
+        updates = alpha.updates()
+        streams["alpha", "updates-first"] = [await updates.__anext__()]
+        spawn(_consume(updates, streams["alpha", "updates-first"]))
+        streams["beta", "pump"] = []
+        spawn(_pump_when_scheduled(beta, streams["beta", "pump"]))
+
+        async def leave_early(out):
+            stream = delta.updates()
+            async for snapshot in stream:
+                out.append(snapshot)
+                if len(out) == 3:
+                    break
+            await stream.aclose()
+
+        streams["delta", "updates-leaves"] = []
+        spawn(leave_early(streams["delta", "updates-leaves"]))
+
+        def on_step(svc) -> None:
+            if svc.steps_taken == JOIN_AT:
+                joins = {
+                    ("gamma", "updates-mid"): lambda out: _consume(gamma.updates(), out),
+                    ("gamma", "sse-mid"): lambda out: _sse(gamma, out),
+                    ("gamma", "raw-mid"): lambda out: _pump_when_scheduled(gamma, out),
+                    ("delta", "raw-mid"): lambda out: _pump_when_scheduled(delta, out),
+                }
+                for key, consume in joins.items():
+                    streams[key] = []
+                    spawn(consume(streams[key]))
+            elif svc.steps_taken == CANCEL_AT:
+                spawn(gamma.cancel())
+
+        service.on_step = on_step
+        outcomes = {}
+        for name, handle in handles.items():
+            try:
+                outcomes[name] = len((await handle.result()).records)
+            except QueryCancelled:
+                outcomes[name] = "cancelled"
+        await asyncio.gather(*tasks)
+        await service.aclose()
+        return streams, outcomes, service.steps_taken
+
+    return asyncio.run(run())
+
+
+class TestWatchedOnlyPublish:
+    def test_every_consumer_sees_the_publish_everything_stream(self):
+        """Streams that subscribe before the first step, after it (as a
+        shard pump), mid-run on a query nobody watched (``updates()``,
+        SSE and a raw queue, on the query cancelled mid-run), and after
+        an earlier stream left: each receives exactly the sequence of a
+        driver that publishes every handle after every step."""
+        streams, outcomes, steps = _watched_run(AsyncSchedulerService)
+        expected, expected_outcomes, expected_steps = _watched_run(
+            _PublishEveryDriver
+        )
+        assert CANCEL_AT < steps == expected_steps
+        assert outcomes == expected_outcomes
+        assert outcomes == {
+            "alpha": 24, "beta": 24, "gamma": "cancelled", "delta": 24,
+        }
+        assert streams.keys() == expected.keys()
+        for key, stream in streams.items():
+            assert stream == expected[key], key
+            assert len(stream) >= 3, key
+        assert streams["gamma", "raw-mid"][-1].state is QueryState.CANCELLED
+        assert streams["delta", "raw-mid"][-1].state is QueryState.DONE
+        # The mid-run consumers joined a query already under way.
+        assert streams["gamma", "updates-mid"][0].items_answered > 0
+
+    def test_unwatched_steps_never_walk_progress(self, monkeypatch):
+        """Nobody subscribed: no driver step (nor the cancel) computes a
+        progress snapshot, and every query still finishes."""
+        calls = []
+        progress = QueryHandle.progress
+
+        def counted(handle):
+            calls.append(handle.seq)
+            return progress(handle)
+
+        monkeypatch.setattr(QueryHandle, "progress", counted)
+
+        async def run():
+            async with _cdas(78).async_service(max_in_flight=2) as service:
+                kept = service.submit(
+                    "twitter-sentiment", movie_query("alpha", 0.9), **_tsa_inputs()
+                )
+                doomed = service.submit(
+                    "twitter-sentiment", movie_query("beta", 0.9), **_tsa_inputs()
+                )
+                while service.steps_taken < 10:
+                    await asyncio.sleep(0)
+                assert await doomed.cancel()
+                await service.wait_idle()
+                return kept.state, doomed.state, service.steps_taken
+
+        kept, doomed, steps = asyncio.run(run())
+        assert (kept, doomed) == (QueryState.DONE, QueryState.CANCELLED)
+        assert steps > 10
+        assert calls == []
+
+    def test_result_wakes_unwatched_waiters_on_done_and_cancel(self):
+        """``await result()`` needs no subscriber: the unwatched publish
+        still latches DONE and CANCELLED."""
+
+        async def run():
+            async with _cdas(79).async_service(max_in_flight=2) as service:
+                kept = service.submit(
+                    "twitter-sentiment", movie_query("alpha", 0.9), **_tsa_inputs()
+                )
+                doomed = service.submit(
+                    "twitter-sentiment", movie_query("beta", 0.9), **_tsa_inputs()
+                )
+                done_waiter = asyncio.ensure_future(kept.result())
+                cancel_waiter = asyncio.ensure_future(doomed.result())
+                while service.steps_taken < 10:
+                    await asyncio.sleep(0)
+                assert await doomed.cancel()
+                with pytest.raises(QueryCancelled):
+                    await asyncio.wait_for(cancel_waiter, timeout=5)
+                result = await asyncio.wait_for(done_waiter, timeout=5)
+                assert not kept._queues and not doomed._queues
+                return result
+
+        assert len(asyncio.run(run()).records) == 12

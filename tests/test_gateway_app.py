@@ -21,6 +21,8 @@ from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
 from repro.durability.journal import FileJournalStore
+from repro.engine.aio import AsyncQueryHandle
+from repro.engine.service import QueryState
 from repro.gateway import GatewayApp, InProcessClient, TokenAuth, parse_sse
 from repro.scenarios import canonical_json, result_summary
 from repro.system import CDAS
@@ -379,6 +381,52 @@ class TestErrors:
             return foreign, unknown, unparsable
 
         for response in asyncio.run(run()):
+            assert response.status == 404
+            assert response.json()["error"] == "unknown-query"
+
+    def test_requests_never_read_finished_queries(self):
+        """With 200 finished queries, a submit, a poll and the 404s read
+        none of their handles: resolution is a seq lookup, and the
+        driver kick looks only at live queries."""
+
+        class Finished(AsyncQueryHandle):
+            def _untouchable(self):
+                raise AssertionError("a finished handle was read")
+
+            state = done = seq = tenant = property(_untouchable)
+
+        async def run():
+            app = _make_app()
+            service = app.mux["svc"]
+            small = _tsa_inputs(movies=("alpha",), per_movie=4, workers=3)
+            finished = [
+                service.submit(
+                    "twitter-sentiment", movie_query("alpha", 0.9),
+                    tenant="acme", **small,
+                )
+                for _ in range(200)
+            ]
+            await service.wait_idle()
+            assert all(h.state is QueryState.DONE for h in finished)
+            for handle in finished:
+                handle.__class__ = Finished
+            client = InProcessClient(app)
+            submitted = await client.post(
+                "/v1/queries", _query_body("beta"), token="acme-token"
+            )
+            query_id = submitted.json()["id"]
+            polled = await client.get(f"/v1/queries/{query_id}", token="acme-token")
+            foreign = await client.get(f"/v1/queries/{query_id}", token="globex-token")
+            unknown = await client.get("/v1/queries/svc-9999", token="acme-token")
+            await service.aclose()
+            return submitted, polled, foreign, unknown
+
+        submitted, polled, foreign, unknown = asyncio.run(run())
+        assert submitted.status == 201
+        assert submitted.json()["id"] == "svc-200"
+        assert polled.status == 200
+        assert polled.json()["id"] == "svc-200"
+        for response in (foreign, unknown):
             assert response.status == 404
             assert response.json()["error"] == "unknown-query"
 

@@ -16,6 +16,7 @@ import pytest
 from repro.amt.hit import Question
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
+from repro.core.sampling import WorkerAccuracyEstimator
 from repro.durability import outcome_digest, recover
 from repro.engine.engine import CrowdsourcingEngine, EngineConfig
 from repro.engine.query import Query
@@ -179,36 +180,64 @@ def _standing(service):
     )
 
 
+def _crash_and_recover(pool, tmp_path):
+    """A ``snapshot_every=6`` durable run copied mid-flight (the crash),
+    run on to the end, then recovered from the copy and finished the
+    same way; returns the (finished) original and recovered services."""
+    path = tmp_path / "svc.journal.jsonl"
+    service = _system(pool).service(max_in_flight=1, journal=path, snapshot_every=6)
+    standing = _standing(service)
+    while not (_snapshots(path) and standing.state is QueryState.RUNNING):
+        assert service.step()
+    service.flush_journal()
+    crashed = path.with_name("crashed.journal.jsonl")
+    crashed.write_bytes(path.read_bytes())
+    # The uninterrupted run: finish, then one more query.
+    service.run_until_idle()
+    service.submit(**_tweets("after", 8, seed=SEED + 5))
+    service.run_until_idle()
+    service.close()
+    assert all(h.state is QueryState.DONE for h in service.handles)
+
+    recovered = recover(crashed, _system(pool))
+    assert recovered.replayed_records == 0  # everything came from the snapshot
+    live = recovered.handles[0]
+    assert live.state is QueryState.RUNNING
+    recovered.run_until_idle()
+    assert live.state is QueryState.DONE
+    after = recovered.submit(**_tweets("after", 8, seed=SEED + 5))
+    recovered.run_until_idle()
+    assert after.state is QueryState.DONE
+    recovered.close()
+    return service, recovered
+
+
 class TestSnapshotRestore:
     def test_restored_live_index_finishes_every_query(self, small_pool, tmp_path):
-        path = tmp_path / "svc.journal.jsonl"
-        service = _system(small_pool).service(
-            max_in_flight=1, journal=path, snapshot_every=6
-        )
-        standing = _standing(service)
-        while not (_snapshots(path) and standing.state is QueryState.RUNNING):
-            assert service.step()
-        service.flush_journal()
-        crashed = path.with_name("crashed.journal.jsonl")
-        crashed.write_bytes(path.read_bytes())
-        # The uninterrupted run: finish, then one more query.
-        service.run_until_idle()
-        service.submit(**_tweets("after", 8, seed=SEED + 5))
-        service.run_until_idle()
-        service.close()
-        assert all(h.state is QueryState.DONE for h in service.handles)
-
-        recovered = recover(crashed, _system(small_pool))
-        assert recovered.replayed_records == 0  # everything came from the snapshot
-        live = recovered.handles[0]
-        assert live.state is QueryState.RUNNING
-        recovered.run_until_idle()
-        assert live.state is QueryState.DONE
-        after = recovered.submit(**_tweets("after", 8, seed=SEED + 5))
-        recovered.run_until_idle()
-        assert after.state is QueryState.DONE
-        recovered.close()
+        service, recovered = _crash_and_recover(small_pool, tmp_path)
         assert outcome_digest(recovered) == outcome_digest(service)
+
+    def test_snapshot_without_stored_estimates_keeps_the_digest(
+        self, small_pool, tmp_path, monkeypatch
+    ):
+        """Snapshots pickled as older code wrote them — the estimator's
+        tallies without its stored estimates — recover to the same
+        outcome digest, the estimates rebuilt on load."""
+        pickled = []
+
+        def tallies_only(estimator):
+            pickled.append(estimator)
+            return {k: v for k, v in vars(estimator).items() if k != "_estimates"}
+
+        monkeypatch.setattr(
+            WorkerAccuracyEstimator, "__getstate__", tallies_only, raising=False
+        )
+        service, recovered = _crash_and_recover(small_pool, tmp_path)
+        assert pickled
+        assert outcome_digest(recovered) == outcome_digest(service)
+        estimator = recovered.engine.estimator
+        assert estimator.as_mapping() == service.engine.estimator.as_mapping()
+        assert estimator.mean_accuracy() == service.engine.estimator.mean_accuracy()
 
 
 # -- verification under the quality screen ------------------------------------
