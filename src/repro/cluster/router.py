@@ -281,6 +281,10 @@ class RemoteShardService:
         self.ready = asyncio.Event()
         self._handles: dict[int, RemoteQueryHandle] = {}
         self._order: list[int] = []
+        #: Handles not yet latched, and the ``state → count`` tally of
+        #: those retired latched (frozen from then on) by :meth:`_sweep`.
+        self._live: list[RemoteQueryHandle] = []
+        self._retired: dict[str, int] = {}
         self._stats: dict[str, Any] = {}
         #: ``tenant → (budget_cap, priority)`` last registered on the
         #: live worker; a differing redeclaration is re-sent.
@@ -324,8 +328,24 @@ class RemoteShardService:
     @property
     def idle(self) -> bool:
         return all(
-            handle.done or handle.stranded is not None for handle in self.handles
+            handle.done or handle.stranded is not None for handle in self._sweep()
         )
+
+    def _sweep(self) -> list[RemoteQueryHandle]:
+        """The handles a push can still change, after counting the ones
+        latched since the last sweep into the retired tally — a latched
+        handle never changes again, so it is read once."""
+        live = []
+        latched = []
+        for handle in self._live:
+            if handle._terminal.is_set():
+                latched.append(handle)
+            else:
+                live.append(handle)
+        self._live = live
+        if latched:
+            self._retired = state_counts(latched, self._retired)
+        return live
 
     @property
     def steps_taken(self) -> int:
@@ -355,7 +375,7 @@ class RemoteShardService:
             "alive": self.alive,
             "steps_taken": self.steps_taken,
             "drains": self.drains,
-            "queries": state_counts(self.handles),
+            "queries": state_counts(self._sweep(), self._retired),
             "ledger": self.ledger_summary(),
             "journal": self._stats.get("journal"),
         }
@@ -402,6 +422,7 @@ class RemoteShardService:
             handle = RemoteQueryHandle(self, snapshot, query=query)
             self._handles[seq] = handle
             self._order.append(seq)
+            self._live.append(handle)
         else:
             handle._absorb(snapshot)
         for raced in self._pending_events.pop(seq, ()):

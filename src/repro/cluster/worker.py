@@ -44,7 +44,11 @@ from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
 from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService
 from repro.engine.planner import PlanInfeasible
-from repro.engine.service import TERMINAL_STATES, AdmissionRejected
+from repro.engine.service import (
+    TERMINAL_STATES,
+    AdmissionRejected,
+    QueryProgress,
+)
 
 __all__ = ["main", "handle_snapshot"]
 
@@ -101,15 +105,22 @@ class _Worker:
         return stats
 
     def pump(self, ahandle: AsyncQueryHandle) -> None:
-        """Stream one handle's changed snapshots to the router."""
+        """Stream one handle's changed snapshots to the router.
+
+        Subscribes now, before anything awaits: the driver task a submit
+        started has not stepped yet, so its first step is watched too.
+        """
+        queue = ahandle.subscribe()
         self._pumps.append(
             asyncio.get_running_loop().create_task(
-                self._pump(ahandle), name=f"cdas-shard-pump-{ahandle.seq}"
+                self._pump(ahandle, queue),
+                name=f"cdas-shard-pump-{ahandle.seq}",
             )
         )
 
-    async def _pump(self, ahandle: AsyncQueryHandle) -> None:
-        queue = ahandle.subscribe()
+    async def _pump(
+        self, ahandle: AsyncQueryHandle, queue: "asyncio.Queue[QueryProgress]"
+    ) -> None:
         try:
             while True:
                 snapshot = await queue.get()

@@ -41,7 +41,7 @@ results gathered concurrently are bit-identical to sequential runs.
 from __future__ import annotations
 
 import asyncio
-from collections.abc import AsyncIterator, Callable, Iterable
+from collections.abc import AsyncIterator, Callable, Iterable, Mapping
 from typing import Any
 
 from repro.engine.planner import QueryPlan
@@ -75,10 +75,13 @@ __all__ = [
 DEFAULT_UPDATE_QUEUE = 256
 
 
-def state_counts(handles: Iterable[AsyncHandleBase]) -> dict[str, int]:
-    """``state → count`` over ``handles``: the ``queries`` field of a
-    service's ``/v1/metrics`` entry."""
-    states: dict[str, int] = {}
+def state_counts(
+    handles: Iterable[AsyncHandleBase], retired: Mapping[str, int] | None = None
+) -> dict[str, int]:
+    """``state → count`` over ``handles``, added to the ``retired`` tally
+    of handles already counted: the ``queries`` field of a service's
+    ``/v1/metrics`` entry."""
+    states = dict(retired or {})
     for handle in handles:
         key = handle.state.value
         states[key] = states.get(key, 0) + 1
@@ -460,6 +463,13 @@ class AsyncSchedulerService:
         #: order — the only ones a step can change, so the only ones the
         #: driver publishes.
         self._live: list[AsyncQueryHandle] = []
+        #: ``state → count`` of the handles :meth:`_notify` dropped from
+        #: the live list terminal — a state that never changes again.
+        self._retired: dict[str, int] = {}
+        #: Handles dropped from the live list stranded but not terminal;
+        #: a restarted driver may still move their queries, so metrics
+        #: read their state each time.
+        self._stranded: list[AsyncQueryHandle] = []
         self._wake = asyncio.Event()
         self._driver: asyncio.Task[None] | None = None
         self._error: BaseException | None = None
@@ -562,7 +572,7 @@ class AsyncSchedulerService:
         return {
             "steps_taken": self.steps_taken,
             "drains": self.drains,
-            "queries": state_counts(self._handles),
+            "queries": state_counts((*self._stranded, *self._live), self._retired),
             "ledger": self.ledger_summary(),
             "journal": self.service.journal_stats(),
         }
@@ -713,13 +723,21 @@ class AsyncSchedulerService:
             self._notify()
 
     def _notify(self) -> None:
-        """Publish every live handle, dropping those now latched."""
+        """Publish every live handle, dropping those now latched (a
+        terminal one is counted into the retired tally once, here)."""
         live = []
+        retired = []
         for handle in self._live:
             handle._publish()
             if not handle._terminal.is_set():
                 live.append(handle)
+            elif handle.done:
+                retired.append(handle)
+            else:
+                self._stranded.append(handle)
         self._live = live
+        if retired:
+            self._retired = state_counts(retired, self._retired)
 
     # -- lifecycle -----------------------------------------------------------
 

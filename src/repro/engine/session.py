@@ -14,14 +14,18 @@ Stepping a session performs *exactly* the operations of the legacy blocking
 loop in the same order, which is what keeps ``run_batch`` (now a one-session
 scheduler run) bit-for-bit identical to the pre-scheduler engine.
 
-When ``track_trajectories`` is set, the session additionally feeds each
-arrival into a per-question :class:`~repro.core.online.OnlineAggregator`
-(Algorithm 5), exposing live confidences and full §4.2 trajectories while
-the HIT is still collecting.  The aggregators freeze each vote's worker
-accuracy at arrival time; the authoritative verdicts instead re-read the
-estimator at verification time (so later gold evidence retroactively
-re-weights early votes, and flagged workers drop out) — identical to the
-legacy behaviour.
+When ``track_trajectories`` is set, the session additionally exposes live
+confidences and full §4.2 trajectories from a per-question
+:class:`~repro.core.online.OnlineAggregator` (Algorithm 5) while the HIT is
+still collecting.  An arrival only logs ``(assignment, accuracy)``; the
+aggregators are built on the first read (with the publish-time ``μ``) and
+each read folds the arrivals logged since the last one into them, in
+arrival order — so a session nobody reads pays no Equation 4 work, and a
+read returns exactly what feeding every arrival as it came would have.
+The log freezes each vote's worker accuracy at arrival time; the
+authoritative verdicts instead re-read the estimator at verification time
+(so later gold evidence retroactively re-weights early votes, and flagged
+workers drop out) — identical to the legacy behaviour.
 """
 
 from __future__ import annotations
@@ -77,9 +81,9 @@ class HITSession:
     worker_count:
         Force ``n`` instead of asking the prediction model.
     track_trajectories:
-        Maintain per-question :class:`OnlineAggregator` trajectories while
-        collecting (off by default — it adds per-arrival confidence work
-        the blocking path never did).
+        Serve per-question :class:`OnlineAggregator` confidences and
+        trajectories while collecting (off by default).  Arrivals are
+        logged and folded into the aggregators only when a read asks.
     """
 
     def __init__(
@@ -105,7 +109,12 @@ class HITSession:
         self._hit: HIT | None = None
         self._real: list[Question] = []
         self._votes: dict[str, list[Vote]] = {}
+        # Tracked sessions only: the publish-time μ, the per-question
+        # aggregators (built by the first read) and the arrivals, each with
+        # its worker's accuracy at arrival, not yet folded into them.
+        self._mean_accuracy: float | None = None
         self._aggregators: dict[str, OnlineAggregator] = {}
+        self._unfolded: list[tuple[Assignment, float]] = []
         self._strategy = (
             strategy_by_name(engine.config.termination)
             if engine.config.termination is not None
@@ -147,7 +156,7 @@ class HITSession:
         the aggregator stored at its latest arrival, not a recomputation."""
         if not self._track:
             return ()
-        aggregators = self._aggregators
+        aggregators = self._folded()
         return tuple(
             aggregators[qid].best_confidence
             for qid, votes in self._votes.items()
@@ -184,15 +193,9 @@ class HITSession:
         self._real = [q for q in questions if not q.is_gold]
         self._votes = {q.question_id: [] for q in self._real}
         if self._track:
-            mean = engine.mean_accuracy()
-            self._aggregators = {
-                q.question_id: OnlineAggregator(
-                    domain=AnswerDomain.closed(q.options),
-                    hired_workers=n,
-                    mean_accuracy=mean,
-                )
-                for q in self._real
-            }
+            # μ as it stands at publish; the aggregators that use it are
+            # built by the first read.
+            self._mean_accuracy = engine.mean_accuracy()
         self.state = SessionState.COLLECTING
         return self.handle
 
@@ -223,26 +226,25 @@ class HITSession:
             # Scored above and untouched below: one accuracy read serves
             # every question this assignment answered.
             accuracy = engine.estimator.accuracy(assignment.worker_id)
+            track = self._track
+            if track:
+                hired = self._hit.assignments
             for q in self._real:
                 answer = assignment.answers.get(q.question_id)
                 if answer is None:
                     continue
-                vote = (
-                    assignment.worker_id,
-                    answer,
-                    assignment.keywords.get(q.question_id, ()),
-                )
-                self._votes[q.question_id].append(vote)
-                if self._track:
-                    self._aggregators[q.question_id].submit(
-                        WorkerAnswer(
-                            worker_id=vote[0],
-                            answer=vote[1],
-                            accuracy=accuracy,
-                            keywords=vote[2],
-                            timestamp=assignment.submit_time,
-                        )
+                votes = self._votes[q.question_id]
+                votes.append(
+                    (
+                        assignment.worker_id,
+                        answer,
+                        assignment.keywords.get(q.question_id, ()),
                     )
+                )
+                if track and (len(votes) > hired or answer not in q.options):
+                    _reject_arrival(q, answer, len(votes), hired)
+            if track:
+                self._unfolded.append((assignment, accuracy))
             # not self._terminated_early: once the rule fired and we
             # cancelled, never re-evaluate or re-cancel (the legacy loop
             # broke out immediately; a misbehaving handle delivering
@@ -313,9 +315,55 @@ class HITSession:
         if not self._track:
             raise ValueError("session was created with track_trajectories=False")
         try:
-            return self._aggregators[question_id]
+            return self._folded()[question_id]
         except KeyError:
             raise KeyError(f"no real question {question_id!r} in this HIT") from None
+
+    def _folded(self) -> dict[str, OnlineAggregator]:
+        """The per-question aggregators, fed every arrival logged so far.
+
+        Built on the first read of a published session, from the
+        publish-time ``μ``; every read then folds the logged arrivals, in
+        arrival order and each to the real questions in HIT order, exactly
+        as feeding them one by one on arrival would have.  A session not
+        yet published has no aggregators.
+        """
+        aggregators = self._aggregators
+        if self.state is SessionState.PLANNED:
+            return aggregators
+        if not aggregators:
+            assert self._hit is not None and self._mean_accuracy is not None
+            hired = self._hit.assignments
+            for q in self._real:
+                aggregators[q.question_id] = OnlineAggregator(
+                    domain=AnswerDomain.closed(q.options),
+                    hired_workers=hired,
+                    mean_accuracy=self._mean_accuracy,
+                )
+        for assignment, accuracy in self._unfolded:
+            for q in self._real:
+                answer = assignment.answers.get(q.question_id)
+                if answer is None:
+                    continue
+                aggregators[q.question_id].submit(
+                    WorkerAnswer(
+                        worker_id=assignment.worker_id,
+                        answer=answer,
+                        accuracy=accuracy,
+                        keywords=assignment.keywords.get(q.question_id, ()),
+                        timestamp=assignment.submit_time,
+                    )
+                )
+        self._unfolded.clear()
+        return aggregators
+
+    def __setstate__(self, state: dict) -> None:
+        # Sessions pickled before arrivals were logged carry aggregators
+        # fed on arrival and neither the log nor the stored μ: they read
+        # as fully folded.
+        state.setdefault("_unfolded", [])
+        state.setdefault("_mean_accuracy", None)
+        self.__dict__.update(state)
 
     # -- verify --------------------------------------------------------------
 
@@ -341,3 +389,16 @@ class HITSession:
             records=records,
         )
         self.state = SessionState.DONE
+
+
+def _reject_arrival(question: Question, answer: str, answered: int, hired: int) -> None:
+    """Raise what :meth:`OnlineAggregator.submit` raises for the
+    ``answered``-th answer to ``question`` when it exceeds the hired
+    workers or falls outside the question's closed domain.  Raised at
+    arrival, so a misbehaving backend still fails the step that delivered
+    it, and a later fold can never fail half-way.
+    """
+    if answered > hired:
+        raise ValueError(f"received more answers than the {hired} hired workers")
+    # with_label raises for a closed domain, with the aggregator's message.
+    AnswerDomain.closed(question.options).with_label(answer)

@@ -506,3 +506,165 @@ def test_router_weight_rebalance_rehomes_tenant():
     assert router.set_tenant_weight("tenant-x", moved_weight) != baseline
     router.set_tenant_weight("tenant-x", 1.0)
     assert router.route("tenant-x").name == baseline
+
+
+# -- one shard worker, in process ---------------------------------------------
+
+
+def _worker_submission(query, inputs):
+    from repro.durability import codec as dcodec
+
+    return {
+        "job": "twitter-sentiment",
+        "query": dcodec.encode(query),
+        "inputs": {key: dcodec.encode(value) for key, value in inputs.items()},
+        "tenant": "default",
+    }
+
+
+def _small_inputs(seed: int = SEED + 3) -> dict:
+    return dict(
+        tweets=generate_tweets(["rio"], per_movie=4, seed=seed),
+        gold_tweets=generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1),
+        worker_count=3,
+        batch_size=4,
+    )
+
+
+def test_worker_pump_streams_the_first_step():
+    """A submitted query's ``progress`` frames are exactly what a
+    subscriber primed before the driver's first step receives: the pump
+    subscribes before the driver the submit started can step."""
+    from repro.cluster.worker import _Worker
+    from repro.cluster.workloads import bench
+    from repro.engine.aio import AsyncSchedulerService
+    from repro.engine.service import TERMINAL_STATES
+
+    query = movie_query("rio", 0.85)
+    inputs = _small_inputs()
+
+    async def worker_frames():
+        outbox: asyncio.Queue = asyncio.Queue()
+        worker = _Worker("s0", outbox)
+        worker.init({"workload": "bench", "config": {"seed": SEED}})
+        worker.submit(_worker_submission(query, inputs))
+        frames = []
+        while not frames or frames[-1]["event"] != "terminal":
+            frame = await outbox.get()
+            if frame.get("seq") == 0:
+                frames.append(frame)
+        await worker.aclose()
+        return frames
+
+    async def primed_snapshots():
+        cdas = bench({"seed": SEED, "pool_size": bench.default_pool_size})
+        service = AsyncSchedulerService(cdas.service(max_in_flight=4), name="s0")
+        handle = service.submit("twitter-sentiment", query, tenant="default", **inputs)
+        queue = handle.subscribe()
+        snapshots = [await queue.get()]
+        while snapshots[-1].state not in TERMINAL_STATES:
+            snapshots.append(await queue.get())
+        await service.aclose()
+        return snapshots
+
+    frames = asyncio.run(worker_frames())
+    snapshots = asyncio.run(primed_snapshots())
+    assert len(snapshots) > 2
+    assert [f["event"] for f in frames] == ["progress"] * (len(frames) - 1) + [
+        "terminal"
+    ]
+    assert [f["progress"] for f in frames[:-1]] == [
+        s.to_dict() for s in snapshots[:-1]
+    ]
+    assert frames[-1]["snapshot"]["progress"] == snapshots[-1].to_dict()
+
+
+def test_shard_stats_never_read_finished_queries():
+    """With 200 finished queries on a shard, its stats (the metrics entry
+    and ``idle``) read none of their handles: each was counted once, when
+    the driver dropped it from the live list."""
+    from repro.cluster.worker import _Worker
+    from repro.engine.aio import AsyncQueryHandle, state_counts
+
+    class Finished(AsyncQueryHandle):
+        def _untouchable(self):
+            raise AssertionError("a finished handle was read")
+
+        state = done = stranded = property(_untouchable)
+
+    async def run():
+        worker = _Worker("s0", asyncio.Queue())
+        worker.init({"workload": "bench", "config": {"seed": SEED}})
+        params = _worker_submission(movie_query("rio", 0.85), _small_inputs())
+        for seq in range(200):
+            worker.submit(params)
+            if seq % 7 == 3:
+                await worker.cancel({"seq": seq})
+        await worker.service.wait_idle()
+        # Every pump, cancelled queries' too, ends with its terminal frame.
+        await asyncio.wait_for(asyncio.gather(*worker._pumps), 60)
+        service = worker.service
+        expected = state_counts(service.handles)
+        assert set(expected) == {"done", "cancelled"}
+        for handle in service.handles:
+            handle.__class__ = Finished
+        stats = worker.stats()
+        assert stats["queries"] == expected
+        assert stats["idle"] is True
+        assert service.metrics_snapshot()["queries"] == expected
+        await worker.aclose()
+
+    asyncio.run(run())
+
+
+def test_remote_metrics_never_read_latched_handles():
+    """The router-side twin: once a metrics or healthz read has seen a
+    handle latched, ``idle`` and ``metrics_snapshot`` never read it again;
+    handles still live are read and retire when their terminal frame
+    arrives."""
+    from repro.cluster.router import RemoteQueryHandle, RemoteShardService
+    from repro.engine.aio import state_counts
+    from repro.engine.service import QueryProgress, QueryState
+
+    class Latched(RemoteQueryHandle):
+        def _untouchable(self):
+            raise AssertionError("a latched handle was read")
+
+        state = done = stranded = property(_untouchable)
+
+    def snapshot(seq: int, state: QueryState) -> dict:
+        progress = QueryProgress(
+            state=state, items_answered=0, items_finalized=0,
+            hits_completed=0, hits_in_flight=0, accuracy_estimate=None,
+            spend=0.0, budget_exhausted=False,
+        )
+        return {
+            "seq": seq, "job": "twitter-sentiment", "tenant": "acme",
+            "subject": f"q{seq}", "progress": progress.to_dict(), "plan": None,
+        }
+
+    async def run():
+        service = RemoteShardService(None, "s0")
+        for seq in range(203):
+            service._adopt_snapshot(snapshot(seq, QueryState.RUNNING))
+        for seq in range(200):
+            state = QueryState.CANCELLED if seq % 7 == 3 else QueryState.DONE
+            service._handle_event(
+                {"event": "terminal", "seq": seq, "snapshot": snapshot(seq, state)}
+            )
+        expected = state_counts(service.handles)
+        assert expected == {"done": 171, "cancelled": 29, "running": 3}
+        assert service.idle is False  # a healthz read sees them latched
+        for handle in service.handles[:200]:
+            handle.__class__ = Latched
+        assert service.metrics_snapshot()["queries"] == expected
+        assert service.idle is False
+        for seq in range(200, 203):
+            service._handle_event(
+                {"event": "progress", "seq": seq,
+                 "progress": snapshot(seq, QueryState.DONE)["progress"]}
+            )
+        assert service.idle is True
+        assert service.metrics_snapshot()["queries"] == {"done": 174, "cancelled": 29}
+
+    asyncio.run(run())

@@ -123,10 +123,14 @@ def test_tracked_trajectories_equal_a_from_scratch_rebuild(small_pool, monkeypat
     weighted = []
 
     def checked(session, assignment):
-        seen = {qid: len(agg._answers) for qid, agg in session._aggregators.items()}
+        # Read through the session's read path, which folds the arrivals
+        # logged since the last read into the aggregators.
+        seen = {qid: len(session.trajectory(qid)) for qid in session._votes}
         on_submission(session, assignment)
         accuracy = session._engine.estimator.accuracy(assignment.worker_id)
-        for qid, aggregator in session._aggregators.items():
+        for qid in session._votes:
+            session.trajectory(qid)
+            aggregator = session._aggregators[qid]
             for answer in aggregator._answers[seen[qid]:]:
                 assert answer.accuracy == accuracy
                 weighted.append(answer)
