@@ -9,7 +9,8 @@ lifecycle from one script:
   the worker pool and a derived RNG seed);
 * home two tenants — rendezvous hashing places them deterministically;
 * submit one sentiment query per tenant over the length-prefixed JSON
-  RPC, watch push-based progress arrive, and read the canonical result
+  RPC, stream its progress (``updates()`` makes the shard watch the
+  query and push its snapshots), and read the canonical result
   summaries;
 * prove the scale-out determinism contract: each shard's outcomes are
   canonical-JSON-identical to rebuilding that shard's recipe (pool
@@ -38,7 +39,7 @@ SEED = 2012
 
 def submissions():
     gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
-    tweets = generate_tweets(["rio", "solaris"], per_movie=6, seed=SEED + 2)
+    tweets = generate_tweets(["rio", "solaris"], per_movie=48, seed=SEED + 2)
     inputs = dict(tweets=tweets, gold_tweets=gold, worker_count=5, batch_size=6)
     return [
         ("acme", movie_query("rio", 0.85), inputs),
@@ -59,7 +60,15 @@ async def run_cluster():
             handle = await shard.submit(
                 "twitter-sentiment", query, tenant=tenant, **inputs
             )
+            # The stream's first subscriber asks the shard to watch the
+            # query: progress frames flow from then until the terminal
+            # one.  Print a line per newly answered batch.
+            shown = None
             async for progress in handle.updates():
+                line = (progress.state, progress.items_answered)
+                if line == shown:
+                    continue
+                shown = line
                 print(
                     f"{tenant:>8}   {progress.state.value:<9}"
                     f" answered={progress.items_answered:>2}"

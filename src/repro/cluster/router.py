@@ -10,11 +10,15 @@
 /v1/queries`` across processes without asking which flavour it holds;
 only ``submit``/``plan`` are awaitable here.
 
-The observation model is push, not poll (DESIGN.md §14): workers stream
-``progress``/``terminal``/``stats`` events, the router applies them to
-per-handle caches, and every read path — poll, metrics, healthz, SSE —
-is a local cache read.  Only mutations (submit, plan, cancel, tenant
-registration) cross the socket.
+Observation streams push while watched and polls pull (DESIGN.md §14).
+Workers always push ``terminal`` and ``stats`` events, and push a
+query's ``progress`` events only while the router watches it: the first
+router-side queue on a handle (``updates()``, SSE) sends ``watch``,
+whose reply primes the handle's cache, and the last one closing sends
+``unwatch``; a respawned shard is asked to watch again every handle that
+still has a queue.  A poll (:meth:`RemoteQueryHandle.refresh`) of an
+unwatched, live query makes one ``snapshot`` round trip; metrics and
+healthz stay reads of the pushed caches.
 
 Placement is weighted rendezvous hashing (:func:`assign_shard`) over the
 *routable* shards, so the rebalancing rules need no coordination state:
@@ -45,7 +49,7 @@ from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
 from repro.cluster.shards import assign_shard, shard_names
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import AsyncHandleBase, state_counts
+from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase, state_counts
 from repro.engine.planner import CounterOffer, PlanDecision, PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
@@ -112,18 +116,24 @@ class _SubjectOnly:
 
 
 class RemoteQueryHandle(AsyncHandleBase):
-    """A shard-resident query observed through pushed snapshots.
+    """A shard-resident query observed through a router-side cache.
 
     The :class:`~repro.engine.aio.AsyncHandleBase` body (identity,
     ``subscribe``/``unsubscribe``/``updates``, ``stranded``, ``await
-    result()``) over a router-side cache that worker pushes keep
-    current: progress arrives as ``_apply``/``_absorb`` frames, ``cancel``
-    is an RPC, and a DONE query's terminal value is the wire's canonical
-    ``result_summary`` (the live result object stays in the worker).
+    result()``) over a cache the worker feeds: its terminal frame always,
+    its ``progress`` frames (``_apply``) only while a router-side queue
+    is open — the first ``subscribe`` sends ``watch``, whose reply primes
+    the cache, and the last ``unsubscribe`` sends ``unwatch`` — and a
+    ``snapshot`` RPC whenever :meth:`refresh` finds it unwatched.
+    ``cancel`` is an RPC, and a DONE query's terminal value is the wire's
+    canonical ``result_summary`` (the live result object stays in the
+    worker).
 
     Updates freeze at the first terminal snapshot: a late or reordered
     push can never un-finish a query (the cancel response and the pump's
-    terminal event race benignly).
+    terminal event race benignly).  A ``watch``/``snapshot`` reply whose
+    coroutine resumes after a newer pushed frame was applied is dropped,
+    so the cache never moves backwards.
     """
 
     def __init__(
@@ -145,6 +155,14 @@ class RemoteQueryHandle(AsyncHandleBase):
         self._last = progress_from_dict(snapshot["progress"])
         self._result: dict[str, Any] | None = snapshot.get("result")
         self._error: str | None = snapshot.get("error")
+        #: The shard forwards progress frames: a ``watch`` reply arrived
+        #: and no ``unwatch`` was sent since.
+        self._watched = False
+        #: The task bringing the shard's watch in line with ``_queues``.
+        self._watch_sync: asyncio.Task[None] | None = None
+        #: Position, in the shard connection's event count, of the last
+        #: event applied here.
+        self._event_at = 0
         if self._last.state in TERMINAL_STATES:
             self._terminal.set()
         elif self._error is not None:
@@ -169,6 +187,37 @@ class RemoteQueryHandle(AsyncHandleBase):
 
     def progress(self) -> QueryProgress:
         return self._last
+
+    async def refresh(self) -> None:
+        """Pull the shard's current snapshot unless pushes keep the cache
+        current (watched) or nothing can change (terminal).  A shard that
+        is down answers from the cache rather than waiting out a
+        respawn."""
+        service = self._service
+        if self._terminal.is_set() or self._watched or not service.alive:
+            return
+        try:
+            reply = await service.rpc.call("snapshot", seq=self.seq)
+        except (ShardDied, RpcError):
+            # The close handler settles a dead shard's handles.
+            return
+        service._absorb_reply(self, reply)
+
+    # -- router-side watchers ------------------------------------------------
+
+    def subscribe(
+        self, max_pending: int = DEFAULT_UPDATE_QUEUE
+    ) -> "asyncio.Queue[QueryProgress]":
+        queue = super().subscribe(max_pending)
+        if len(self._queues) == 1:
+            self._service._sync_watch(self)
+        return queue
+
+    def unsubscribe(self, queue: "asyncio.Queue[QueryProgress]") -> None:
+        watched = bool(self._queues)
+        super().unsubscribe(queue)
+        if watched and not self._queues:
+            self._service._sync_watch(self)
 
     # -- terminal payloads (pushed with the terminal event) ------------------
 
@@ -223,8 +272,9 @@ class RemoteQueryHandle(AsyncHandleBase):
             self._terminal.set()
 
     def _absorb(self, snapshot: dict[str, Any]) -> None:
-        """Apply a full handle snapshot (terminal event, cancel reply,
-        respawn recovery report) — result/error ride along."""
+        """Apply a full handle snapshot (terminal event, cancel, watch or
+        snapshot reply, respawn recovery report) — result/error ride
+        along."""
         if "result" in snapshot:
             self._result = snapshot["result"]
         if snapshot.get("error") is not None:
@@ -258,7 +308,8 @@ class RemoteShardService:
 
     Reads (``handles``, ``idle``, ``steps_taken``, ``drains``,
     ``metrics_snapshot``, ``ledger_summary``) are cache lookups fed by
-    worker pushes; mutations (``submit``/``plan``/``register_tenant`` —
+    worker pushes (a poll first calls the handle's ``refresh``);
+    mutations (``submit``/``plan``/``register_tenant`` —
     awaitable here, which the gateway's routes tolerate via
     ``_maybe_await``) are RPC round trips that rebuild the engine's own
     exception types from the wire taxonomy, so the gateway's 402/403/400
@@ -294,6 +345,11 @@ class RemoteShardService:
         #: before the submit() coroutine resumes with the reply.  They
         #: are replayed, in arrival order, the moment the handle exists.
         self._pending_events: dict[int, list[dict[str, Any]]] = {}
+        #: Events received on the current connection (the worker counts
+        #: the ones it posts the same way).
+        self._events = 0
+        #: In-flight ``watch``/``unwatch`` exchanges.
+        self._watch_tasks: set[asyncio.Task[None]] = set()
 
     def __repr__(self) -> str:
         state = "alive" if self.alive else ("abandoned" if self.abandoned else "down")
@@ -394,16 +450,19 @@ class RemoteShardService:
     # -- push plumbing -------------------------------------------------------
 
     def _handle_event(self, frame: dict[str, Any]) -> None:
+        self._events += 1
         kind = frame.get("event")
         if kind in ("progress", "terminal"):
             seq = int(frame["seq"])
             handle = self._handles.get(seq)
             if handle is None:
                 self._pending_events.setdefault(seq, []).append(frame)
-            elif kind == "progress":
-                handle._apply(frame["progress"])
             else:
-                handle._absorb(frame["snapshot"])
+                handle._event_at = self._events
+                if kind == "progress":
+                    handle._apply(frame["progress"])
+                else:
+                    handle._absorb(frame["snapshot"])
             if kind == "terminal":
                 self._update_stats(frame.get("stats"))
         elif kind == "stats":
@@ -426,11 +485,75 @@ class RemoteShardService:
         else:
             handle._absorb(snapshot)
         for raced in self._pending_events.pop(seq, ()):
+            handle._event_at = self._events
             if raced.get("event") == "progress":
                 handle._apply(raced["progress"])
             else:
                 handle._absorb(raced["snapshot"])
         return handle
+
+    def _absorb_reply(self, handle: RemoteQueryHandle, reply: dict[str, Any]) -> None:
+        """Apply a ``watch``/``snapshot`` reply unless an event the worker
+        posted after it has already been applied: the reply's coroutine
+        resumes after the reader may have moved on to newer frames."""
+        if handle._event_at <= int(reply.get("events", 0)):
+            handle._absorb(reply["handle"])
+
+    # -- router-side watch ---------------------------------------------------
+
+    def _sync_watch(self, handle: RemoteQueryHandle) -> None:
+        """Bring the shard's watch of ``handle`` in line with whether a
+        router-side queue is open (one exchange in flight per handle).
+        A service no router drives has no shard to ask."""
+        if (
+            handle._terminal.is_set()
+            or self.router is None
+            or self.router._closing
+        ):
+            return
+        task = handle._watch_sync
+        if task is not None and not task.done():
+            return  # it re-checks the queues after its exchange
+        task = asyncio.get_running_loop().create_task(
+            self._watch_loop(handle), name=f"cdas-watch-{self.name}-{handle.seq}"
+        )
+        handle._watch_sync = task
+        self._watch_tasks.add(task)
+        task.add_done_callback(self._watch_tasks.discard)
+
+    async def _watch_loop(self, handle: RemoteQueryHandle) -> None:
+        while not handle._terminal.is_set():
+            want = bool(handle._queues)
+            if want == handle._watched:
+                return
+            if not want:
+                # Pushes stop being trusted once the unwatch is on its way.
+                handle._watched = False
+            try:
+                reply = await self._call(
+                    "watch" if want else "unwatch", seq=handle.seq
+                )
+            except (ShardDied, RpcError):
+                # A respawn re-watches; an abandoned shard fails the handle.
+                return
+            if want:
+                handle._watched = True
+                self._absorb_reply(handle, reply)
+
+    def _reset_connection(self) -> None:
+        """A (re)spawned worker watches nothing and counts events from
+        zero."""
+        self._events = 0
+        for handle in self._sweep():
+            handle._watched = False
+            handle._event_at = 0
+
+    def _rewatch(self) -> None:
+        """Watch again, on the new worker, every live handle with a
+        router-side queue."""
+        for handle in self._sweep():
+            if handle._queues:
+                self._sync_watch(handle)
 
     # -- RPC mutations -------------------------------------------------------
 
@@ -736,6 +859,7 @@ class ShardRouter:
                 f"{self.spawn_timeout}s"
             ) from None
         service.pid = int(hello.get("pid", service.proc.pid))
+        service._reset_connection()
         service.rpc = RpcClient(
             reader,
             writer,
@@ -761,6 +885,7 @@ class ShardRouter:
         service._registered = {}
         service.alive = True
         service.ready.set()
+        service._rewatch()
 
     # -- failure handling ----------------------------------------------------
 
@@ -912,9 +1037,12 @@ class ShardRouter:
     async def aclose(self) -> None:
         """Graceful shutdown: ask, then terminate, then kill."""
         self._closing = True
-        for task in self._tasks:
+        tasks = list(self._tasks)
+        for service in self.services:
+            tasks.extend(service._watch_tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._tasks:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):

@@ -10,13 +10,19 @@ in-process mux runs, and every mutation a request performs (submit,
 cancel, tenant registration) is exactly the library call the gateway
 would have made locally.
 
-Everything the router needs to observe is *pushed*, not polled: each
-submitted (or recovered) handle gets a pump task streaming changed
-progress snapshots as ``progress`` events, a ``terminal`` event carries
-the canonical result summary (or error) plus fresh shard stats, and
-drains push a ``stats`` event — so the router's poll/metrics/SSE paths
-are all local reads of its caches, never a blocking round trip.  Stats
-are the gateway's per-service ``/v1/metrics`` entry
+Observation streams push while watched and polls pull.  Each submitted
+(or recovered) handle gets a pump task that waits for its terminal latch
+and sends one ``terminal`` event carrying the canonical result summary
+(or error) plus fresh shard stats; drains push a ``stats`` event.  A
+handle's changed progress snapshots stream as ``progress`` events only
+between a ``watch`` request and an ``unwatch`` (the router sends them
+as its first router-side stream opens and its last one closes), so an
+unwatched query's driver never builds a progress snapshot.  A poll of an
+unwatched query asks for one with a ``snapshot`` request.  ``watch`` and
+``snapshot`` replies carry the number of events posted before them, and
+both first send the progress frames the handle's forwarder still holds,
+so nothing older follows a reply on the wire.  Stats are the gateway's
+per-service ``/v1/metrics`` entry
 (:meth:`AsyncSchedulerService.metrics_snapshot`) plus the shard's
 ``idle`` flag.
 
@@ -91,12 +97,24 @@ class _Worker:
         self.shard = shard
         self.outbox = outbox
         self.service: AsyncSchedulerService | None = None
+        #: One terminal watcher per live handle.
         self._pumps: list[asyncio.Task[None]] = []
+        #: ``seq → (queue, forwarder)`` for the handles the router watches.
+        self._watches: dict[
+            int, tuple["asyncio.Queue[QueryProgress]", asyncio.Task[None]]
+        ] = {}
+        #: Events posted so far.  ``watch``/``snapshot`` replies carry it,
+        #: so the router can tell a reply from pushes it already applied.
+        self.events = 0
 
     # -- push side -----------------------------------------------------------
 
     def post(self, frame: dict[str, Any]) -> None:
         self.outbox.put_nowait(frame)
+
+    def post_event(self, frame: dict[str, Any]) -> None:
+        self.events += 1
+        self.post(frame)
 
     def stats(self) -> dict[str, Any]:
         assert self.service is not None
@@ -105,47 +123,87 @@ class _Worker:
         return stats
 
     def pump(self, ahandle: AsyncQueryHandle) -> None:
-        """Stream one handle's changed snapshots to the router.
+        """Send one handle's ``terminal`` frame once it latches.
 
-        Subscribes now, before anything awaits: the driver task a submit
-        started has not stepped yet, so its first step is watched too.
+        Subscribes to nothing: an unwatched handle's driver never builds
+        a progress snapshot, and the terminal frame builds one.
         """
-        queue = ahandle.subscribe()
         self._pumps.append(
             asyncio.get_running_loop().create_task(
-                self._pump(ahandle, queue),
-                name=f"cdas-shard-pump-{ahandle.seq}",
+                self._pump(ahandle), name=f"cdas-shard-pump-{ahandle.seq}"
             )
         )
 
-    async def _pump(
+    async def _pump(self, ahandle: AsyncQueryHandle) -> None:
+        await ahandle._terminal.wait()
+        self._unwatch(ahandle.seq)
+        # Result/error extraction and the ledger totals ride along, so
+        # the router's caches turn terminal in one ordered frame.
+        self.service.flush_journal()
+        self.post_event({
+            "event": "terminal",
+            "seq": ahandle.seq,
+            "snapshot": handle_snapshot(ahandle),
+            "stats": self.stats(),
+        })
+
+    def _watch(self, ahandle: AsyncQueryHandle) -> None:
+        """Start forwarding ``progress`` frames (idempotent).
+
+        Subscribes now, before anything awaits: a driver step that runs
+        after the request is watched too.
+        """
+        if ahandle.seq in self._watches or ahandle._terminal.is_set():
+            return
+        queue = ahandle.subscribe()
+        task = asyncio.get_running_loop().create_task(
+            self._forward(ahandle, queue),
+            name=f"cdas-shard-watch-{ahandle.seq}",
+        )
+        self._watches[ahandle.seq] = (queue, task)
+
+    def _forward_one(self, ahandle: AsyncQueryHandle, snapshot: QueryProgress) -> bool:
+        """Post one pushed snapshot; ``False`` once the handle latched
+        (the terminal frame carries the rest)."""
+        if snapshot.state in TERMINAL_STATES or ahandle.stranded is not None:
+            return False
+        self.post_event({
+            "event": "progress",
+            "seq": ahandle.seq,
+            "progress": snapshot.to_dict(),
+        })
+        return True
+
+    async def _forward(
         self, ahandle: AsyncQueryHandle, queue: "asyncio.Queue[QueryProgress]"
     ) -> None:
         try:
-            while True:
-                snapshot = await queue.get()
-                if (
-                    snapshot.state in TERMINAL_STATES
-                    or ahandle.stranded is not None
-                ):
-                    # Result/error extraction and the ledger totals ride
-                    # along, so the router's caches turn terminal in one
-                    # ordered frame.
-                    self.service.flush_journal()
-                    self.post({
-                        "event": "terminal",
-                        "seq": ahandle.seq,
-                        "snapshot": handle_snapshot(ahandle),
-                        "stats": self.stats(),
-                    })
-                    return
-                self.post({
-                    "event": "progress",
-                    "seq": ahandle.seq,
-                    "progress": snapshot.to_dict(),
-                })
+            while self._forward_one(ahandle, await queue.get()):
+                pass
         finally:
             ahandle.unsubscribe(queue)
+
+    def _flush(self, seq: int) -> None:
+        """Post the snapshots a watched handle's forwarder has not sent
+        yet, so that a snapshot taken now goes out after all of them."""
+        watch = self._watches.get(seq)
+        if watch is None:
+            return
+        queue, _task = watch
+        ahandle = self.service.handle_for(seq)
+        while not queue.empty():
+            if not self._forward_one(ahandle, queue.get_nowait()):
+                break
+
+    def _unwatch(self, seq: int) -> None:
+        """Stop forwarding (idempotent); pending snapshots go out first."""
+        self._flush(seq)
+        watch = self._watches.pop(seq, None)
+        if watch is None:
+            return
+        queue, task = watch
+        task.cancel()
+        self.service.handle_for(seq).unsubscribe(queue)
 
     # -- request handlers (dispatched strictly in arrival order) -------------
 
@@ -178,7 +236,7 @@ class _Worker:
 
         def on_drain(_svc: AsyncSchedulerService) -> None:
             # The driver flushed the journal before draining.
-            self.post({"event": "stats", "stats": self.stats()})
+            self.post_event({"event": "stats", "stats": self.stats()})
 
         service.on_drain = on_drain
         self.service = service
@@ -253,11 +311,34 @@ class _Worker:
         self.pump(ahandle)
         return {"handle": handle_snapshot(ahandle)}
 
-    async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
+    def _handle(self, params: dict[str, Any]) -> AsyncQueryHandle:
         seq = int(params["seq"])
         ahandle = self.service.handle_for(seq)
         if ahandle is None:
             raise KeyError(f"no query with seq {seq} on shard {self.shard!r}")
+        return ahandle
+
+    def watch(self, params: dict[str, Any]) -> dict[str, Any]:
+        """Forward the handle's changed snapshots until ``unwatch`` (or
+        its terminal frame); the reply primes the router's cache."""
+        ahandle = self._handle(params)
+        self._flush(ahandle.seq)
+        self._watch(ahandle)
+        return {"handle": handle_snapshot(ahandle), "events": self.events}
+
+    def unwatch(self, params: dict[str, Any]) -> dict[str, Any]:
+        self._unwatch(self._handle(params).seq)
+        return {"ok": True}
+
+    def snapshot(self, params: dict[str, Any]) -> dict[str, Any]:
+        """One handle's current snapshot: what a poll of an unwatched
+        query pulls."""
+        ahandle = self._handle(params)
+        self._flush(ahandle.seq)
+        return {"handle": handle_snapshot(ahandle), "events": self.events}
+
+    async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
+        ahandle = self._handle(params)
         cancelled = await ahandle.cancel()
         self.service.flush_journal()
         return {
@@ -270,9 +351,11 @@ class _Worker:
         return {"handles": [handle_snapshot(a) for a in self.service.handles]}
 
     async def aclose(self) -> None:
-        for task in self._pumps:
+        tasks = self._pumps + [task for _queue, task in self._watches.values()]
+        self._watches.clear()
+        for task in tasks:
             task.cancel()
-        for task in self._pumps:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):
@@ -330,6 +413,9 @@ async def _amain(args: argparse.Namespace) -> int:
         "plan": worker.plan,
         "submit": worker.submit,
         "cancel": worker.cancel,
+        "watch": worker.watch,
+        "unwatch": worker.unwatch,
+        "snapshot": worker.snapshot,
         "stats": lambda _params: {"stats": worker.stats()},
         "outcomes": worker.outcomes,
     }

@@ -31,6 +31,11 @@ _TUPLE_TAG = "__tuple__"
 #: Homogeneous dataclass sequences at least this long go columnar.
 _COLUMNAR_MIN = 4
 
+#: Cell types that encode and decode as themselves.  Columnar rows pass
+#: cells of exactly these types through inline (subclasses such as an
+#: ``IntEnum`` still take the recursive call).
+_PLAIN = frozenset({str, int, float, bool, type(None)})
+
 
 class CodecError(ValueError):
     """A value could not be encoded or decoded."""
@@ -84,7 +89,13 @@ def _encode_columnar(value: Any) -> Any | None:
     if plan is None or any(type(v) is not cls for v in value):
         return None
     name, field_names = plan
-    rows = [[encode(getattr(v, f)) for f in field_names] for v in value]
+    rows = []
+    for v in value:
+        row = []
+        for f in field_names:
+            cell = getattr(v, f)
+            row.append(cell if type(cell) in _PLAIN else encode(cell))
+        rows.append(row)
     out = {_DCS_TAG: name, "fields": list(field_names), "rows": rows}
     if isinstance(value, tuple):
         out["t"] = 1
@@ -146,7 +157,10 @@ def decode(value: Any) -> Any:
                 raise CodecError(f"journal references unregistered type {name!r}")
             fields = value["fields"]
             items = [
-                cls(**{f: decode(v) for f, v in zip(fields, row)})
+                cls(**{
+                    f: v if type(v) in _PLAIN else decode(v)
+                    for f, v in zip(fields, row)
+                })
                 for row in value["rows"]
             ]
             return tuple(items) if value.get("t") else items

@@ -217,6 +217,11 @@ class AsyncHandleBase:
         """Cancel the query, charge-final; ``False`` if already terminal."""
         raise NotImplementedError
 
+    async def refresh(self) -> None:
+        """Bring :meth:`progress` up to date before a one-off read (a
+        poll).  A local handle reads its query directly, so this returns
+        without yielding; a remote one may pull a snapshot."""
+
     def subscribe(
         self, max_pending: int = DEFAULT_UPDATE_QUEUE
     ) -> "asyncio.Queue[QueryProgress]":

@@ -305,7 +305,7 @@ class GatewayApp:
             tenant = self.auth.authenticate(headers)
             if method == "GET":
                 await self._send_json(
-                    send, 200, routes.poll(self, tenant, match.group(1))
+                    send, 200, await routes.poll(self, tenant, match.group(1))
                 )
             else:
                 self.counters["cancels"] += 1

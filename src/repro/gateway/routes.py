@@ -174,10 +174,12 @@ async def submit(
     return 201, payload
 
 
-def poll(app: "GatewayApp", tenant: str, query_id: str) -> dict[str, Any]:
+async def poll(app: "GatewayApp", tenant: str, query_id: str) -> dict[str, Any]:
     """``GET /v1/queries/{id}`` — one progress snapshot (plus the
-    canonical result summary once DONE)."""
+    canonical result summary once DONE), refreshed first: a remote
+    handle nobody streams pulls its shard's current snapshot."""
     _, handle = app.resolve(tenant, query_id)
+    await handle.refresh()
     return handle_payload(query_id, handle)
 
 

@@ -422,6 +422,100 @@ def test_gateway_served_by_router(flavour):
     assert asyncio.run(run()) == GATEWAY_CONTRACT
 
 
+_PROGRESS_COUNTERS = ("items_answered", "items_finalized", "hits_completed", "spend")
+_STATE_ORDER = ("queued", "running", "done")
+
+
+def _monotone(snapshots: list[dict]) -> bool:
+    """Each progress projection is at or past the one before it."""
+    for before, after in zip(snapshots, snapshots[1:]):
+        if _STATE_ORDER.index(after["state"]) < _STATE_ORDER.index(before["state"]):
+            return False
+        if any(after[key] < before[key] for key in _PROGRESS_COUNTERS):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("flavour", ["mux", "router"])
+def test_gateway_polls_and_streams_current_progress(flavour):
+    """Polls pull: a mid-run poll of a query nobody streams shows the
+    shard's current progress, not the submit-time snapshot, and
+    successive polls never go backwards.  An SSE stream (which makes the
+    shard watch its query) is monotone and ends with a terminal frame
+    equal to the final poll."""
+    from repro.cluster import ShardRouter
+    from repro.engine.aio import AsyncSchedulerService, ServiceMux
+    from repro.gateway.app import GatewayApp
+    from repro.gateway.auth import TokenAuth
+    from repro.gateway.testing import InProcessClient, parse_sse
+
+    gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
+    tweets = generate_tweets(["rio"], per_movie=480, seed=SEED + 2)
+    shards = ["shard0", "shard1"]
+    home = assign_shard("acme", {name: 1.0 for name in shards})
+    body = {
+        "job": "twitter-sentiment",
+        "query": {
+            "keywords": ["rio"], "required_accuracy": 0.85,
+            "domain": ["positive", "neutral", "negative"], "subject": "rio",
+        },
+        "inputs": {"$preset": "big"},
+    }
+
+    async def drive(app):
+        client = InProcessClient(app, token="acme-token")
+        submitted = await client.post("/v1/queries", body)
+        assert submitted.status == 201
+        query_id = submitted.json()["id"]
+        polls = []
+        for _ in range(2000):
+            polled = (await client.get(f"/v1/queries/{query_id}")).json()
+            polls.append(polled["progress"])
+            if polled["progress"]["state"] == "done":
+                break
+            await asyncio.sleep(0.005)
+        assert polls[-1]["state"] == "done"
+        assert _monotone(polls)
+        mid_run = [p for p in polls if p["state"] != "done"]
+        assert any(p != submitted.json()["progress"] for p in mid_run)
+
+        streamed = await client.post("/v1/queries", body)
+        stream_id = streamed.json()["id"]
+        response = await client.get(f"/v1/queries/{stream_id}/events")
+        frames = parse_sse(response.body)
+        final = (await client.get(f"/v1/queries/{stream_id}")).json()
+        return frames, final
+
+    async def run():
+        auth = TokenAuth({"acme-token": "acme"})
+        presets = {
+            "big": dict(
+                tweets=tweets, gold_tweets=gold, worker_count=5, batch_size=6
+            )
+        }
+        if flavour == "router":
+            async with ShardRouter(2, workload="bench", seed=SEED) as router:
+                await router.register_tenant("acme")
+                return await drive(GatewayApp(router, auth, presets=presets))
+        mux = ServiceMux()
+        for name in shards:
+            mux.add(name, AsyncSchedulerService(_local_shard(name, shards)))
+        mux[home].register_tenant("acme")
+        async with mux:
+            return await drive(
+                GatewayApp(mux, auth, routes={"acme": home}, presets=presets)
+            )
+
+    frames, final = asyncio.run(run())
+    events = [event for event, _data in frames if event is not None]
+    assert events[-1] == "end" and set(events[:-1]) == {"progress"}
+    streamed = [data for event, data in frames if event == "progress"]
+    end = frames[-1][1]["progress"]
+    assert _monotone(streamed + [end])
+    assert end["state"] == "done"
+    assert end == final["progress"]
+
+
 def _plain_submit(service, **kwargs):
     _, query, inputs = _submissions()[0]
     return service.submit(
@@ -532,9 +626,10 @@ def _small_inputs(seed: int = SEED + 3) -> dict:
 
 
 def test_worker_pump_streams_the_first_step():
-    """A submitted query's ``progress`` frames are exactly what a
-    subscriber primed before the driver's first step receives: the pump
-    subscribes before the driver the submit started can step."""
+    """A watched query's ``progress`` frames are exactly what a
+    subscriber primed before the driver's first step receives: a watch
+    made right after the submit subscribes before the driver the submit
+    started can step."""
     from repro.cluster.worker import _Worker
     from repro.cluster.workloads import bench
     from repro.engine.aio import AsyncSchedulerService
@@ -548,6 +643,7 @@ def test_worker_pump_streams_the_first_step():
         worker = _Worker("s0", outbox)
         worker.init({"workload": "bench", "config": {"seed": SEED}})
         worker.submit(_worker_submission(query, inputs))
+        worker.watch({"seq": 0})
         frames = []
         while not frames or frames[-1]["event"] != "terminal":
             frame = await outbox.get()
@@ -668,3 +764,99 @@ def test_remote_metrics_never_read_latched_handles():
         assert service.metrics_snapshot()["queries"] == {"done": 174, "cancelled": 29}
 
     asyncio.run(run())
+
+
+def test_unwatched_shard_query_sends_only_its_terminal_frame(monkeypatch):
+    """Nobody watches: the shard sends one frame for the query, the
+    ``terminal`` one, and its driver builds a progress snapshot only for
+    that frame."""
+    from repro.cluster.worker import _Worker
+    from repro.engine.service import QueryHandle
+
+    calls = []
+    progress = QueryHandle.progress
+
+    def counted(handle):
+        calls.append(handle.seq)
+        return progress(handle)
+
+    async def run():
+        outbox: asyncio.Queue = asyncio.Queue()
+        worker = _Worker("s0", outbox)
+        worker.init({"workload": "bench", "config": {"seed": SEED}})
+        worker.submit(_worker_submission(movie_query("rio", 0.85), _small_inputs()))
+        monkeypatch.setattr(QueryHandle, "progress", counted)
+        await asyncio.wait_for(asyncio.gather(*worker._pumps), 60)
+        steps = worker.service.steps_taken
+        frames = []
+        while not outbox.empty():
+            frame = outbox.get_nowait()
+            if "seq" in frame:
+                frames.append(frame)
+        await worker.aclose()
+        return frames, steps
+
+    frames, steps = asyncio.run(run())
+    assert steps > 2
+    assert [(f["event"], f["seq"]) for f in frames] == [("terminal", 0)]
+    assert frames[0]["snapshot"]["progress"]["state"] == "done"
+    assert calls == [0]
+
+
+def test_unwatch_stops_progress_frames_and_rewatch_primes():
+    """``unwatch`` ends the progress frames while the query keeps running;
+    a second ``watch`` answers with the query's current snapshot and the
+    frames resume from there."""
+    from repro.cluster.worker import _Worker, handle_snapshot
+
+    inputs = _small_inputs()
+    inputs["tweets"] = generate_tweets(["rio"], per_movie=60, seed=SEED + 3)
+
+    async def run():
+        outbox: asyncio.Queue = asyncio.Queue()
+        worker = _Worker("s0", outbox)
+        worker.init({"workload": "bench", "config": {"seed": SEED}})
+        worker.submit(_worker_submission(movie_query("rio", 0.85), inputs))
+        ahandle = worker.service.handle_for(0)
+        first = worker.watch({"seq": 0})
+        watched = []
+        while len(watched) < 3:
+            frame = await outbox.get()
+            if frame.get("seq") == 0:
+                watched.append(frame)
+        worker.unwatch({"seq": 0})
+        while not outbox.empty():  # what the unwatch flushed
+            watched.append(outbox.get_nowait())
+        assert not ahandle._queues
+        steps = worker.service.steps_taken
+        while worker.service.steps_taken < steps + 5:
+            await asyncio.sleep(0)
+        quiet = [f for f in _drain(outbox) if f.get("seq") == 0]
+        assert not ahandle.done
+        second = worker.watch({"seq": 0})
+        current = handle_snapshot(ahandle)
+        resumed = []
+        while not resumed or resumed[-1]["event"] != "terminal":
+            frame = await outbox.get()
+            if frame.get("seq") == 0:
+                resumed.append(frame)
+        await worker.aclose()
+        return first, watched, quiet, second, current, resumed
+
+    first, watched, quiet, second, current, resumed = asyncio.run(run())
+    assert {f["event"] for f in watched} == {"progress"}
+    assert quiet == []
+    assert second["handle"] == current
+    primed = second["handle"]["progress"]
+    assert primed != first["handle"]["progress"]
+    assert primed["items_answered"] >= watched[-1]["progress"]["items_answered"]
+    assert [f["event"] for f in resumed][-1] == "terminal"
+    assert all(f["event"] == "progress" for f in resumed[:-1])
+    assert all(f["progress"] != primed for f in resumed[:-1])
+
+
+def _drain(outbox: asyncio.Queue) -> list:
+    frames = []
+    while not outbox.empty():
+        frames.append(outbox.get_nowait())
+    return frames

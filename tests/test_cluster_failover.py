@@ -135,3 +135,113 @@ def test_journaled_kill_respawns_and_preserves_query_ids(tmp_path):
             assert follow_up.state.value == "done"
 
     asyncio.run(run())
+
+
+def test_journaled_kill_under_an_open_stream_rewatches(tmp_path):
+    """A router ``updates()`` stream open across a journaled shard's
+    death: the respawned worker is asked to watch the query again, so
+    progress keeps arriving from the new process, and the stream ends on
+    the terminal snapshot."""
+
+    async def run():
+        async with ShardRouter(
+            1, workload="bench", seed=SEED, journal=str(tmp_path / "wal")
+        ) as router:
+            await router.register_tenant("acme")
+            home = router.route("acme")
+            handle = await home.submit(
+                "twitter-sentiment",
+                movie_query("rio", 0.9),
+                tenant="acme",
+                **_inputs(SLOW_TWEETS),
+            )
+            first_pid = home.pid
+            seen = []
+            killed = False
+            async for snapshot in handle.updates():
+                seen.append((home.pid, snapshot))
+                if not killed and snapshot.items_answered > 0:
+                    router.kill_shard(home.name)
+                    killed = True
+            result = await handle.result(timeout=180)
+            return first_pid, seen, handle.progress(), result
+
+    first_pid, seen, final, result = asyncio.run(run())
+    assert result is not None and "report" in result
+    assert seen[-1][1] == final
+    assert final.state.value == "done"
+    respawned = [s for pid, s in seen[:-1] if pid != first_pid]
+    assert any(s.state.value == "running" for s in respawned)
+
+
+def test_worker_aclose_cancels_watch_forwarders():
+    from repro.cluster.worker import _Worker
+    from repro.durability import codec as dcodec
+
+    async def run():
+        outbox: asyncio.Queue = asyncio.Queue()
+        worker = _Worker("s0", outbox)
+        worker.init({"workload": "bench", "config": {"seed": SEED}})
+        inputs = _inputs(SLOW_TWEETS)
+        worker.submit({
+            "job": "twitter-sentiment",
+            "query": dcodec.encode(movie_query("rio", 0.9)),
+            "inputs": {k: dcodec.encode(v) for k, v in inputs.items()},
+            "tenant": "default",
+        })
+        worker.watch({"seq": 0})
+        while (await outbox.get()).get("event") != "progress":
+            pass
+        ahandle = worker.service.handle_for(0)
+        _queue, forwarder = worker._watches[0]
+        assert not forwarder.done() and ahandle._queues
+        await worker.aclose()
+        # Checked before the loop closes: asyncio.run would cancel it too.
+        assert forwarder.cancelled()
+        assert ahandle._queues == []
+
+    asyncio.run(run())
+
+
+def test_router_aclose_settles_watch_calls(tmp_path):
+    """Watch exchanges still in flight at shutdown — an unwatch sent to a
+    live shard, a watch parked on a dead journaled shard's respawn — are
+    settled by ``aclose()``: no task is left pending."""
+
+    async def run():
+        router = ShardRouter(
+            2, workload="bench", seed=SEED, journal=str(tmp_path / "wal")
+        )
+        await router.start()
+        await router.register_tenant("acme")
+        await router.register_tenant("globex")
+        handles = []
+        for tenant in ("acme", "globex"):
+            handles.append(await router.route(tenant).submit(
+                "twitter-sentiment",
+                movie_query("rio", 0.9),
+                tenant=tenant,
+                **_inputs(SLOW_TWEETS),
+            ))
+        live, doomed = handles
+        dead = router.route("globex")
+        router.kill_shard(dead.name)
+        while dead.alive:
+            await asyncio.sleep(0.01)
+        queue = live.subscribe()
+        while not live._watched:
+            await asyncio.sleep(0.01)
+        live.unsubscribe(queue)  # an unwatch, sent before aclose runs
+        doomed.subscribe()  # a watch parked on the respawn
+        await asyncio.sleep(0)
+        in_flight = [
+            task for service in router.services for task in service._watch_tasks
+        ]
+        assert len(in_flight) == 2 and not live.done
+        await router.aclose()
+        current = asyncio.current_task()
+        return in_flight, [t for t in asyncio.all_tasks() if t is not current]
+
+    in_flight, pending = asyncio.run(run())
+    assert all(task.done() for task in in_flight)
+    assert pending == []

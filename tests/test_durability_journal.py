@@ -13,6 +13,8 @@ import importlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.durability import codec
 from repro.durability.journal import (
@@ -27,9 +29,9 @@ from repro.durability.journal import (
     open_store,
 )
 from repro.engine.query import Query
-from repro.it.images import generate_images
+from repro.it.images import SyntheticImage, generate_images
 from repro.tsa.stream import TweetStream
-from repro.tsa.tweets import generate_tweets
+from repro.tsa.tweets import SENTIMENTS, Tweet, generate_tweets
 
 
 class TestCodec:
@@ -142,6 +144,148 @@ class TestCodec:
     def test_columnar_tag_collision_rejected(self):
         with pytest.raises(codec.CodecError, match="collides"):
             codec.encode({"__dcs__": [1]})
+
+
+# -- the recursive codec, one call per cell: the reference the inline
+# columnar fast path must reproduce exactly ----------------------------------
+
+
+def _reference_columnar(value):
+    cls = type(value[0])
+    plan = codec._ENCODE_PLAN.get(cls)
+    if plan is None or any(type(v) is not cls for v in value):
+        return None
+    name, field_names = plan
+    rows = [[_reference_encode(getattr(v, f)) for f in field_names] for v in value]
+    out = {codec._DCS_TAG: name, "fields": list(field_names), "rows": rows}
+    if isinstance(value, tuple):
+        out["t"] = 1
+    return out
+
+
+def _reference_encode(value):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, (tuple, list)):
+        if len(value) >= codec._COLUMNAR_MIN:
+            columnar = _reference_columnar(value)
+            if columnar is not None:
+                return columnar
+        items = [_reference_encode(v) for v in value]
+        return {codec._TUPLE_TAG: items} if isinstance(value, tuple) else items
+    if isinstance(value, dict):
+        return {key: _reference_encode(item) for key, item in value.items()}
+    name, field_names = codec._ENCODE_PLAN[type(value)]
+    fields = {f: _reference_encode(getattr(value, f)) for f in field_names}
+    return {codec._DC_TAG: name, "f": fields}
+
+
+def _reference_decode(value):
+    if value is None or isinstance(value, (bool, int, float, str)):
+        return value
+    if isinstance(value, list):
+        return [_reference_decode(v) for v in value]
+    if codec._TUPLE_TAG in value:
+        return tuple(_reference_decode(v) for v in value[codec._TUPLE_TAG])
+    if codec._DCS_TAG in value:
+        cls = codec._REGISTRY[value[codec._DCS_TAG]]
+        items = [
+            cls(**{f: _reference_decode(v) for f, v in zip(value["fields"], row)})
+            for row in value["rows"]
+        ]
+        return tuple(items) if value.get("t") else items
+    if codec._DC_TAG in value:
+        cls = codec._REGISTRY[value[codec._DC_TAG]]
+        return cls(**{k: _reference_decode(v) for k, v in value["f"].items()})
+    return {k: _reference_decode(v) for k, v in value.items()}
+
+
+class _Label(str):
+    """A ``str`` subclass: not a plain cell, so it takes the recursive call."""
+
+
+_text = st.text(max_size=12)
+_label = st.one_of(_text, _text.map(_Label))
+_number = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(2**40), 2**40),
+)
+_tweets = st.builds(
+    Tweet,
+    tweet_id=_text,
+    movie=_label,
+    text=_text,
+    sentiment=st.sampled_from(SENTIMENTS),
+    difficulty=st.one_of(
+        st.floats(0.0, 1.0), st.sampled_from([0, 1, True, False])
+    ),
+    aspects=st.lists(_text, max_size=3).map(tuple),
+    timestamp=_number,
+)
+
+
+@st.composite
+def _images(draw):
+    true_tags = tuple(draw(st.lists(_label, min_size=1, max_size=3)))
+    extra = tuple(draw(st.lists(_text, max_size=3)))
+    return SyntheticImage(
+        image_id=draw(_text),
+        subject=draw(_label),
+        true_tags=true_tags,
+        candidate_tags=draw(st.permutations(true_tags + extra)),
+        features=tuple(draw(st.lists(_number, max_size=6))),
+    )
+
+
+_queries = st.builds(
+    Query,
+    keywords=st.lists(_text, min_size=1, max_size=3).map(tuple),
+    required_accuracy=st.floats(0.01, 0.99),
+    domain=st.lists(_text, min_size=2, max_size=4, unique=True).map(tuple),
+    timestamp=st.one_of(_number, _text),
+    window=st.integers(1, 50),
+    subject=_text,
+)
+
+
+def _corpus(items):
+    # Lengths on both sides of the columnar threshold, as list or tuple.
+    return st.tuples(
+        st.lists(items, max_size=codec._COLUMNAR_MIN * 3), st.booleans()
+    ).map(lambda t: tuple(t[0]) if t[1] else t[0])
+
+
+_submissions = st.fixed_dictionaries(
+    {"query": _queries, "worker_count": st.integers(1, 9)},
+    optional={
+        "tweets": _corpus(_tweets),
+        "gold_tweets": _corpus(_tweets),
+        "images": _corpus(_images()),
+        "mixed": st.lists(st.one_of(_tweets, _images(), _number), max_size=6),
+    },
+)
+
+
+class TestColumnarFastPath:
+    @settings(max_examples=150, deadline=None)
+    @given(submission=_submissions)
+    def test_inline_cells_equal_the_recursive_codec(self, submission):
+        """Encoding and decoding a tweet, image or query submission give
+        exactly what one recursive call per cell gives: same JSON text
+        (``true`` vs ``1`` and ``1`` vs ``1.0`` stay apart), and decoded
+        values equal field for field, types included."""
+        encoded = codec.encode(submission)
+        reference = _reference_encode(submission)
+        assert json.dumps(encoded, sort_keys=True) == json.dumps(
+            reference, sort_keys=True
+        )
+        wire = json.loads(json.dumps(encoded))
+        for form in (encoded, wire):
+            decoded = codec.decode(form)
+            expected = _reference_decode(form)
+            assert decoded == expected
+            assert repr(decoded) == repr(expected)
+        assert codec.decode(wire) == submission
 
 
 class TestHeader:

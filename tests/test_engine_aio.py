@@ -535,8 +535,8 @@ class _PublishEveryDriver(AsyncSchedulerService):
 
 
 async def _drain_raw(handle, queue, out: list) -> None:
-    """A shard pump's loop: every queued snapshot, undeduplicated, up
-    to the terminal one."""
+    """A shard forwarder's loop: every queued snapshot, undeduplicated,
+    up to the terminal one."""
     try:
         while True:
             snapshot = await queue.get()
@@ -549,7 +549,7 @@ async def _drain_raw(handle, queue, out: list) -> None:
 
 async def _pump_when_scheduled(handle, out: list) -> None:
     """Subscribes when the task first runs — after the driver's first
-    step, as a shard worker's pump task does."""
+    step, as a forwarder subscribing in its own task would."""
     await _drain_raw(handle, handle.subscribe(), out)
 
 
@@ -659,7 +659,7 @@ def _watched_run(driver_cls) -> tuple[dict, dict, int]:
 class TestWatchedOnlyPublish:
     def test_every_consumer_sees_the_publish_everything_stream(self):
         """Streams that subscribe before the first step, after it (as a
-        shard pump), mid-run on a query nobody watched (``updates()``,
+        late forwarder), mid-run on a query nobody watched (``updates()``,
         SSE and a raw queue, on the query cancelled mid-run), and after
         an earlier stream left: each receives exactly the sequence of a
         driver that publishes every handle after every step."""
