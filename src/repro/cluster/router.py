@@ -14,11 +14,14 @@ Observation streams push while watched and polls pull (DESIGN.md §14).
 Workers always push ``terminal`` and ``stats`` events, and push a
 query's ``progress`` events only while the router watches it: the first
 router-side queue on a handle (``updates()``, SSE) sends ``watch``,
-whose reply primes the handle's cache, and the last one closing sends
+which primes the handle's cache, and the last one closing sends
 ``unwatch``; a respawned shard is asked to watch again every handle that
 still has a queue.  A poll (:meth:`RemoteQueryHandle.refresh`) of an
 unwatched, live query makes one ``snapshot`` round trip; metrics and
-healthz stay reads of the pushed caches.
+healthz stay reads of the pushed caches.  ``watch`` and ``snapshot``
+answer with a ``snapshot`` event ahead of their reply, and the RPC
+reader applies events in wire order before it resolves a reply, so the
+cache never moves backwards.
 
 Placement is weighted rendezvous hashing (:func:`assign_shard`) over the
 *routable* shards, so the rebalancing rules need no coordination state:
@@ -122,18 +125,16 @@ class RemoteQueryHandle(AsyncHandleBase):
     ``subscribe``/``unsubscribe``/``updates``, ``stranded``, ``await
     result()``) over a cache the worker feeds: its terminal frame always,
     its ``progress`` frames (``_apply``) only while a router-side queue
-    is open — the first ``subscribe`` sends ``watch``, whose reply primes
-    the cache, and the last ``unsubscribe`` sends ``unwatch`` — and a
-    ``snapshot`` RPC whenever :meth:`refresh` finds it unwatched.
+    is open — the first ``subscribe`` sends ``watch``, which primes the
+    cache, and the last ``unsubscribe`` sends ``unwatch`` — and a
+    ``snapshot`` event whenever :meth:`refresh` finds it unwatched.
     ``cancel`` is an RPC, and a DONE query's terminal value is the wire's
     canonical ``result_summary`` (the live result object stays in the
     worker).
 
     Updates freeze at the first terminal snapshot: a late or reordered
     push can never un-finish a query (the cancel response and the pump's
-    terminal event race benignly).  A ``watch``/``snapshot`` reply whose
-    coroutine resumes after a newer pushed frame was applied is dropped,
-    so the cache never moves backwards.
+    terminal event race benignly).
     """
 
     def __init__(
@@ -155,14 +156,11 @@ class RemoteQueryHandle(AsyncHandleBase):
         self._last = progress_from_dict(snapshot["progress"])
         self._result: dict[str, Any] | None = snapshot.get("result")
         self._error: str | None = snapshot.get("error")
-        #: The shard forwards progress frames: a ``watch`` reply arrived
+        #: The shard forwards progress frames: a ``watch`` was answered
         #: and no ``unwatch`` was sent since.
         self._watched = False
         #: The task bringing the shard's watch in line with ``_queues``.
         self._watch_sync: asyncio.Task[None] | None = None
-        #: Position, in the shard connection's event count, of the last
-        #: event applied here.
-        self._event_at = 0
         if self._last.state in TERMINAL_STATES:
             self._terminal.set()
         elif self._error is not None:
@@ -197,11 +195,11 @@ class RemoteQueryHandle(AsyncHandleBase):
         if self._terminal.is_set() or self._watched or not service.alive:
             return
         try:
-            reply = await service.rpc.call("snapshot", seq=self.seq)
+            # The reader applied the snapshot event before this returns.
+            await service.rpc.call("snapshot", seq=self.seq)
         except (ShardDied, RpcError):
             # The close handler settles a dead shard's handles.
             return
-        service._absorb_reply(self, reply)
 
     # -- router-side watchers ------------------------------------------------
 
@@ -272,8 +270,8 @@ class RemoteQueryHandle(AsyncHandleBase):
             self._terminal.set()
 
     def _absorb(self, snapshot: dict[str, Any]) -> None:
-        """Apply a full handle snapshot (terminal event, cancel, watch or
-        snapshot reply, respawn recovery report) — result/error ride
+        """Apply a full handle snapshot (terminal or snapshot event,
+        cancel reply, respawn recovery report) — result/error ride
         along."""
         if "result" in snapshot:
             self._result = snapshot["result"]
@@ -345,9 +343,6 @@ class RemoteShardService:
         #: before the submit() coroutine resumes with the reply.  They
         #: are replayed, in arrival order, the moment the handle exists.
         self._pending_events: dict[int, list[dict[str, Any]]] = {}
-        #: Events received on the current connection (the worker counts
-        #: the ones it posts the same way).
-        self._events = 0
         #: In-flight ``watch``/``unwatch`` exchanges.
         self._watch_tasks: set[asyncio.Task[None]] = set()
 
@@ -450,19 +445,16 @@ class RemoteShardService:
     # -- push plumbing -------------------------------------------------------
 
     def _handle_event(self, frame: dict[str, Any]) -> None:
-        self._events += 1
         kind = frame.get("event")
-        if kind in ("progress", "terminal"):
+        if kind in ("progress", "terminal", "snapshot"):
             seq = int(frame["seq"])
             handle = self._handles.get(seq)
             if handle is None:
                 self._pending_events.setdefault(seq, []).append(frame)
+            elif kind == "progress":
+                handle._apply(frame["progress"])
             else:
-                handle._event_at = self._events
-                if kind == "progress":
-                    handle._apply(frame["progress"])
-                else:
-                    handle._absorb(frame["snapshot"])
+                handle._absorb(frame["snapshot"])
             if kind == "terminal":
                 self._update_stats(frame.get("stats"))
         elif kind == "stats":
@@ -485,19 +477,11 @@ class RemoteShardService:
         else:
             handle._absorb(snapshot)
         for raced in self._pending_events.pop(seq, ()):
-            handle._event_at = self._events
             if raced.get("event") == "progress":
                 handle._apply(raced["progress"])
             else:
                 handle._absorb(raced["snapshot"])
         return handle
-
-    def _absorb_reply(self, handle: RemoteQueryHandle, reply: dict[str, Any]) -> None:
-        """Apply a ``watch``/``snapshot`` reply unless an event the worker
-        posted after it has already been applied: the reply's coroutine
-        resumes after the reader may have moved on to newer frames."""
-        if handle._event_at <= int(reply.get("events", 0)):
-            handle._absorb(reply["handle"])
 
     # -- router-side watch ---------------------------------------------------
 
@@ -530,28 +514,18 @@ class RemoteShardService:
                 # Pushes stop being trusted once the unwatch is on its way.
                 handle._watched = False
             try:
-                reply = await self._call(
-                    "watch" if want else "unwatch", seq=handle.seq
-                )
+                await self._call("watch" if want else "unwatch", seq=handle.seq)
             except (ShardDied, RpcError):
                 # A respawn re-watches; an abandoned shard fails the handle.
                 return
-            if want:
-                handle._watched = True
-                self._absorb_reply(handle, reply)
-
-    def _reset_connection(self) -> None:
-        """A (re)spawned worker watches nothing and counts events from
-        zero."""
-        self._events = 0
-        for handle in self._sweep():
-            handle._watched = False
-            handle._event_at = 0
+            # A watch's snapshot event was applied before the reply.
+            handle._watched = want
 
     def _rewatch(self) -> None:
-        """Watch again, on the new worker, every live handle with a
-        router-side queue."""
+        """A respawned worker watches nothing: watch again every live
+        handle with a router-side queue."""
         for handle in self._sweep():
+            handle._watched = False
             if handle._queues:
                 self._sync_watch(handle)
 
@@ -859,7 +833,6 @@ class ShardRouter:
                 f"{self.spawn_timeout}s"
             ) from None
         service.pid = int(hello.get("pid", service.proc.pid))
-        service._reset_connection()
         service.rpc = RpcClient(
             reader,
             writer,

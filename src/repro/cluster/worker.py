@@ -18,10 +18,10 @@ handle's changed progress snapshots stream as ``progress`` events only
 between a ``watch`` request and an ``unwatch`` (the router sends them
 as its first router-side stream opens and its last one closes), so an
 unwatched query's driver never builds a progress snapshot.  A poll of an
-unwatched query asks for one with a ``snapshot`` request.  ``watch`` and
-``snapshot`` replies carry the number of events posted before them, and
-both first send the progress frames the handle's forwarder still holds,
-so nothing older follows a reply on the wire.  Stats are the gateway's
+unwatched query asks for one with a ``snapshot`` request.  Both
+``watch`` and ``snapshot`` answer with a ``snapshot`` event posted after
+the progress frames the handle's forwarder still holds and before the
+reply, so the router applies it in wire order.  Stats are the gateway's
 per-service ``/v1/metrics`` entry
 (:meth:`AsyncSchedulerService.metrics_snapshot`) plus the shard's
 ``idle`` flag.
@@ -103,18 +103,11 @@ class _Worker:
         self._watches: dict[
             int, tuple["asyncio.Queue[QueryProgress]", asyncio.Task[None]]
         ] = {}
-        #: Events posted so far.  ``watch``/``snapshot`` replies carry it,
-        #: so the router can tell a reply from pushes it already applied.
-        self.events = 0
 
     # -- push side -----------------------------------------------------------
 
     def post(self, frame: dict[str, Any]) -> None:
         self.outbox.put_nowait(frame)
-
-    def post_event(self, frame: dict[str, Any]) -> None:
-        self.events += 1
-        self.post(frame)
 
     def stats(self) -> dict[str, Any]:
         assert self.service is not None
@@ -140,7 +133,7 @@ class _Worker:
         # Result/error extraction and the ledger totals ride along, so
         # the router's caches turn terminal in one ordered frame.
         self.service.flush_journal()
-        self.post_event({
+        self.post({
             "event": "terminal",
             "seq": ahandle.seq,
             "snapshot": handle_snapshot(ahandle),
@@ -167,7 +160,7 @@ class _Worker:
         (the terminal frame carries the rest)."""
         if snapshot.state in TERMINAL_STATES or ahandle.stranded is not None:
             return False
-        self.post_event({
+        self.post({
             "event": "progress",
             "seq": ahandle.seq,
             "progress": snapshot.to_dict(),
@@ -236,7 +229,7 @@ class _Worker:
 
         def on_drain(_svc: AsyncSchedulerService) -> None:
             # The driver flushed the journal before draining.
-            self.post_event({"event": "stats", "stats": self.stats()})
+            self.post({"event": "stats", "stats": self.stats()})
 
         service.on_drain = on_drain
         self.service = service
@@ -318,13 +311,29 @@ class _Worker:
             raise KeyError(f"no query with seq {seq} on shard {self.shard!r}")
         return ahandle
 
+    def _post_snapshot(self, ahandle: AsyncQueryHandle) -> None:
+        """Post the handle's full snapshot as a ``snapshot`` event, after
+        the frames its forwarder still holds: the router's reader applies
+        it in wire order, before the reply that follows it resolves.  A
+        terminal state leaves only after the journal flush, as in the
+        terminal frame."""
+        self._flush(ahandle.seq)
+        if ahandle.done:
+            self.service.flush_journal()
+        self.post({
+            "event": "snapshot",
+            "seq": ahandle.seq,
+            "snapshot": handle_snapshot(ahandle),
+        })
+
     def watch(self, params: dict[str, Any]) -> dict[str, Any]:
         """Forward the handle's changed snapshots until ``unwatch`` (or
-        its terminal frame); the reply primes the router's cache."""
+        its terminal frame), after a snapshot that primes the router's
+        cache."""
         ahandle = self._handle(params)
-        self._flush(ahandle.seq)
+        self._post_snapshot(ahandle)
         self._watch(ahandle)
-        return {"handle": handle_snapshot(ahandle), "events": self.events}
+        return {"ok": True}
 
     def unwatch(self, params: dict[str, Any]) -> dict[str, Any]:
         self._unwatch(self._handle(params).seq)
@@ -333,9 +342,8 @@ class _Worker:
     def snapshot(self, params: dict[str, Any]) -> dict[str, Any]:
         """One handle's current snapshot: what a poll of an unwatched
         query pulls."""
-        ahandle = self._handle(params)
-        self._flush(ahandle.seq)
-        return {"handle": handle_snapshot(ahandle), "events": self.events}
+        self._post_snapshot(self._handle(params))
+        return {"ok": True}
 
     async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
         ahandle = self._handle(params)

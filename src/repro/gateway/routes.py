@@ -145,6 +145,7 @@ async def submit(
         if existing is not None:
             app.counters["idempotent_replays"] += 1
             _, handle = app.resolve(tenant, existing)
+            await handle.refresh()
             return 200, handle_payload(existing, handle)
     service, job, query, inputs, options = _parse_submission(app, tenant, body)
     handle = await _maybe_await(service.submit(

@@ -63,7 +63,11 @@ async def stream_updates(
     response.  Returns normally on clean completion *and* on client
     disconnect — the caller cannot tell and does not need to.
     """
+    # The first frame is as fresh as a poll.  Everything the queue
+    # receives is published after it is read.
+    await ahandle.refresh()
     queue = ahandle.subscribe()
+    last = ahandle.progress()
     disconnected = asyncio.Event()
 
     async def _watch_disconnect() -> None:
@@ -105,7 +109,6 @@ async def stream_updates(
                 return False
             return True
 
-        last = ahandle.progress()
         if not await emit(format_event("progress", last.to_dict())):
             return
         while (

@@ -440,9 +440,10 @@ def _monotone(snapshots: list[dict]) -> bool:
 def test_gateway_polls_and_streams_current_progress(flavour):
     """Polls pull: a mid-run poll of a query nobody streams shows the
     shard's current progress, not the submit-time snapshot, and
-    successive polls never go backwards.  An SSE stream (which makes the
-    shard watch its query) is monotone and ends with a terminal frame
-    equal to the final poll."""
+    successive polls never go backwards; so does an idempotent replay of
+    a submit.  An SSE stream (which makes the shard watch its query)
+    opened mid-run starts from the current progress, is monotone and
+    ends with a terminal frame equal to the final poll."""
     from repro.cluster import ShardRouter
     from repro.engine.aio import AsyncSchedulerService, ServiceMux
     from repro.gateway.app import GatewayApp
@@ -464,27 +465,58 @@ def test_gateway_polls_and_streams_current_progress(flavour):
 
     async def drive(app):
         client = InProcessClient(app, token="acme-token")
+
+        async def poll_to_done(query_id):
+            polls = []
+            for _ in range(2000):
+                polled = (await client.get(f"/v1/queries/{query_id}")).json()
+                polls.append(polled["progress"])
+                if polled["progress"]["state"] == "done":
+                    break
+                await asyncio.sleep(0.005)
+            assert polls[-1]["state"] == "done"
+            return polls
+
+        async def stepped(query_id, steps=3):
+            """Wait until the query's shard has taken ``steps`` more steps,
+            read past the query's handle (which a poll would refresh)."""
+            service, _handle = app.resolve("acme", query_id)
+
+            async def taken():
+                if flavour == "router":
+                    reply = await service.rpc.call("stats")
+                    return reply["stats"]["steps_taken"]
+                return service.steps_taken
+
+            target = await taken() + steps
+            while await taken() < target:
+                await asyncio.sleep(0.005)
+
         submitted = await client.post("/v1/queries", body)
         assert submitted.status == 201
         query_id = submitted.json()["id"]
-        polls = []
-        for _ in range(2000):
-            polled = (await client.get(f"/v1/queries/{query_id}")).json()
-            polls.append(polled["progress"])
-            if polled["progress"]["state"] == "done":
-                break
-            await asyncio.sleep(0.005)
-        assert polls[-1]["state"] == "done"
+        polls = await poll_to_done(query_id)
         assert _monotone(polls)
         mid_run = [p for p in polls if p["state"] != "done"]
         assert any(p != submitted.json()["progress"] for p in mid_run)
 
+        keyed = {"headers": {"Idempotency-Key": "rio-1"}}
+        first = await client.post("/v1/queries", body, **keyed)
+        assert first.status == 201
+        await stepped(first.json()["id"])
+        replayed = await client.post("/v1/queries", body, **keyed)
+        assert replayed.status == 200
+        assert replayed.json()["id"] == first.json()["id"]
+        assert replayed.json()["progress"] != first.json()["progress"]
+        await poll_to_done(first.json()["id"])
+
         streamed = await client.post("/v1/queries", body)
         stream_id = streamed.json()["id"]
+        await stepped(stream_id)
         response = await client.get(f"/v1/queries/{stream_id}/events")
         frames = parse_sse(response.body)
         final = (await client.get(f"/v1/queries/{stream_id}")).json()
-        return frames, final
+        return frames, final, streamed.json()["progress"]
 
     async def run():
         auth = TokenAuth({"acme-token": "acme"})
@@ -506,10 +538,11 @@ def test_gateway_polls_and_streams_current_progress(flavour):
                 GatewayApp(mux, auth, routes={"acme": home}, presets=presets)
             )
 
-    frames, final = asyncio.run(run())
+    frames, final, submit_time = asyncio.run(run())
     events = [event for event, _data in frames if event is not None]
     assert events[-1] == "end" and set(events[:-1]) == {"progress"}
     streamed = [data for event, data in frames if event == "progress"]
+    assert streamed[0] != submit_time
     end = frames[-1][1]["progress"]
     assert _monotone(streamed + [end])
     assert end["state"] == "done"
@@ -647,7 +680,7 @@ def test_worker_pump_streams_the_first_step():
         frames = []
         while not frames or frames[-1]["event"] != "terminal":
             frame = await outbox.get()
-            if frame.get("seq") == 0:
+            if frame.get("seq") == 0 and frame["event"] != "snapshot":
                 frames.append(frame)
         await worker.aclose()
         return frames
@@ -805,8 +838,8 @@ def test_unwatched_shard_query_sends_only_its_terminal_frame(monkeypatch):
 
 def test_unwatch_stops_progress_frames_and_rewatch_primes():
     """``unwatch`` ends the progress frames while the query keeps running;
-    a second ``watch`` answers with the query's current snapshot and the
-    frames resume from there."""
+    a second ``watch`` posts the query's current snapshot ahead of its
+    reply and the frames resume from there."""
     from repro.cluster.worker import _Worker, handle_snapshot
 
     inputs = _small_inputs()
@@ -818,7 +851,8 @@ def test_unwatch_stops_progress_frames_and_rewatch_primes():
         worker.init({"workload": "bench", "config": {"seed": SEED}})
         worker.submit(_worker_submission(movie_query("rio", 0.85), inputs))
         ahandle = worker.service.handle_for(0)
-        first = worker.watch({"seq": 0})
+        assert worker.watch({"seq": 0}) == {"ok": True}
+        first = _snapshot_event(outbox)
         watched = []
         while len(watched) < 3:
             frame = await outbox.get()
@@ -833,7 +867,8 @@ def test_unwatch_stops_progress_frames_and_rewatch_primes():
             await asyncio.sleep(0)
         quiet = [f for f in _drain(outbox) if f.get("seq") == 0]
         assert not ahandle.done
-        second = worker.watch({"seq": 0})
+        worker.watch({"seq": 0})
+        second = _snapshot_event(outbox)
         current = handle_snapshot(ahandle)
         resumed = []
         while not resumed or resumed[-1]["event"] != "terminal":
@@ -846,9 +881,9 @@ def test_unwatch_stops_progress_frames_and_rewatch_primes():
     first, watched, quiet, second, current, resumed = asyncio.run(run())
     assert {f["event"] for f in watched} == {"progress"}
     assert quiet == []
-    assert second["handle"] == current
-    primed = second["handle"]["progress"]
-    assert primed != first["handle"]["progress"]
+    assert second["snapshot"] == current
+    primed = second["snapshot"]["progress"]
+    assert primed != first["snapshot"]["progress"]
     assert primed["items_answered"] >= watched[-1]["progress"]["items_answered"]
     assert [f["event"] for f in resumed][-1] == "terminal"
     assert all(f["event"] == "progress" for f in resumed[:-1])
@@ -860,3 +895,11 @@ def _drain(outbox: asyncio.Queue) -> list:
     while not outbox.empty():
         frames.append(outbox.get_nowait())
     return frames
+
+
+def _snapshot_event(outbox: asyncio.Queue) -> dict:
+    """The ``snapshot`` event a ``watch`` just posted: the last frame in
+    the outbox."""
+    frames = _drain(outbox)
+    assert frames[-1]["event"] == "snapshot"
+    return frames[-1]
