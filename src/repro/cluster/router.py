@@ -10,18 +10,24 @@
 /v1/queries`` across processes without asking which flavour it holds;
 only ``submit``/``plan`` are awaitable here.
 
-Observation streams push while watched and polls pull (DESIGN.md §14).
-Workers always push ``terminal`` and ``stats`` events, and push a
-query's ``progress`` events only while the router watches it: the first
-router-side queue on a handle (``updates()``, SSE) sends ``watch``,
-which primes the handle's cache, and the last one closing sends
-``unwatch``; a respawned shard is asked to watch again every handle that
-still has a queue.  A poll (:meth:`RemoteQueryHandle.refresh`) of an
-unwatched, live query makes one ``snapshot`` round trip; metrics and
-healthz stay reads of the pushed caches.  ``watch`` and ``snapshot``
-answer with a ``snapshot`` event ahead of their reply, and the RPC
-reader applies events in wire order before it resolves a reply, so the
-cache never moves backwards.
+Shard state arrives as events, applied in wire order; replies carry
+only the call's own result (DESIGN.md §14).  The RPC reader applies
+events before it resolves the reply that follows them, so by the time a
+``submit`` resumes, the handle its ``snapshot`` event adopted exists,
+and by the time a ``cancel`` resumes, its snapshot and stats are in.  A
+handle's cache never moves backwards: a non-terminal snapshot behind the
+cached one (a respawned shard re-running from its journal) is dropped.
+
+Observation streams push while watched and polls pull.  Workers always
+push ``terminal`` and ``stats`` events, and push a query's ``progress``
+events only while the router watches it: the first router-side queue on
+a handle (``updates()``, SSE) sends ``watch``, which primes the handle's
+cache, and the last one closing sends ``unwatch``; a respawned shard is
+asked to watch again every handle that still has a queue.  A poll
+(:meth:`RemoteQueryHandle.refresh`) of an unwatched, live query makes
+one ``snapshot`` round trip, and a metrics or healthz read
+(:meth:`RemoteShardService.refresh`) one ``stats`` round trip: the
+shard's own metrics entry is the only one there is.
 
 Placement is weighted rendezvous hashing (:func:`assign_shard`) over the
 *routable* shards, so the rebalancing rules need no coordination state:
@@ -52,7 +58,7 @@ from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
 from repro.cluster.shards import assign_shard, shard_names
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase, state_counts
+from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase
 from repro.engine.planner import CounterOffer, PlanDecision, PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
@@ -86,6 +92,24 @@ def progress_from_dict(data: dict[str, Any]) -> QueryProgress:
     )
 
 
+#: Lifecycle order of the states: a snapshot never moves a cache back.
+_STATE_RANK = {state: rank for rank, state in enumerate(QueryState)}
+
+
+def _behind(snapshot: QueryProgress, cached: QueryProgress) -> bool:
+    """Is a non-terminal ``snapshot`` older than the ``cached`` one: an
+    earlier state, or fewer items, HITs or spend?  A respawned shard
+    re-runs from its journal, and its snapshots stay behind until the
+    recovered run catches up."""
+    return snapshot.state not in TERMINAL_STATES and (
+        _STATE_RANK[snapshot.state] < _STATE_RANK[cached.state]
+        or snapshot.items_answered < cached.items_answered
+        or snapshot.items_finalized < cached.items_finalized
+        or snapshot.hits_completed < cached.hits_completed
+        or snapshot.spend < cached.spend
+    )
+
+
 def _decision_from_dict(data: dict[str, Any]) -> PlanDecision:
     """Rebuild a :class:`PlanDecision` from its ``to_dict()`` projection
     (whose keys are the field names)."""
@@ -111,8 +135,9 @@ class RemotePlan:
         return dict(self.data)
 
 
-#: A query object surrogate for handles adopted from a recovered shard,
-#: where only the subject string crossed the wire.
+#: A query object surrogate for a handle adopted from a ``snapshot``
+#: event, where only the subject string crossed the wire: ``submit()``
+#: replaces it with the caller's query, a recovered handle keeps it.
 @dataclasses.dataclass(frozen=True, slots=True)
 class _SubjectOnly:
     subject: str
@@ -123,32 +148,28 @@ class RemoteQueryHandle(AsyncHandleBase):
 
     The :class:`~repro.engine.aio.AsyncHandleBase` body (identity,
     ``subscribe``/``unsubscribe``/``updates``, ``stranded``, ``await
-    result()``) over a cache the worker feeds: its terminal frame always,
-    its ``progress`` frames (``_apply``) only while a router-side queue
-    is open — the first ``subscribe`` sends ``watch``, which primes the
-    cache, and the last ``unsubscribe`` sends ``unwatch`` — and a
-    ``snapshot`` event whenever :meth:`refresh` finds it unwatched.
-    ``cancel`` is an RPC, and a DONE query's terminal value is the wire's
-    canonical ``result_summary`` (the live result object stays in the
-    worker).
+    result()``) over a cache the worker feeds: its ``snapshot`` events
+    (submit, cancel, recovery, watch, :meth:`refresh`), its terminal
+    frame, and its ``progress`` frames (``_apply``) only while a
+    router-side queue is open — the first ``subscribe`` sends ``watch``,
+    which primes the cache, and the last ``unsubscribe`` sends
+    ``unwatch``.  ``cancel`` is an RPC, and a DONE query's terminal value
+    is the wire's canonical ``result_summary`` (the live result object
+    stays in the worker).
 
-    Updates freeze at the first terminal snapshot: a late or reordered
-    push can never un-finish a query (the cancel response and the pump's
-    terminal event race benignly).
+    Updates freeze at the first terminal snapshot, and a non-terminal
+    one behind the cache is dropped (:func:`_behind`), so the cache
+    never moves backwards.
     """
 
     def __init__(
-        self,
-        service: "RemoteShardService",
-        snapshot: dict[str, Any],
-        query: Any = None,
+        self, service: "RemoteShardService", snapshot: dict[str, Any]
     ) -> None:
-        subject = str(snapshot.get("subject", ""))
         super().__init__(
             service,
             int(snapshot["seq"]),
             str(snapshot["job"]),
-            query if query is not None else _SubjectOnly(subject),
+            _SubjectOnly(str(snapshot.get("subject", ""))),
             str(snapshot["tenant"]),
         )
         plan = snapshot.get("plan")
@@ -238,7 +259,8 @@ class RemoteQueryHandle(AsyncHandleBase):
         raise self._stranded or RuntimeError(self.error_text)
 
     async def cancel(self) -> bool:
-        """Charge-final cancel over RPC; applies the frozen snapshot."""
+        """Charge-final cancel over RPC; the reader applied the frozen
+        snapshot and the shard's stats before the reply resolved."""
         if self.done:
             return False
         try:
@@ -250,19 +272,19 @@ class RemoteQueryHandle(AsyncHandleBase):
             return False
         except RpcError as exc:
             raise self._service._rebuild_error(exc) from None
-        self._absorb(reply["handle"])
-        self._service._update_stats(reply.get("stats"))
         await asyncio.sleep(0)
-        return bool(reply.get("cancelled"))
+        return bool(reply["cancelled"])
 
     # -- push application ----------------------------------------------------
 
     def _apply(self, progress: dict[str, Any]) -> None:
         """Apply one pushed ``progress`` projection (terminal-frozen)."""
-        if self._terminal.is_set():
-            return
-        snapshot = progress_from_dict(progress)
-        if snapshot == self._last:
+        if not self._terminal.is_set():
+            self._advance(progress_from_dict(progress))
+
+    def _advance(self, snapshot: QueryProgress) -> None:
+        """Move the cache to a changed snapshot unless it is behind."""
+        if snapshot == self._last or _behind(snapshot, self._last):
             return
         self._last = snapshot
         self._push(snapshot)
@@ -270,9 +292,8 @@ class RemoteQueryHandle(AsyncHandleBase):
             self._terminal.set()
 
     def _absorb(self, snapshot: dict[str, Any]) -> None:
-        """Apply a full handle snapshot (terminal or snapshot event,
-        cancel reply, respawn recovery report) — result/error ride
-        along."""
+        """Apply a full handle snapshot (a ``snapshot`` or ``terminal``
+        event) — result/error ride along."""
         if "result" in snapshot:
             self._result = snapshot["result"]
         if snapshot.get("error") is not None:
@@ -281,16 +302,10 @@ class RemoteQueryHandle(AsyncHandleBase):
             return
         if self._plan is None and snapshot.get("plan") is not None:
             self._plan = RemotePlan(snapshot["plan"])
-        progress = progress_from_dict(snapshot["progress"])
-        changed = progress != self._last
-        self._last = progress
-        if changed:
-            self._push(progress)
-        if progress.state in TERMINAL_STATES:
-            self._terminal.set()
-        elif snapshot.get("error") is not None:
+        self._advance(progress_from_dict(snapshot["progress"]))
+        if not self._terminal.is_set() and snapshot.get("error") is not None:
             # Stranded on the worker with no terminal state to reach.
-            self._mark_stranded(RuntimeError(str(snapshot["error"])), progress)
+            self._mark_stranded(RuntimeError(self._error), self._last)
 
     def _shard_died(self, error: ShardDied) -> None:
         """The shard is gone for good: report FAILED instead of hanging."""
@@ -306,13 +321,15 @@ class RemoteShardService:
 
     Reads (``handles``, ``idle``, ``steps_taken``, ``drains``,
     ``metrics_snapshot``, ``ledger_summary``) are cache lookups fed by
-    worker pushes (a poll first calls the handle's ``refresh``);
-    mutations (``submit``/``plan``/``register_tenant`` —
-    awaitable here, which the gateway's routes tolerate via
-    ``_maybe_await``) are RPC round trips that rebuild the engine's own
-    exception types from the wire taxonomy, so the gateway's 402/403/400
-    mapping is untouched.  ``flush_journal`` is a no-op: the worker
-    applies the durability barrier before it acks.
+    worker events: handles by their snapshots, the rest by the shard's
+    last ``stats`` (a poll first calls the handle's ``refresh``, a
+    metrics or healthz read this service's :meth:`refresh`); mutations
+    (``submit``/``plan``/``register_tenant`` — awaitable here, which the
+    gateway's routes tolerate via ``_maybe_await``) are RPC round trips
+    that rebuild the engine's own exception types from the wire
+    taxonomy, so the gateway's 402/403/400 mapping is untouched.
+    ``flush_journal`` is a no-op: the worker applies the durability
+    barrier before it acks.
     """
 
     def __init__(
@@ -328,21 +345,13 @@ class RemoteShardService:
         self.pid: int | None = None
         self.rpc: RpcClient | None = None
         self.ready = asyncio.Event()
+        #: ``seq → handle``, in adoption (submission) order.
         self._handles: dict[int, RemoteQueryHandle] = {}
-        self._order: list[int] = []
-        #: Handles not yet latched, and the ``state → count`` tally of
-        #: those retired latched (frozen from then on) by :meth:`_sweep`.
-        self._live: list[RemoteQueryHandle] = []
-        self._retired: dict[str, int] = {}
+        #: The shard's last ``stats``: its own metrics entry plus ``idle``.
         self._stats: dict[str, Any] = {}
         #: ``tenant → (budget_cap, priority)`` last registered on the
         #: live worker; a differing redeclaration is re-sent.
         self._registered: dict[str, tuple[float | None, float]] = {}
-        #: Events that raced ahead of their handle's adoption: a fast
-        #: shard can push progress (even terminal) for a submission
-        #: before the submit() coroutine resumes with the reply.  They
-        #: are replayed, in arrival order, the moment the handle exists.
-        self._pending_events: dict[int, list[dict[str, Any]]] = {}
         #: In-flight ``watch``/``unwatch`` exchanges.
         self._watch_tasks: set[asyncio.Task[None]] = set()
 
@@ -350,7 +359,7 @@ class RemoteShardService:
         state = "alive" if self.alive else ("abandoned" if self.abandoned else "down")
         return (
             f"RemoteShardService(name={self.name!r}, {state}, "
-            f"queries={len(self._order)})"
+            f"queries={len(self._handles)})"
         )
 
     # -- observation (cache reads) -------------------------------------------
@@ -370,7 +379,7 @@ class RemoteShardService:
 
     @property
     def handles(self) -> tuple[RemoteQueryHandle, ...]:
-        return tuple(self._handles[seq] for seq in self._order)
+        return tuple(self._handles.values())
 
     def handle_for(self, seq: int) -> RemoteQueryHandle | None:
         """The handle with submission ordinal ``seq``, if any."""
@@ -378,25 +387,9 @@ class RemoteShardService:
 
     @property
     def idle(self) -> bool:
-        return all(
-            handle.done or handle.stranded is not None for handle in self._sweep()
-        )
-
-    def _sweep(self) -> list[RemoteQueryHandle]:
-        """The handles a push can still change, after counting the ones
-        latched since the last sweep into the retired tally — a latched
-        handle never changes again, so it is read once."""
-        live = []
-        latched = []
-        for handle in self._live:
-            if handle._terminal.is_set():
-                latched.append(handle)
-            else:
-                live.append(handle)
-        self._live = live
-        if latched:
-            self._retired = state_counts(latched, self._retired)
-        return live
+        """The shard's own flag, as last pushed; an abandoned shard runs
+        nothing."""
+        return self.abandoned or bool(self._stats.get("idle", True))
 
     @property
     def steps_taken(self) -> int:
@@ -420,68 +413,47 @@ class RemoteShardService:
     def flush_journal(self) -> None:
         """No-op: the worker flushes its journal before acking."""
 
+    async def refresh(self) -> None:
+        """Pull the shard's current stats (one ``stats`` round trip,
+        answered with a ``stats`` event); a shard that is down answers
+        from its last ones rather than waiting out a respawn."""
+        if not self.alive:
+            return
+        try:
+            await self.rpc.call("stats")
+        except (ShardDied, RpcError):
+            return
+
     def metrics_snapshot(self) -> dict[str, Any]:
-        """The per-service ``/v1/metrics`` entry, from pushed stats."""
-        return {
-            "alive": self.alive,
-            "steps_taken": self.steps_taken,
-            "drains": self.drains,
-            "queries": state_counts(self._sweep(), self._retired),
-            "ledger": self.ledger_summary(),
-            "journal": self._stats.get("journal"),
-        }
+        """The shard's own ``/v1/metrics`` entry as last received, plus
+        ``alive``."""
+        entry = {key: value for key, value in self._stats.items() if key != "idle"}
+        entry["alive"] = self.alive
+        return entry
 
     def ledger_summary(self) -> dict[str, Any]:
-        summary = self._stats.get("ledger")
-        if summary is None:
-            summary = {
-                "charged_assignments": 0,
-                "cancelled_assignments": 0,
-                "total_cost": 0.0,
-                "avoided_cost": 0.0,
-            }
-        return dict(summary)
+        return dict(self._stats.get("ledger") or {})
 
     # -- push plumbing -------------------------------------------------------
 
     def _handle_event(self, frame: dict[str, Any]) -> None:
+        """Apply one event, in wire order."""
         kind = frame.get("event")
-        if kind in ("progress", "terminal", "snapshot"):
-            seq = int(frame["seq"])
-            handle = self._handles.get(seq)
-            if handle is None:
-                self._pending_events.setdefault(seq, []).append(frame)
-            elif kind == "progress":
-                handle._apply(frame["progress"])
-            else:
-                handle._absorb(frame["snapshot"])
-            if kind == "terminal":
-                self._update_stats(frame.get("stats"))
-        elif kind == "stats":
-            self._update_stats(frame.get("stats"))
-
-    def _update_stats(self, stats: dict[str, Any] | None) -> None:
-        if stats:
-            self._stats = dict(stats)
-
-    def _adopt_snapshot(
-        self, snapshot: dict[str, Any], query: Any = None
-    ) -> RemoteQueryHandle:
-        seq = int(snapshot["seq"])
+        if kind in ("stats", "terminal"):
+            self._stats = frame["stats"]
+        if kind not in ("progress", "terminal", "snapshot"):
+            return
+        seq = int(frame["seq"])
         handle = self._handles.get(seq)
         if handle is None:
-            handle = RemoteQueryHandle(self, snapshot, query=query)
-            self._handles[seq] = handle
-            self._order.append(seq)
-            self._live.append(handle)
+            # A seq's first event is its snapshot (a submit's or a
+            # recovery report's), which adopts the handle.
+            if kind == "snapshot":
+                self._handles[seq] = RemoteQueryHandle(self, frame["snapshot"])
+        elif kind == "progress":
+            handle._apply(frame["progress"])
         else:
-            handle._absorb(snapshot)
-        for raced in self._pending_events.pop(seq, ()):
-            if raced.get("event") == "progress":
-                handle._apply(raced["progress"])
-            else:
-                handle._absorb(raced["snapshot"])
-        return handle
+            handle._absorb(frame["snapshot"])
 
     # -- router-side watch ---------------------------------------------------
 
@@ -524,7 +496,7 @@ class RemoteShardService:
     def _rewatch(self) -> None:
         """A respawned worker watches nothing: watch again every live
         handle with a router-side queue."""
-        for handle in self._sweep():
+        for handle in self._handles.values():
             handle._watched = False
             if handle._queues:
                 self._sync_watch(handle)
@@ -650,7 +622,10 @@ class RemoteShardService:
             )
         except RpcError as exc:
             raise self._rebuild_error(exc) from None
-        return self._adopt_snapshot(reply["handle"], query=query)
+        # The reader adopted the handle from its snapshot event.
+        handle = self._handles[int(reply["seq"])]
+        handle.query = query
+        return handle
 
     async def outcomes(self) -> list[dict[str, Any]]:
         """Every handle's full snapshot, fetched fresh from the worker —
@@ -846,13 +821,10 @@ class ShardRouter:
             journal=service.journal,
             max_in_flight=self.max_in_flight,
         )
-        service.recovered = bool(reply.get("recovered"))
-        snapshots = reply.get("handles") or []
-        for snapshot in snapshots:
-            service._adopt_snapshot(snapshot)
+        # The reader applied the handles' snapshots and the stats first.
+        service.recovered = bool(reply["recovered"])
         if initial and service.recovered:
-            self.recovered_queries += len(snapshots)
-        service._update_stats(reply.get("stats"))
+            self.recovered_queries += int(reply["count"])
         # Journal recovery replays tenant registrations worker-side; a
         # repeat just redeclares, so re-register lazily after a (re)spawn.
         service._registered = {}
@@ -989,7 +961,8 @@ class ShardRouter:
 
     def metrics(self) -> dict[str, Any]:
         """Cluster-wide rollup: per-shard snapshots, summed ledger,
-        current tenant homes."""
+        current tenant homes — as last received; await each service's
+        ``refresh()`` first for a current read."""
         homes: dict[str, str | None] = {}
         for tenant in sorted(self._tenants):
             try:

@@ -10,19 +10,26 @@ in-process mux runs, and every mutation a request performs (submit,
 cancel, tenant registration) is exactly the library call the gateway
 would have made locally.
 
-Observation streams push while watched and polls pull.  Each submitted
-(or recovered) handle gets a pump task that waits for its terminal latch
-and sends one ``terminal`` event carrying the canonical result summary
-(or error) plus fresh shard stats; drains push a ``stats`` event.  A
-handle's changed progress snapshots stream as ``progress`` events only
-between a ``watch`` request and an ``unwatch`` (the router sends them
-as its first router-side stream opens and its last one closes), so an
-unwatched query's driver never builds a progress snapshot.  A poll of an
+Every piece of shard state the router keeps arrives as an event, in
+wire order; a reply carries only the call's own result.  A submit posts
+the new handle's ``snapshot`` event before its ``{seq}`` reply (the
+router adopts the handle from it); a cancel posts the handle's snapshot
+and a ``stats`` event before ``{cancelled}``; ``init`` posts a snapshot
+per recovered handle and the stats before ``{recovered, count}``.  When
+the driver drops a handle from its live list (terminal or stranded) the
+worker sends one ``terminal`` event carrying the canonical result
+summary (or error) plus fresh shard stats; drains push a ``stats``
+event, and a ``stats`` request answers with one, then ``{ok}``.
+
+Observation streams push while watched and polls pull.  A handle's
+changed progress snapshots stream as ``progress`` events only between a
+``watch`` request and an ``unwatch`` (the router sends them as its first
+router-side stream opens and its last one closes), so an unwatched
+query's driver never builds a progress snapshot.  A poll of an
 unwatched query asks for one with a ``snapshot`` request.  Both
 ``watch`` and ``snapshot`` answer with a ``snapshot`` event posted after
 the progress frames the handle's forwarder still holds and before the
-reply, so the router applies it in wire order.  Stats are the gateway's
-per-service ``/v1/metrics`` entry
+reply.  Stats are the gateway's per-service ``/v1/metrics`` entry
 (:meth:`AsyncSchedulerService.metrics_snapshot`) plus the shard's
 ``idle`` flag.
 
@@ -65,8 +72,8 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
     The wire twin of the gateway's poll payload: identity, the canonical
     ``QueryProgress.to_dict()`` snapshot, the plan, and — once terminal —
     the canonical result summary or the error text.  Shared by the
-    submit/cancel responses, the init recovery report, the ``outcomes``
-    RPC (what the scaling bench fingerprints), and ``terminal`` events.
+    ``snapshot`` and ``terminal`` events and the ``outcomes`` RPC (what
+    the scaling bench fingerprints).
     """
     progress = ahandle.progress()
     plan = ahandle.plan
@@ -97,8 +104,6 @@ class _Worker:
         self.shard = shard
         self.outbox = outbox
         self.service: AsyncSchedulerService | None = None
-        #: One terminal watcher per live handle.
-        self._pumps: list[asyncio.Task[None]] = []
         #: ``seq → (queue, forwarder)`` for the handles the router watches.
         self._watches: dict[
             int, tuple["asyncio.Queue[QueryProgress]", asyncio.Task[None]]
@@ -115,24 +120,22 @@ class _Worker:
         stats["idle"] = self.service.idle
         return stats
 
-    def pump(self, ahandle: AsyncQueryHandle) -> None:
-        """Send one handle's ``terminal`` frame once it latches.
+    def send_stats(self, _params: dict[str, Any] | None = None) -> dict[str, Any]:
+        """Post a ``stats`` event (the ``stats`` request's answer)."""
+        self.post({"event": "stats", "stats": self.stats()})
+        return {"ok": True}
 
-        Subscribes to nothing: an unwatched handle's driver never builds
-        a progress snapshot, and the terminal frame builds one.
-        """
-        self._pumps.append(
-            asyncio.get_running_loop().create_task(
-                self._pump(ahandle), name=f"cdas-shard-pump-{ahandle.seq}"
-            )
-        )
-
-    async def _pump(self, ahandle: AsyncQueryHandle) -> None:
-        await ahandle._terminal.wait()
+    def _on_latch(self, ahandle: AsyncQueryHandle) -> None:
+        """Send the ``terminal`` frame of a handle the driver just
+        dropped from its live list; the result leaves only after the
+        journal flush.  Result/error extraction and the ledger totals
+        ride along, so the router's caches turn terminal in one ordered
+        frame."""
         self._unwatch(ahandle.seq)
-        # Result/error extraction and the ledger totals ride along, so
-        # the router's caches turn terminal in one ordered frame.
-        self.service.flush_journal()
+        try:
+            self.service.flush_journal()
+        except JournalFailed:
+            return  # not durable: later requests answer journal-failed
         self.post({
             "event": "terminal",
             "seq": ahandle.seq,
@@ -226,28 +229,18 @@ class _Worker:
                 max_in_flight=int(params.get("max_in_flight", 4))
             )
         service = AsyncSchedulerService(inner, name=self.shard)
-
-        def on_drain(_svc: AsyncSchedulerService) -> None:
-            # The driver flushed the journal before draining.
-            self.post({"event": "stats", "stats": self.stats()})
-
-        service.on_drain = on_drain
+        # The driver flushed the journal before draining.
+        service.on_drain = lambda _svc: self.send_stats()
+        service.on_latch = self._on_latch
         self.service = service
-        live = False
         if recovered:
             for handle in inner.handles:
-                ahandle = service.adopt(handle)
-                if not ahandle.done:
-                    self.pump(ahandle)
-                    live = True
-        if live:
-            service._ensure_driver()
-        return {
-            "shard": self.shard,
-            "recovered": recovered,
-            "handles": [handle_snapshot(a) for a in service.handles],
-            "stats": self.stats(),
-        }
+                service.adopt(handle)
+            service._kick()
+        for ahandle in service.handles:
+            self._post_snapshot(ahandle)
+        self.send_stats()
+        return {"recovered": recovered, "count": len(service.handles)}
 
     def register_tenant(self, params: dict[str, Any]) -> dict[str, Any]:
         # A repeat (recovered shard, re-homing replay) just redeclares;
@@ -301,8 +294,8 @@ class _Worker:
         )
         # Durability barrier before the ack, as the gateway's 201.
         self.service.flush_journal()
-        self.pump(ahandle)
-        return {"handle": handle_snapshot(ahandle)}
+        self._post_snapshot(ahandle)
+        return {"seq": ahandle.seq}
 
     def _handle(self, params: dict[str, Any]) -> AsyncQueryHandle:
         seq = int(params["seq"])
@@ -348,18 +341,15 @@ class _Worker:
     async def cancel(self, params: dict[str, Any]) -> dict[str, Any]:
         ahandle = self._handle(params)
         cancelled = await ahandle.cancel()
-        self.service.flush_journal()
-        return {
-            "cancelled": cancelled,
-            "handle": handle_snapshot(ahandle),
-            "stats": self.stats(),
-        }
+        self._post_snapshot(ahandle)  # terminal: flushed first
+        self.send_stats()
+        return {"cancelled": cancelled}
 
     def outcomes(self, _params: dict[str, Any]) -> dict[str, Any]:
         return {"handles": [handle_snapshot(a) for a in self.service.handles]}
 
     async def aclose(self) -> None:
-        tasks = self._pumps + [task for _queue, task in self._watches.values()]
+        tasks = [task for _queue, task in self._watches.values()]
         self._watches.clear()
         for task in tasks:
             task.cancel()
@@ -424,7 +414,7 @@ async def _amain(args: argparse.Namespace) -> int:
         "watch": worker.watch,
         "unwatch": worker.unwatch,
         "snapshot": worker.snapshot,
-        "stats": lambda _params: {"stats": worker.stats()},
+        "stats": worker.send_stats,
         "outcomes": worker.outcomes,
     }
     try:

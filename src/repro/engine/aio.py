@@ -490,6 +490,11 @@ class AsyncSchedulerService:
         #: Observer called once each time the driver drains, after
         #: :attr:`drains` counts it (a shard worker pushes stats here).
         self.on_drain: Callable[["AsyncSchedulerService"], None] | None = None
+        #: Observer called once per handle the driver drops from its live
+        #: list, terminal or stranded, after the tally counts it (a shard
+        #: worker sends the handle's terminal frame here).  A handle
+        #: adopted terminal never reaches it.
+        self.on_latch: Callable[[AsyncQueryHandle], None] | None = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = "" if self.name is None else f" {self.name!r}"
@@ -571,6 +576,11 @@ class AsyncSchedulerService:
 
         return ledger_summary(self.service.engine.market.ledger)
 
+    async def refresh(self) -> None:
+        """Bring :meth:`metrics_snapshot` and :attr:`idle` up to date
+        before a read: a no-op here, where both read the service
+        directly (a remote shard pulls its stats)."""
+
     def metrics_snapshot(self) -> dict[str, Any]:
         """This service's ``/v1/metrics`` entry: pump steps, drains, query
         states, ledger totals and journal stats (``None`` unjournaled)."""
@@ -641,7 +651,12 @@ class AsyncSchedulerService:
         ahandle = AsyncQueryHandle(self, handle)
         self._handles.append(ahandle)
         self._by_seq[ahandle.seq] = ahandle
-        self._live.append(ahandle)
+        if handle.done:
+            # Recovered terminal: latched and counted now, never live.
+            ahandle._terminal.set()
+            self._retired = state_counts((ahandle,), self._retired)
+        else:
+            self._live.append(ahandle)
         return ahandle
 
     # -- the driver ----------------------------------------------------------
@@ -729,20 +744,26 @@ class AsyncSchedulerService:
 
     def _notify(self) -> None:
         """Publish every live handle, dropping those now latched (a
-        terminal one is counted into the retired tally once, here)."""
+        terminal one is counted into the retired tally once, here), then
+        tell :attr:`on_latch` about each dropped one."""
         live = []
-        retired = []
+        latched = []
         for handle in self._live:
             handle._publish()
             if not handle._terminal.is_set():
                 live.append(handle)
-            elif handle.done:
-                retired.append(handle)
             else:
-                self._stranded.append(handle)
+                latched.append(handle)
+        if not latched:
+            return
         self._live = live
+        retired = [handle for handle in latched if handle.done]
+        self._stranded.extend(handle for handle in latched if not handle.done)
         if retired:
             self._retired = state_counts(retired, self._retired)
+        if self.on_latch is not None:
+            for handle in latched:
+                self.on_latch(handle)
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -278,11 +278,11 @@ class GatewayApp:
     ) -> None:
         if path == "/v1/healthz":
             self._allow(method, ("GET",))
-            await self._send_json(send, 200, routes.healthz(self))
+            await self._send_json(send, 200, await routes.healthz(self))
             return
         if path == "/v1/metrics":
             self._allow(method, ("GET",))
-            await self._send_json(send, 200, routes.metrics(self))
+            await self._send_json(send, 200, await routes.metrics(self))
             return
         if path == "/v1/explain":
             self._allow(method, ("POST",))

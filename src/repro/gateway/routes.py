@@ -38,8 +38,16 @@ async def _maybe_await(value: Any) -> Any:
     return value
 
 
-def healthz(app: "GatewayApp") -> dict[str, Any]:
+async def _refresh_services(app: "GatewayApp") -> None:
+    """Bring every service's metrics and ``idle`` up to date: a remote
+    shard pulls its stats, a local service returns without yielding."""
+    for service in app.mux.services:
+        await service.refresh()
+
+
+async def healthz(app: "GatewayApp") -> dict[str, Any]:
     """Liveness: the mux's services and their driver state."""
+    await _refresh_services(app)
     return {
         "status": "ok",
         "services": {
@@ -52,9 +60,11 @@ def healthz(app: "GatewayApp") -> dict[str, Any]:
     }
 
 
-def metrics(app: "GatewayApp") -> dict[str, Any]:
+async def metrics(app: "GatewayApp") -> dict[str, Any]:
     """Scheduler / ledger / journal counters, per service, plus the
-    gateway's own request counters.  Read-only and cheap."""
+    gateway's own request counters.  Read-only: a remote shard's entry
+    costs one ``stats`` round trip."""
+    await _refresh_services(app)
     services = {
         (service.name or "svc"): service.metrics_snapshot()
         for service in app.mux.services

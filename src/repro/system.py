@@ -51,13 +51,13 @@ from repro.engine.jobs import JobManager, JobSpec, ProcessingPlan
 from repro.engine.planner import JobProjector, Projection
 from repro.engine.privacy import PrivacyManager
 from repro.engine.query import Query
-from repro.engine.scheduler import BatchSink, HITScheduler
+from repro.engine.scheduler import BatchSink
 from repro.engine.service import SchedulerService
 
 if TYPE_CHECKING:
     from repro.gateway import GatewayApp
 
-__all__ = ["JobRunner", "JobSubmitter", "CDAS", "runner_from_submitter"]
+__all__ = ["JobRunner", "JobSubmitter", "CDAS"]
 
 #: A runner executes a processing plan: (engine, plan, job inputs) → result.
 JobRunner = Callable[[CrowdsourcingEngine, ProcessingPlan, dict[str, Any]], Any]
@@ -98,9 +98,6 @@ class CDAS:
         self._runners: dict[str, JobRunner] = {}
         self._submitters: dict[str, JobSubmitter] = {}
         self._projectors: dict[str, JobProjector] = {}
-        #: Jobs whose runner was passed explicitly (not derived from the
-        #: submitter) — submit() must keep honouring it over the service.
-        self._explicit_runners: set[str] = set()
 
     # -- job registration ----------------------------------------------------
 
@@ -113,12 +110,13 @@ class CDAS:
     ) -> None:
         """Bind a job type to its execution logic.
 
-        ``submitter`` lets the job run on the service and on
-        :meth:`submit_many`'s shared scheduler; the blocking :meth:`submit`
-        path is derived from it (:func:`runner_from_submitter`) so the two
-        surfaces accept identical inputs.  Pass an explicit ``runner`` only
-        for jobs that cannot express their work as scheduler batches —
-        such jobs support :meth:`submit` but not the service.
+        ``submitter`` lets the job run on the service, on
+        :meth:`submit_many`'s shared scheduler and on the blocking
+        :meth:`submit` (a one-slot service), so every surface accepts
+        identical inputs.  Pass an explicit ``runner`` only for jobs that
+        cannot express their work as scheduler batches — such jobs
+        support :meth:`submit` but not the service; a job with both runs
+        :meth:`submit` through its runner.
 
         ``projector`` (optional) is the job's cost-projection half:
         ``(engine, plan, inputs) → Projection`` counting the job's items
@@ -126,16 +124,13 @@ class CDAS:
         the plan-first surface (``service.plan`` / ``submit(plan=…)`` /
         EXPLAIN); jobs without one still submit plan-lessly.
         """
-        if runner is None:
-            if submitter is None:
-                raise ValueError(
-                    f"job {spec.name!r} needs a runner, a submitter, or both"
-                )
-            runner = runner_from_submitter(submitter)
-        else:
-            self._explicit_runners.add(spec.name)
+        if runner is None and submitter is None:
+            raise ValueError(
+                f"job {spec.name!r} needs a runner, a submitter, or both"
+            )
         self.job_manager.register(spec)
-        self._runners[spec.name] = runner
+        if runner is not None:
+            self._runners[spec.name] = runner
         if submitter is not None:
             self._submitters[spec.name] = submitter
         if projector is not None:
@@ -397,11 +392,10 @@ class CDAS:
         """Run one query end to end through the registered job (blocking).
 
         A thin wrapper over the service: submit, run a one-slot service to
-        idle, return ``handle.result()``.  Jobs whose runner was registered
-        explicitly (rather than derived from a submitter) keep executing
-        through that runner, as they always did.
+        idle, return ``handle.result()``.  Jobs registered with a runner
+        keep executing through it, as they always did.
         """
-        if job_name not in self._submitters or job_name in self._explicit_runners:
+        if job_name in self._runners or job_name not in self._submitters:
             # Plans here; the service path plans inside service.submit
             # (both raise KeyError for unknown job names).
             plan = self.job_manager.plan(job_name, query)
@@ -458,25 +452,6 @@ class CDAS:
     def total_cost(self) -> float:
         """Everything this system has spent on the market so far."""
         return self.market.ledger.total_cost
-
-
-def runner_from_submitter(submitter: JobSubmitter) -> JobRunner:
-    """Derive the blocking runner from a scheduler-aware submitter.
-
-    Enqueues on a private one-slot scheduler, runs it, and finalizes —
-    exactly what a hand-written serial runner would do, so the two paths
-    (``submit`` and ``submit_many``) can never drift on accepted inputs.
-    """
-
-    def runner(
-        engine: CrowdsourcingEngine, plan: ProcessingPlan, inputs: dict[str, Any]
-    ) -> Any:
-        scheduler = HITScheduler(engine, max_in_flight=1)
-        finalize = submitter(engine, scheduler, plan, inputs)
-        scheduler.run()
-        return finalize()
-
-    return runner
 
 
 def _tsa_submitter(

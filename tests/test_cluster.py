@@ -483,9 +483,7 @@ def test_gateway_polls_and_streams_current_progress(flavour):
             service, _handle = app.resolve("acme", query_id)
 
             async def taken():
-                if flavour == "router":
-                    reply = await service.rpc.call("stats")
-                    return reply["stats"]["steps_taken"]
+                await service.refresh()
                 return service.steps_taken
 
             target = await taken() + steps
@@ -547,6 +545,109 @@ def test_gateway_polls_and_streams_current_progress(flavour):
     assert _monotone(streamed + [end])
     assert end["state"] == "done"
     assert end == final["progress"]
+
+
+class _InLoopWorker:
+    """A ``subprocess.Popen`` stand-in for the router's worker spawn: runs
+    the worker's main coroutine as a task on the running loop, so a test
+    can read the shard's own objects while the router talks to it over
+    a real localhost socket."""
+
+    def __init__(self, argv: list[str], env: dict | None = None) -> None:
+        import argparse
+        import os
+
+        from repro.cluster import worker
+
+        args = argparse.Namespace(
+            connect=argv[argv.index("--connect") + 1],
+            shard=argv[argv.index("--shard") + 1],
+        )
+        self.task = asyncio.get_running_loop().create_task(worker._amain(args))
+        self.pid = os.getpid()
+
+    def poll(self):
+        return 0 if self.task.done() else None
+
+    def wait(self, timeout=None):
+        return 0
+
+    def terminate(self):
+        self.task.cancel()
+
+    kill = terminate
+
+
+def test_router_metrics_are_the_shards_own(monkeypatch):
+    """A ``/v1/metrics`` read through a router is the shard's own
+    ``metrics_snapshot()`` at read time, plus ``alive``: once a poll
+    reports the last submitted query running, no query reads ``queued``,
+    although nobody polled the first two (their handle caches hold the
+    submit-time state)."""
+    import gc
+    import subprocess
+
+    from repro.cluster import ShardRouter
+    from repro.engine.aio import AsyncSchedulerService
+    from repro.gateway.app import GatewayApp
+    from repro.gateway.auth import TokenAuth
+    from repro.gateway.testing import InProcessClient
+
+    built = []
+    builder = AsyncSchedulerService.metrics_snapshot
+
+    def recorded(service):
+        snapshot = builder(service)
+        built.append(dict(snapshot))  # the worker adds ``idle`` to its own
+        return snapshot
+
+    monkeypatch.setattr(subprocess, "Popen", _InLoopWorker)
+    monkeypatch.setattr(AsyncSchedulerService, "metrics_snapshot", recorded)
+    gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
+    many = generate_tweets(["rio"], per_movie=600, seed=SEED + 2)
+    body = {
+        "job": "twitter-sentiment",
+        "query": {
+            "keywords": ["rio"], "required_accuracy": 0.85,
+            "domain": ["positive", "neutral", "negative"], "subject": "rio",
+        },
+        "inputs": {"$preset": "many"},
+    }
+
+    async def run():
+        async with ShardRouter(1, workload="bench", seed=SEED) as router:
+            await router.register_tenant("acme")
+            app = GatewayApp(
+                router, TokenAuth({"acme-token": "acme"}),
+                presets={"many": dict(
+                    tweets=many, gold_tweets=gold, worker_count=5, batch_size=6,
+                )},
+            )
+            client = InProcessClient(app, token="acme-token")
+            ids = [
+                (await client.post("/v1/queries", body)).json()["id"]
+                for _ in range(3)
+            ]
+            for _ in range(2000):
+                polled = (await client.get(f"/v1/queries/{ids[-1]}")).json()
+                if polled["progress"]["state"] == "running":
+                    break
+                await asyncio.sleep(0.005)
+            assert polled["progress"]["state"] == "running"
+            before = len(built)
+            metrics = (await client.get("/v1/metrics")).json()
+            health = (await client.get("/v1/healthz")).json()
+            return metrics["services"]["shard0"], built[before:], health
+
+    entry, built_since, health = asyncio.run(run())
+    # The in-loop shard's world is cyclic garbage now: free it here, not
+    # in a GC pause inside a later test's timing window.
+    gc.collect()
+    assert "queued" not in entry["queries"]
+    assert sum(entry["queries"].values()) == 3
+    # The first entry the shard built after the poll is the one served.
+    assert built_since and entry == {**built_since[0], "alive": True}
+    assert health["services"]["shard0"] == {"queries": 3, "idle": False}
 
 
 def _plain_submit(service, **kwargs):
@@ -722,16 +823,19 @@ def test_shard_stats_never_read_finished_queries():
         state = done = stranded = property(_untouchable)
 
     async def run():
-        worker = _Worker("s0", asyncio.Queue())
+        outbox: asyncio.Queue = asyncio.Queue()
+        worker = _Worker("s0", outbox)
         worker.init({"workload": "bench", "config": {"seed": SEED}})
         params = _worker_submission(movie_query("rio", 0.85), _small_inputs())
         for seq in range(200):
             worker.submit(params)
             if seq % 7 == 3:
                 await worker.cancel({"seq": seq})
-        await worker.service.wait_idle()
-        # Every pump, cancelled queries' too, ends with its terminal frame.
-        await asyncio.wait_for(asyncio.gather(*worker._pumps), 60)
+        await asyncio.wait_for(worker.service.wait_idle(), 60)
+        # Every query, cancelled ones too, sent its terminal frame as the
+        # driver dropped it from the live list.
+        terminal = [f["seq"] for f in _drain(outbox) if f["event"] == "terminal"]
+        assert sorted(terminal) == list(range(200))
         service = worker.service
         expected = state_counts(service.handles)
         assert set(expected) == {"done", "cancelled"}
@@ -746,63 +850,10 @@ def test_shard_stats_never_read_finished_queries():
     asyncio.run(run())
 
 
-def test_remote_metrics_never_read_latched_handles():
-    """The router-side twin: once a metrics or healthz read has seen a
-    handle latched, ``idle`` and ``metrics_snapshot`` never read it again;
-    handles still live are read and retire when their terminal frame
-    arrives."""
-    from repro.cluster.router import RemoteQueryHandle, RemoteShardService
-    from repro.engine.aio import state_counts
-    from repro.engine.service import QueryProgress, QueryState
-
-    class Latched(RemoteQueryHandle):
-        def _untouchable(self):
-            raise AssertionError("a latched handle was read")
-
-        state = done = stranded = property(_untouchable)
-
-    def snapshot(seq: int, state: QueryState) -> dict:
-        progress = QueryProgress(
-            state=state, items_answered=0, items_finalized=0,
-            hits_completed=0, hits_in_flight=0, accuracy_estimate=None,
-            spend=0.0, budget_exhausted=False,
-        )
-        return {
-            "seq": seq, "job": "twitter-sentiment", "tenant": "acme",
-            "subject": f"q{seq}", "progress": progress.to_dict(), "plan": None,
-        }
-
-    async def run():
-        service = RemoteShardService(None, "s0")
-        for seq in range(203):
-            service._adopt_snapshot(snapshot(seq, QueryState.RUNNING))
-        for seq in range(200):
-            state = QueryState.CANCELLED if seq % 7 == 3 else QueryState.DONE
-            service._handle_event(
-                {"event": "terminal", "seq": seq, "snapshot": snapshot(seq, state)}
-            )
-        expected = state_counts(service.handles)
-        assert expected == {"done": 171, "cancelled": 29, "running": 3}
-        assert service.idle is False  # a healthz read sees them latched
-        for handle in service.handles[:200]:
-            handle.__class__ = Latched
-        assert service.metrics_snapshot()["queries"] == expected
-        assert service.idle is False
-        for seq in range(200, 203):
-            service._handle_event(
-                {"event": "progress", "seq": seq,
-                 "progress": snapshot(seq, QueryState.DONE)["progress"]}
-            )
-        assert service.idle is True
-        assert service.metrics_snapshot()["queries"] == {"done": 174, "cancelled": 29}
-
-    asyncio.run(run())
-
-
 def test_unwatched_shard_query_sends_only_its_terminal_frame(monkeypatch):
-    """Nobody watches: the shard sends one frame for the query, the
-    ``terminal`` one, and its driver builds a progress snapshot only for
-    that frame."""
+    """Nobody watches: after the submit's ``snapshot`` event the shard
+    sends one frame for the query, the ``terminal`` one, and its driver
+    builds a progress snapshot only for that frame."""
     from repro.cluster.worker import _Worker
     from repro.engine.service import QueryHandle
 
@@ -819,7 +870,7 @@ def test_unwatched_shard_query_sends_only_its_terminal_frame(monkeypatch):
         worker.init({"workload": "bench", "config": {"seed": SEED}})
         worker.submit(_worker_submission(movie_query("rio", 0.85), _small_inputs()))
         monkeypatch.setattr(QueryHandle, "progress", counted)
-        await asyncio.wait_for(asyncio.gather(*worker._pumps), 60)
+        await asyncio.wait_for(worker.service.wait_idle(), 60)
         steps = worker.service.steps_taken
         frames = []
         while not outbox.empty():
@@ -831,8 +882,10 @@ def test_unwatched_shard_query_sends_only_its_terminal_frame(monkeypatch):
 
     frames, steps = asyncio.run(run())
     assert steps > 2
-    assert [(f["event"], f["seq"]) for f in frames] == [("terminal", 0)]
-    assert frames[0]["snapshot"]["progress"]["state"] == "done"
+    assert [(f["event"], f["seq"]) for f in frames] == [
+        ("snapshot", 0), ("terminal", 0)
+    ]
+    assert frames[-1]["snapshot"]["progress"]["state"] == "done"
     assert calls == [0]
 
 
@@ -850,6 +903,7 @@ def test_unwatch_stops_progress_frames_and_rewatch_primes():
         worker = _Worker("s0", outbox)
         worker.init({"workload": "bench", "config": {"seed": SEED}})
         worker.submit(_worker_submission(movie_query("rio", 0.85), inputs))
+        _drain(outbox)  # the submit's snapshot event
         ahandle = worker.service.handle_for(0)
         assert worker.watch({"seq": 0}) == {"ok": True}
         first = _snapshot_event(outbox)
@@ -903,3 +957,120 @@ def _snapshot_event(outbox: asyncio.Queue) -> dict:
     frames = _drain(outbox)
     assert frames[-1]["event"] == "snapshot"
     return frames[-1]
+
+
+# -- the router's event order, over a scripted connection ---------------------
+
+
+def _wire_snapshot(seq: int, state: str, **extra) -> dict:
+    progress = {
+        "state": state, "items_answered": 0, "items_finalized": 0,
+        "hits_completed": 0, "hits_in_flight": 0, "accuracy_estimate": None,
+        "spend": 0.0, "budget_exhausted": False,
+    }
+    return {
+        "seq": seq, "job": "twitter-sentiment", "tenant": "acme",
+        "subject": "rio", "progress": progress, "plan": None, **extra,
+    }
+
+
+def _wire_stats(steps: int) -> dict:
+    return {
+        "steps_taken": steps, "drains": 0, "queries": {"running": 1},
+        "ledger": {"charged_assignments": steps}, "journal": None, "idle": False,
+    }
+
+
+class _ScriptedShard:
+    """The worker's end of an RPC connection, scripted: each request the
+    router writes is answered by feeding the next scripted frames, back
+    to back, with the request's id on the reply (``"id": None``)."""
+
+    def __init__(self, reader: asyncio.StreamReader, script: list) -> None:
+        self.reader = reader
+        self.script = script
+
+    def write(self, data: bytes) -> None:
+        import json
+
+        call_id = json.loads(data[4:])["id"]
+        for frame in self.script.pop(0):
+            if "id" in frame:
+                frame = {**frame, "id": call_id}
+            self.reader.feed_data(encode_frame(frame))
+
+    async def drain(self) -> None:
+        pass
+
+    def close(self) -> None:
+        pass
+
+    async def wait_closed(self) -> None:
+        pass
+
+
+def _scripted_service(script: list):
+    from repro.cluster import ShardRouter
+    from repro.cluster.rpc import RpcClient
+
+    service = ShardRouter(1)["shard0"]  # never started: no process
+    reader = asyncio.StreamReader()
+    service.rpc = RpcClient(
+        reader, _ScriptedShard(reader, script), on_event=service._handle_event
+    )
+    service.alive = True
+    return service
+
+
+def test_submit_returns_a_handle_its_events_already_finished():
+    """A fast shard writes a submit's snapshot event, the reply and the
+    query's terminal event back to back: ``submit()`` returns the handle
+    the snapshot adopted, already terminal, carrying the caller's query."""
+    _, query, inputs = _submissions()[0]
+    summary = {"report": {"subject": "rio"}}
+
+    async def run():
+        service = _scripted_service([[
+            {"event": "snapshot", "seq": 0, "snapshot": _wire_snapshot(0, "queued")},
+            {"id": None, "result": {"seq": 0}},
+            {"event": "terminal", "seq": 0,
+             "snapshot": _wire_snapshot(0, "done", result=summary),
+             "stats": _wire_stats(9)},
+        ]])
+        handle = await service.submit(
+            "twitter-sentiment", query, tenant="acme", **inputs
+        )
+        assert handle.done and handle.state.value == "done"
+        assert handle.query is query
+        assert await handle.result(timeout=1) == summary
+        assert service.steps_taken == 9
+        await service.rpc.aclose()
+
+    asyncio.run(run())
+
+
+def test_cancel_keeps_the_stats_that_follow_its_reply():
+    """Events apply in wire order: with ``[stats A, cancel reply, stats
+    B]`` on the wire, the router holds B after ``cancel()`` returns — the
+    reply carries no state that could land over it."""
+    stats_a, stats_b = _wire_stats(5), _wire_stats(7)
+
+    async def run():
+        service = _scripted_service([[
+            {"event": "snapshot", "seq": 0, "snapshot": _wire_snapshot(0, "cancelled")},
+            {"event": "stats", "stats": stats_a},
+            {"id": None, "result": {"cancelled": True}},
+            {"event": "stats", "stats": stats_b},
+        ]])
+        service._handle_event(
+            {"event": "snapshot", "seq": 0, "snapshot": _wire_snapshot(0, "running")}
+        )
+        handle = service.handle_for(0)
+        assert await handle.cancel() is True
+        assert handle.state.value == "cancelled"
+        assert service.metrics_snapshot() == {
+            **{k: v for k, v in stats_b.items() if k != "idle"}, "alive": True
+        }
+        await service.rpc.aclose()
+
+    asyncio.run(run())

@@ -20,6 +20,7 @@ import pytest
 
 from repro.cluster import ShardRouter
 from repro.cluster.rpc import ShardDied
+from repro.engine.service import QueryState
 from repro.tsa.app import movie_query
 from repro.tsa.tweets import generate_tweets
 
@@ -36,6 +37,18 @@ def _inputs(per_movie: int):
         gold_tweets=generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1),
         worker_count=5,
         batch_size=4,
+    )
+
+
+def _monotone(snapshots: list) -> bool:
+    """Each progress snapshot is at or past the one before it: no earlier
+    state, and no fewer items, HITs or spend."""
+    order = list(QueryState)
+    counters = ("items_answered", "items_finalized", "hits_completed", "spend")
+    return all(
+        order.index(after.state) >= order.index(before.state)
+        and all(getattr(after, key) >= getattr(before, key) for key in counters)
+        for before, after in zip(snapshots, snapshots[1:])
     )
 
 
@@ -60,6 +73,8 @@ def test_unjournaled_kill_strands_handles_and_rehomes_tenants():
                 **_inputs(SLOW_TWEETS),
             )
             assert not handle.done  # genuinely mid-workload
+            await home.refresh()
+            assert not home.idle
             router.kill_shard(home.name)
             await _await_terminal(handle)
 
@@ -72,6 +87,7 @@ def test_unjournaled_kill_strands_handles_and_rehomes_tenants():
             # The dead shard is out of the routing table; the tenant's
             # new home is a survivor, and new work runs there.
             assert not home.routable
+            assert home.idle  # its last stats said busy; it runs nothing
             survivor = router.route("acme")
             assert survivor.name != home.name
             replacement = await survivor.submit(
@@ -141,7 +157,8 @@ def test_journaled_kill_under_an_open_stream_rewatches(tmp_path):
     """A router ``updates()`` stream open across a journaled shard's
     death: the respawned worker is asked to watch the query again, so
     progress keeps arriving from the new process, and the stream ends on
-    the terminal snapshot."""
+    the terminal snapshot.  Neither the stream nor polls move backwards
+    while the recovered run re-executes from the journal."""
 
     async def run():
         async with ShardRouter(
@@ -156,6 +173,15 @@ def test_journaled_kill_under_an_open_stream_rewatches(tmp_path):
                 **_inputs(SLOW_TWEETS),
             )
             first_pid = home.pid
+            polls = []
+
+            async def poll():
+                while not handle.done:
+                    await handle.refresh()
+                    polls.append(handle.progress())
+                    await asyncio.sleep(0.005)
+
+            poller = asyncio.get_running_loop().create_task(poll())
             seen = []
             killed = False
             async for snapshot in handle.updates():
@@ -164,10 +190,13 @@ def test_journaled_kill_under_an_open_stream_rewatches(tmp_path):
                     router.kill_shard(home.name)
                     killed = True
             result = await handle.result(timeout=180)
-            return first_pid, seen, handle.progress(), result
+            await poller
+            return first_pid, seen, polls, handle.progress(), result
 
-    first_pid, seen, final, result = asyncio.run(run())
+    first_pid, seen, polls, final, result = asyncio.run(run())
     assert result is not None and "report" in result
+    assert _monotone([snapshot for _pid, snapshot in seen])
+    assert _monotone(polls + [final])
     assert seen[-1][1] == final
     assert final.state.value == "done"
     respawned = [s for pid, s in seen[:-1] if pid != first_pid]
