@@ -57,6 +57,10 @@ DURABLE_KINDS = frozenset({"header", "tenant", "submit", "cancel", "done", "snap
 #: batch is generous (a sync barrier costs ~1ms on container filesystems).
 DEFAULT_FSYNC_EVERY = 256
 
+#: One encoder for every appended line: ``json.dumps`` with arguments
+#: builds a fresh encoder per call.  Same bytes, compact and NaN-free.
+_ENCODER = json.JSONEncoder(separators=(",", ":"), allow_nan=False)
+
 
 class JournalError(RuntimeError):
     """A journal could not be read, parsed or version-matched."""
@@ -161,7 +165,7 @@ class FileJournalStore:
 
     def append(self, record: dict[str, Any]) -> None:
         start = time.perf_counter()
-        self._write_line(json.dumps(record, separators=(",", ":"), allow_nan=False))
+        self._write_line(_ENCODER.encode(record))
         self.appended += 1
         self._unsynced += 1
         if record.get("k") in DURABLE_KINDS or self._unsynced >= self.fsync_every:

@@ -180,12 +180,12 @@ def _apply_action(durable: DurableSchedulerService, record: dict[str, Any]) -> N
         )
     elif kind == "cancel":
         seq = record["q"]
-        if seq >= len(durable._handles):
+        if seq >= len(durable._records):
             raise RecoveryDivergence(
                 f"journal cancels query seq={seq} but only "
-                f"{len(durable._handles)} queries were replayed"
+                f"{len(durable._records)} queries were replayed"
             )
-        handle = durable._handles[seq]
+        handle = durable._view(durable._records[seq])
         if handle.seq != seq:  # pragma: no cover - seq==index invariant
             raise RecoveryDivergence(
                 f"handle order drifted: index {seq} holds seq {handle.seq}"

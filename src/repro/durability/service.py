@@ -35,6 +35,7 @@ same store and can itself crash and recover again.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.durability import codec
@@ -62,20 +63,27 @@ def _spend_of(record: Any, ledger: Any) -> float:
 
 
 class _JournalObserver:
-    """Engine-layer hooks funnelled into the durable service's journal."""
+    """Engine-layer hooks funnelled into the durable service's journal.
+
+    The service, its records and its scheduler's event chain all hold the
+    observer, so it holds the service only weakly: a strong back-reference
+    would keep every dropped durable service alive until a full garbage
+    collection.  The hooks only ever run inside the service's own methods,
+    so the referent is always alive when they dereference it.
+    """
 
     __slots__ = ("_durable",)
 
     def __init__(self, durable: "DurableSchedulerService") -> None:
-        self._durable = durable
+        self._durable = weakref.ref(durable)
 
     def on_grant(self, record: Any, session: Any, group_index: int) -> None:
-        d = self._durable
+        d = self._durable()
         d._grant_groups.setdefault(record.seq, []).append(group_index)
         d._observed({"k": "grant", "t": d.ticks, "q": record.seq, "g": group_index})
 
     def on_event(self, event: Any, session: Any) -> None:
-        d = self._durable
+        d = self._durable()
         d._observed(
             {
                 "k": "ev",
@@ -87,17 +95,17 @@ class _JournalObserver:
         )
 
     def on_window(self, record: Any, index: int) -> None:
-        d = self._durable
+        d = self._durable()
         d._observed({"k": "window", "t": d.ticks, "q": record.seq, "i": index})
 
     def on_reserve(self, record: Any, amount: float) -> None:
-        d = self._durable
+        d = self._durable()
         d._observed(
             {"k": "reserve", "t": d.ticks, "q": record.seq, "a": round(amount, 6)}
         )
 
     def on_complete(self, record: Any) -> None:
-        d = self._durable
+        d = self._durable()
         ledger = d.engine.market.ledger
         d._observed(
             {

@@ -8,13 +8,15 @@ snapshot and replays only the journal tail after its offset: O(delta),
 not O(history).
 
 Closures and generators cannot pickle, so the parts of a query record
-that hold them (batch-spec ``sources``, the ``finalize`` assembler, the
-lazy ``plan_thunk``) are stripped before pickling and *regenerated* at
-load time by re-invoking the job's submitter with the journaled
-submission inputs — determinism guarantees the regenerated stream is
-bit-identical, so it is fast-forwarded past the specs that were already
-granted and re-linked to the pickled sessions.  Terminal records keep
-their pickled results and regenerate nothing.
+that hold them (batch-spec ``sources``, the ``finalize`` assembler) are
+stripped before pickling and *regenerated* at load time by re-invoking
+the job's submitter with the journaled submission inputs — determinism
+guarantees the regenerated stream is bit-identical, so it is
+fast-forwarded past the specs that were already granted and re-linked to
+the pickled sessions.  Terminal records keep their pickled results and
+regenerate nothing.  The lazy auto-plan's ``plan_args`` are stripped
+too and not regenerated: a plan-less query restored from a snapshot
+reads its ``plan`` as ``None``.
 
 Snapshot files are trusted local state (pickle): recovery only loads a
 snapshot whose journal pointer record carries a matching SHA-256 of the
@@ -33,7 +35,6 @@ from repro.durability import codec
 from repro.engine.service import (
     TERMINAL_STATES,
     _PlainSource,
-    QueryHandle,
     QueryIntake,
 )
 
@@ -63,7 +64,7 @@ def _capture_pickle(service: Any) -> bytes:
                 rec,
                 rec.sources,
                 rec.finalize,
-                rec.plan_thunk,
+                rec.plan_args,
                 rec._peeked,
                 rec._peeked_group,
                 rec._peeked_source,
@@ -72,7 +73,7 @@ def _capture_pickle(service: Any) -> bytes:
         )
         rec.sources = deque()
         rec.finalize = None
-        rec.plan_thunk = None
+        rec.plan_args = None
         rec._peeked = rec._peeked_group = rec._peeked_source = None
         rec.observer = None
     saved_observer = service.observer
@@ -97,7 +98,7 @@ def _capture_pickle(service: Any) -> bytes:
             (
                 rec.sources,
                 rec.finalize,
-                rec.plan_thunk,
+                rec.plan_args,
                 rec._peeked,
                 rec._peeked_group,
                 rec._peeked_source,
@@ -283,7 +284,6 @@ def install_snapshot(
     durable._grant_groups = {
         seq: list(info["group_indices"]) for seq, info in extras.items()
     }
-    durable._handles = [QueryHandle(durable, rec) for rec in durable._records]
     durable.ticks = payload["tick"]
 
 

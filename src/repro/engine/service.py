@@ -54,6 +54,7 @@ the next arrival unlocks — the blocking surfaces (``result``,
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -376,9 +377,12 @@ class _QueryRecord:
         self.groups = [entry.group for entry in sources]
         self.finalize = finalize
         self.query_plan = query_plan
-        #: Deferred auto-plan for plan-less submissions (resolved, once,
-        #: on the first ``QueryHandle.plan`` read; pure observability).
-        self.plan_thunk: Callable[[], QueryPlan] | None = None
+        #: Deferred auto-plan for plan-less submissions: the
+        #: ``(job_name, query, plan kwargs)`` that :meth:`SchedulerService.plan`
+        #: is called with, once, on the first ``QueryHandle.plan`` read
+        #: (pure observability).  Data, not a closure over the service:
+        #: the record must not point back at its owner.
+        self.plan_args: tuple[str, Query, dict[str, Any]] | None = None
         #: Whether this query participates in reservation accounting
         #: (plan-path submissions).  Plan-less queries stay reactive.
         self.reserve = reserve
@@ -420,6 +424,10 @@ class _QueryRecord:
         # id-keyed cache instead; its records start the aggregate empty.
         # One written before the sealed cursor re-checks every session.
         state.pop("_sealed_progress", None)
+        # One written while the deferred plan was a closure held it
+        # stripped (``None``); the arguments are gone with it.
+        state.pop("plan_thunk", None)
+        state.setdefault("plan_args", None)
         state.setdefault("_sealed", _SealedPrefix())
         state.setdefault("_first_unsealed", 0)
         self.__dict__.update(state)
@@ -812,6 +820,11 @@ class QueryHandle:
     Returned immediately by :meth:`SchedulerService.submit`; the query
     advances whenever the service is pumped (by anyone — ``step``,
     ``run_until_idle``, or another handle's blocking :meth:`result`).
+
+    A handle is a view: it owns its service (so a handle held alone keeps
+    the service usable), while the service owns only the query's record
+    and caches the view weakly.  Nothing the service holds points back at
+    a handle, so a service nobody references is freed at once.
     """
 
     def __init__(self, service: "SchedulerService", record: _QueryRecord) -> None:
@@ -856,10 +869,10 @@ class QueryHandle:
         engine with no forced worker count.
         """
         record = self._record
-        if record.query_plan is None and record.plan_thunk is not None:
-            thunk, record.plan_thunk = record.plan_thunk, None
+        if record.query_plan is None and record.plan_args is not None:
+            (job_name, query, kwargs), record.plan_args = record.plan_args, None
             try:
-                record.query_plan = thunk()
+                record.query_plan = self._service.plan(job_name, query, **kwargs)
             except Exception:
                 record.query_plan = None
         return record.query_plan
@@ -1054,7 +1067,12 @@ class SchedulerService:
         #: The records not yet seen terminal, in seq order: what each step
         #: walks.  Anything that assigns :attr:`_records` rebuilds it.
         self._live: list[_QueryRecord] = []
-        self._handles: list[QueryHandle] = []
+        #: Each record's handle while someone holds it (see
+        #: :attr:`handles`).  Weak: a handle owns its service, so a strong
+        #: cache here would make every service a reference cycle.
+        self._views: weakref.WeakValueDictionary[_QueryRecord, QueryHandle] = (
+            weakref.WeakValueDictionary()
+        )
         #: Optional lifecycle observer (duck-typed; see the durability
         #: layer's ``_JournalObserver``).  Called ``on_grant(record,
         #: session, group_index)`` when a batch takes a publish slot,
@@ -1319,23 +1337,15 @@ class SchedulerService:
         # second candidate-resolution pass, and a projection failure
         # (no projector, uncalibrated μ) reads as ``None`` rather than
         # breaking the plan-less surface.  Planning is pure, so deferring
-        # it changes nothing but *when* μ is sampled.  The closure pins
-        # the job inputs for the record's lifetime — no heavier than the
-        # sessions/results the record retains anyway.
-        record.plan_thunk = lambda: self.plan(
+        # it changes nothing but *when* μ is sampled.  The record pins
+        # the job inputs for its lifetime — no heavier than the
+        # sessions/results it retains anyway.
+        record.plan_args = (
             job_name,
             query,
-            tenant=tenant,
-            budget=budget,
-            priority=priority,
-            **job_inputs,
+            dict(tenant=tenant, budget=budget, priority=priority, **job_inputs),
         )
-        self._records.append(record)
-        self._live.append(record)
-        self.admission.register(record)
-        handle = QueryHandle(self, record)
-        self._handles.append(handle)
-        return handle
+        return self._enqueue(record)
 
     def _validate_request(
         self, job_name: str, budget: float | None, priority: float | None
@@ -1394,17 +1404,30 @@ class SchedulerService:
         if decision is not None:
             record.reserved = decision.upfront
             record.upfront_reservation = decision.upfront
+        return self._enqueue(record)
+
+    def _enqueue(self, record: _QueryRecord) -> QueryHandle:
+        """Hand a new record to the pump; returns its handle."""
         self._records.append(record)
         self._live.append(record)
         self.admission.register(record)
-        handle = QueryHandle(self, record)
-        self._handles.append(handle)
+        return self._view(record)
+
+    def _view(self, record: _QueryRecord) -> QueryHandle:
+        """The record's live handle, or a fresh one (cached weakly)."""
+        handle = self._views.get(record)
+        if handle is None:
+            handle = self._views[record] = QueryHandle(self, record)
         return handle
 
     @property
     def handles(self) -> tuple[QueryHandle, ...]:
-        """Every handle this service has issued, in submission order."""
-        return tuple(self._handles)
+        """A handle for every query submitted, in submission order.
+
+        A handle someone still holds comes back by identity; one nobody
+        holds any more is rebuilt as a fresh view of the same record.
+        """
+        return tuple(self._view(record) for record in self._records)
 
     # -- the pump --------------------------------------------------------------
 

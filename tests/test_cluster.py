@@ -18,6 +18,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from deadlines import wait_until
 
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.trace import canonical_json
@@ -487,8 +488,12 @@ def test_gateway_polls_and_streams_current_progress(flavour):
                 return service.steps_taken
 
             target = await taken() + steps
-            while await taken() < target:
-                await asyncio.sleep(0.005)
+
+            async def reached():
+                while await taken() < target:
+                    await asyncio.sleep(0.005)
+
+            await asyncio.wait_for(reached(), 30)
 
         submitted = await client.post("/v1/queries", body)
         assert submitted.status == 201
@@ -779,10 +784,14 @@ def test_worker_pump_streams_the_first_step():
         worker.submit(_worker_submission(query, inputs))
         worker.watch({"seq": 0})
         frames = []
-        while not frames or frames[-1]["event"] != "terminal":
-            frame = await outbox.get()
-            if frame.get("seq") == 0 and frame["event"] != "snapshot":
-                frames.append(frame)
+
+        async def to_terminal():
+            while not frames or frames[-1]["event"] != "terminal":
+                frame = await outbox.get()
+                if frame.get("seq") == 0 and frame["event"] != "snapshot":
+                    frames.append(frame)
+
+        await asyncio.wait_for(to_terminal(), 30)
         await worker.aclose()
         return frames
 
@@ -791,9 +800,14 @@ def test_worker_pump_streams_the_first_step():
         service = AsyncSchedulerService(cdas.service(max_in_flight=4), name="s0")
         handle = service.submit("twitter-sentiment", query, tenant="default", **inputs)
         queue = handle.subscribe()
-        snapshots = [await queue.get()]
-        while snapshots[-1].state not in TERMINAL_STATES:
+        snapshots = []
+
+        async def to_terminal():
             snapshots.append(await queue.get())
+            while snapshots[-1].state not in TERMINAL_STATES:
+                snapshots.append(await queue.get())
+
+        await asyncio.wait_for(to_terminal(), 30)
         await service.aclose()
         return snapshots
 
@@ -908,27 +922,38 @@ def test_unwatch_stops_progress_frames_and_rewatch_primes():
         assert worker.watch({"seq": 0}) == {"ok": True}
         first = _snapshot_event(outbox)
         watched = []
-        while len(watched) < 3:
-            frame = await outbox.get()
-            if frame.get("seq") == 0:
-                watched.append(frame)
+
+        async def three_watched():
+            while len(watched) < 3:
+                frame = await outbox.get()
+                if frame.get("seq") == 0:
+                    watched.append(frame)
+
+        await asyncio.wait_for(three_watched(), 30)
         worker.unwatch({"seq": 0})
         while not outbox.empty():  # what the unwatch flushed
             watched.append(outbox.get_nowait())
         assert not ahandle._queues
         steps = worker.service.steps_taken
-        while worker.service.steps_taken < steps + 5:
-            await asyncio.sleep(0)
+        await wait_until(
+            lambda: worker.service.steps_taken >= steps + 5,
+            interval=0,
+            what="five more steps",
+        )
         quiet = [f for f in _drain(outbox) if f.get("seq") == 0]
         assert not ahandle.done
         worker.watch({"seq": 0})
         second = _snapshot_event(outbox)
         current = handle_snapshot(ahandle)
         resumed = []
-        while not resumed or resumed[-1]["event"] != "terminal":
-            frame = await outbox.get()
-            if frame.get("seq") == 0:
-                resumed.append(frame)
+
+        async def to_terminal():
+            while not resumed or resumed[-1]["event"] != "terminal":
+                frame = await outbox.get()
+                if frame.get("seq") == 0:
+                    resumed.append(frame)
+
+        await asyncio.wait_for(to_terminal(), 30)
         await worker.aclose()
         return first, watched, quiet, second, current, resumed
 

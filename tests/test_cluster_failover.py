@@ -17,6 +17,7 @@ from __future__ import annotations
 import asyncio
 
 import pytest
+from deadlines import wait_until
 
 from repro.cluster import ShardRouter
 from repro.cluster.rpc import ShardDied
@@ -52,15 +53,6 @@ def _monotone(snapshots: list) -> bool:
     )
 
 
-async def _await_terminal(handle, timeout: float = 30.0) -> None:
-    deadline = asyncio.get_running_loop().time() + timeout
-    while not (handle.done or handle.stranded is not None):
-        assert asyncio.get_running_loop().time() < deadline, (
-            f"handle stuck {handle.state.value}"
-        )
-        await asyncio.sleep(0.05)
-
-
 def test_unjournaled_kill_strands_handles_and_rehomes_tenants():
     async def run():
         async with ShardRouter(2, workload="bench", seed=SEED) as router:
@@ -76,7 +68,11 @@ def test_unjournaled_kill_strands_handles_and_rehomes_tenants():
             await home.refresh()
             assert not home.idle
             router.kill_shard(home.name)
-            await _await_terminal(handle)
+            await wait_until(
+                lambda: handle.done or handle.stranded is not None,
+                interval=0.05,
+                what="the stranded handle to settle",
+            )
 
             # The handle reports FAILED, never hangs.
             assert handle.state.value == "failed"
@@ -181,14 +177,20 @@ def test_journaled_kill_under_an_open_stream_rewatches(tmp_path):
                     polls.append(handle.progress())
                     await asyncio.sleep(0.005)
 
-            poller = asyncio.get_running_loop().create_task(poll())
+            poller = asyncio.get_running_loop().create_task(
+                asyncio.wait_for(poll(), 180)
+            )
             seen = []
-            killed = False
-            async for snapshot in handle.updates():
-                seen.append((home.pid, snapshot))
-                if not killed and snapshot.items_answered > 0:
-                    router.kill_shard(home.name)
-                    killed = True
+
+            async def watch():
+                killed = False
+                async for snapshot in handle.updates():
+                    seen.append((home.pid, snapshot))
+                    if not killed and snapshot.items_answered > 0:
+                        router.kill_shard(home.name)
+                        killed = True
+
+            await asyncio.wait_for(watch(), 180)
             result = await handle.result(timeout=180)
             await poller
             return first_pid, seen, polls, handle.progress(), result
@@ -219,8 +221,12 @@ def test_worker_aclose_cancels_watch_forwarders():
             "tenant": "default",
         })
         worker.watch({"seq": 0})
-        while (await outbox.get()).get("event") != "progress":
-            pass
+
+        async def progress_frame():
+            while (await outbox.get()).get("event") != "progress":
+                pass
+
+        await asyncio.wait_for(progress_frame(), 30)
         ahandle = worker.service.handle_for(0)
         _queue, forwarder = worker._watches[0]
         assert not forwarder.done() and ahandle._queues
@@ -235,7 +241,11 @@ def test_worker_aclose_cancels_watch_forwarders():
 def test_router_aclose_settles_watch_calls(tmp_path):
     """Watch exchanges still in flight at shutdown — an unwatch sent to a
     live shard, a watch parked on a dead journaled shard's respawn — are
-    settled by ``aclose()``: no task is left pending."""
+    settled by ``aclose()``: no task is left pending.
+
+    The live query is watched right after its submit, before the kill,
+    and is ten times the usual slow workload, so it is still running
+    long after the router has seen the other shard die."""
 
     async def run():
         router = ShardRouter(
@@ -245,21 +255,19 @@ def test_router_aclose_settles_watch_calls(tmp_path):
         await router.register_tenant("acme")
         await router.register_tenant("globex")
         handles = []
-        for tenant in ("acme", "globex"):
+        for tenant, tweets in (("acme", 10 * SLOW_TWEETS), ("globex", SLOW_TWEETS)):
             handles.append(await router.route(tenant).submit(
                 "twitter-sentiment",
                 movie_query("rio", 0.9),
                 tenant=tenant,
-                **_inputs(SLOW_TWEETS),
+                **_inputs(tweets),
             ))
         live, doomed = handles
+        queue = live.subscribe()
+        await wait_until(lambda: live._watched, what="the live shard's watch reply")
         dead = router.route("globex")
         router.kill_shard(dead.name)
-        while dead.alive:
-            await asyncio.sleep(0.01)
-        queue = live.subscribe()
-        while not live._watched:
-            await asyncio.sleep(0.01)
+        await wait_until(lambda: not dead.alive, what="the router to see the kill")
         live.unsubscribe(queue)  # an unwatch, sent before aclose runs
         doomed.subscribe()  # a watch parked on the respawn
         await asyncio.sleep(0)
