@@ -4,11 +4,11 @@
 :class:`~repro.engine.aio.ServiceMux`: it spawns one
 :mod:`repro.cluster.worker` process per shard, hands each a workload
 *recipe* (never live objects), and exposes every shard as a
-:class:`RemoteShardService` offering the same service surface as
-:class:`~repro.engine.aio.AsyncSchedulerService` (observation, metrics,
-``flush_journal``) — so ``GatewayApp(router, ...)`` serves ``POST
-/v1/queries`` across processes without asking which flavour it holds;
-only ``submit``/``plan`` are awaitable here.
+:class:`RemoteShardService` offering the gateway's service contract
+(:class:`~repro.gateway.app.GatewayService`) — so ``GatewayApp(router,
+...)`` serves ``POST /v1/queries`` across processes without asking which
+flavour it holds; only ``submit``/``plan`` are awaitable here, and the
+driver runs in the worker process.
 
 Shard state arrives as events, applied in wire order; replies carry
 only the call's own result (DESIGN.md §14).  The RPC reader applies
@@ -327,9 +327,8 @@ class RemoteShardService:
     (``submit``/``plan``/``register_tenant`` — awaitable here, which the
     gateway's routes tolerate via ``_maybe_await``) are RPC round trips
     that rebuild the engine's own exception types from the wire
-    taxonomy, so the gateway's 402/403/400 mapping is untouched.
-    ``flush_journal`` is a no-op: the worker applies the durability
-    barrier before it acks.
+    taxonomy, so the gateway's 402/403/400 mapping is untouched.  A
+    journaled shard commits an action before the worker acks it.
     """
 
     def __init__(
@@ -400,18 +399,6 @@ class RemoteShardService:
         """The worker's drain count (restarts at a respawn, as
         ``steps_taken`` does)."""
         return int(self._stats.get("drains", 0))
-
-    def _ensure_driver(self) -> None:
-        """No-op: the driver loop lives in the worker process."""
-
-    def _kick(self) -> None:
-        """No-op: a respawned worker restarts its own driver."""
-
-    def _wake_driver(self) -> None:
-        """No-op: worker drivers wake on their own submissions."""
-
-    def flush_journal(self) -> None:
-        """No-op: the worker flushes its journal before acking."""
 
     async def refresh(self) -> None:
         """Pull the shard's current stats (one ``stats`` round trip,

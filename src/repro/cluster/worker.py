@@ -36,11 +36,11 @@ reply.  Stats are the gateway's per-service ``/v1/metrics`` entry
 With a journal the worker composes durability unchanged: a fresh
 journal makes the service a :class:`DurableSchedulerService` (the
 journaled ``SchedulerService`` subclass), non-empty ones are *recovered*
-(same query ids, no re-charge) before serving, and submits are flushed
-to disk before their RPC response leaves — the same barrier-before-ack
-rule the HTTP gateway applies before its 201.  A journal store error
-stops the service (``JournalFailed``) and answers every later request
-with the ``journal-failed`` wire error.
+(same query ids, no re-charge) before serving, and the durable service
+commits each submit, cancel and tenant record before the call returns,
+so before the RPC response leaves.  A journal store error stops the
+service (``JournalFailed``) and answers every later request with the
+``journal-failed`` wire error.
 """
 
 from __future__ import annotations
@@ -212,31 +212,24 @@ class _Worker:
             "pool_size", getattr(factory, "default_pool_size", 200)
         )
         cdas = factory(config)
-        recovered = False
-        if journal is not None and (
+        recovered = journal is not None and (
             os.path.exists(journal) and os.path.getsize(journal) > 0
-        ):
+        )
+        if recovered:
             inner = cdas.recover(journal)
-            recovered = True
-        elif journal is not None:
+        else:
             inner = cdas.service(
                 max_in_flight=int(params.get("max_in_flight", 4)),
                 journal=journal,
                 journal_meta={"workload": workload, "config": config},
             )
-        else:
-            inner = cdas.service(
-                max_in_flight=int(params.get("max_in_flight", 4))
-            )
+        # Adopts a recovered service's handles; its driver task runs only
+        # after this handler returns, with the hooks below set.
         service = AsyncSchedulerService(inner, name=self.shard)
         # The driver flushed the journal before draining.
         service.on_drain = lambda _svc: self.send_stats()
         service.on_latch = self._on_latch
         self.service = service
-        if recovered:
-            for handle in inner.handles:
-                service.adopt(handle)
-            service._kick()
         for ahandle in service.handles:
             self._post_snapshot(ahandle)
         self.send_stats()
@@ -251,7 +244,6 @@ class _Worker:
             budget_cap=None if budget_cap is None else float(budget_cap),
             priority=float(params.get("priority", 1.0)),
         )
-        self.service.flush_journal()
         return {"ok": True}
 
     def _decode_submission(self, params: dict[str, Any]):
@@ -292,8 +284,6 @@ class _Worker:
             reserve=bool(params.get("reserve", True)),
             **inputs,
         )
-        # Durability barrier before the ack, as the gateway's 201.
-        self.service.flush_journal()
         self._post_snapshot(ahandle)
         return {"seq": ahandle.seq}
 

@@ -10,11 +10,11 @@ the overridden :meth:`~DurableSchedulerService.step` and whose
 ``cancel()`` goes through the overridden ``_cancel``:
 
 * **Actions** (tenant registration, submissions, cancels) are journaled
-  with the current service *tick* and committed before the call returns.
-  Cancels are written ahead of being applied (they have immediate market
-  side effects); submissions are validated first (an eagerly-refused
-  submission has no state to recover) and journaled before any pump step
-  can publish their work.
+  with the current service *tick* and committed before the call returns
+  (on any store: callers add no barrier).  Cancels are written ahead of
+  being applied (they have immediate market side effects); submissions
+  are validated first (an eagerly-refused submission has no state to
+  recover) and journaled before any pump step can publish their work.
 * **Progress marks** (slot grants, submission events, window pulls,
   reservations, completions) are emitted by observer hooks inside the
   engine layer and group-committed; they exist so recovery can *verify*
@@ -239,6 +239,11 @@ class DurableSchedulerService(SchedulerService):
             return
         self._append(record)
 
+    def _commit_action(self, record: dict[str, Any]) -> None:
+        """Journal one action and commit it before the caller acts on it."""
+        self._observed(record)
+        self._store_call(self.store.commit)
+
     def flush_journal(self) -> None:
         """Durability barrier: fsync everything appended so far.  The
         async driver calls this whenever it goes dormant or drains, which
@@ -286,7 +291,7 @@ class DurableSchedulerService(SchedulerService):
         # Validate before journaling: a record that raises on replay
         # would make the whole journal unrecoverable.
         TenantPolicy(name=name, budget_cap=budget_cap, priority=priority)
-        self._observed(
+        self._commit_action(
             {
                 "k": "tenant",
                 "t": self.ticks,
@@ -336,7 +341,7 @@ class DurableSchedulerService(SchedulerService):
             job_inputs = dict(plan.job_inputs)
         else:
             mode = "reserve" if reserve else "plain"
-        self._observed(
+        self._commit_action(
             {
                 "k": "submit",
                 "t": self.ticks,
@@ -360,7 +365,7 @@ class DurableSchedulerService(SchedulerService):
         self._ensure_healthy()
         if record.state in TERMINAL_STATES:
             return False
-        self._observed({"k": "cancel", "t": self.ticks, "q": record.seq})
+        self._commit_action({"k": "cancel", "t": self.ticks, "q": record.seq})
         return super()._cancel(record)
 
     # -- the pump ------------------------------------------------------------

@@ -94,7 +94,7 @@ class AsyncHandleBase:
     Holds the query's identity, the terminal latch and stranded error,
     the bounded subscriber fan-out (``subscribe`` / ``unsubscribe`` /
     ``updates``) and the waiting half of ``await result()``.  A subclass
-    supplies only three things:
+    supplies only four things:
 
     * where progress comes from — it reads ``state`` / ``plan`` /
       ``spend`` / ``progress()`` from its source, calls :meth:`_push`
@@ -103,10 +103,9 @@ class AsyncHandleBase:
     * how :meth:`cancel` gets to the query;
     * the terminal value :meth:`_terminal_value` returns or raises, and
       its wire forms: :meth:`result_summary` for a DONE query,
-      :attr:`error_text` for a FAILED one.
-
-    ``service`` must offer ``_ensure_driver()``: awaiting or subscribing
-    to a live query makes sure something is pumping it.
+      :attr:`error_text` for a FAILED one;
+    * who pumps the query: a local handle starts its service's driver, a
+      remote one's shard runs its own.
     """
 
     def __init__(
@@ -181,7 +180,6 @@ class AsyncHandleBase:
             Exactly as the sync :meth:`QueryHandle.result`.
         """
         if not self.done:
-            self._service._ensure_driver()
             if timeout is None:
                 await self._terminal.wait()
             else:
@@ -219,8 +217,8 @@ class AsyncHandleBase:
 
     async def refresh(self) -> None:
         """Bring :meth:`progress` up to date before a one-off read (a
-        poll).  A local handle reads its query directly, so this returns
-        without yielding; a remote one may pull a snapshot."""
+        poll).  A local handle reads its query directly and only starts
+        its driver, without yielding; a remote one may pull a snapshot."""
 
     def subscribe(
         self, max_pending: int = DEFAULT_UPDATE_QUEUE
@@ -240,8 +238,6 @@ class AsyncHandleBase:
         """
         if max_pending < 1:
             raise ValueError(f"max_pending must be ≥ 1, got {max_pending}")
-        if not self.done:
-            self._service._ensure_driver()
         queue: asyncio.Queue[QueryProgress] = asyncio.Queue(maxsize=max_pending)
         self._queues.append(queue)
         return queue
@@ -360,6 +356,18 @@ class AsyncQueryHandle(AsyncHandleBase):
         """Snapshot the query's progress right now (no await needed)."""
         return self.handle.progress()
 
+    def _pump(self) -> None:
+        """Make sure the service's driver is pumping a live query."""
+        if not self.done:
+            self._service._ensure_driver()
+
+    async def result(self, timeout: float | None = None) -> Any:
+        self._pump()
+        return await super().result(timeout)
+
+    async def refresh(self) -> None:
+        self._pump()
+
     def _terminal_value(self) -> Any:
         # Terminal: the sync result() returns/raises without pumping.
         return self.handle.result()
@@ -385,7 +393,7 @@ class AsyncQueryHandle(AsyncHandleBase):
         cancelled = self.handle.cancel()
         if cancelled:
             self._publish()
-            self._service._wake_driver()
+            self._service._wake.set()
             # Let waiters observe the cancellation before we return.
             await asyncio.sleep(0)
         return cancelled
@@ -394,6 +402,7 @@ class AsyncQueryHandle(AsyncHandleBase):
         self, max_pending: int = DEFAULT_UPDATE_QUEUE
     ) -> "asyncio.Queue[QueryProgress]":
         queue = super().subscribe(max_pending)
+        self._pump()
         if self._baseline_stale:
             # Driver steps and async cancels are each followed by a
             # publish, so the snapshot now is the baseline the skipped
@@ -452,6 +461,8 @@ class AsyncSchedulerService:
       backend's ``next_arrival_eta()`` as timeout — asleep until the next
       arrival unlocks or an external ``submit``/``cancel`` wakes it;
     * when the service drains it exits; the next submission restarts it.
+      Construction adopts the wrapped service's handles (a recovered
+      journal's) and starts the driver for live ones.
 
     ``async with`` the service (or :meth:`aclose` it) to cancel a parked
     driver on shutdown; handles stay readable afterwards.
@@ -495,6 +506,10 @@ class AsyncSchedulerService:
         #: worker sends the handle's terminal frame here).  A handle
         #: adopted terminal never reaches it.
         self.on_latch: Callable[[AsyncQueryHandle], None] | None = None
+        for handle in service.handles:
+            self._add(handle)
+        if self._live:
+            self._ensure_driver()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = "" if self.name is None else f" {self.name!r}"
@@ -577,9 +592,10 @@ class AsyncSchedulerService:
         return ledger_summary(self.service.engine.market.ledger)
 
     async def refresh(self) -> None:
-        """Bring :meth:`metrics_snapshot` and :attr:`idle` up to date
-        before a read: a no-op here, where both read the service
-        directly (a remote shard pulls its stats)."""
+        """Start an adopted live query's driver before a read (a remote
+        shard pulls its stats here; this service reads them directly)."""
+        if self._live:
+            self._ensure_driver()
 
     def metrics_snapshot(self) -> dict[str, Any]:
         """This service's ``/v1/metrics`` entry: pump steps, drains, query
@@ -622,37 +638,16 @@ class AsyncSchedulerService:
             **job_inputs,
         )
         ahandle = self._add(handle)
-        self._wake_driver()
-        try:
-            asyncio.get_running_loop()
-        except RuntimeError:
-            pass  # no loop yet: result()/updates()/wait_idle() will start it
-        else:
-            self._ensure_driver()
+        self._wake.set()
+        self._ensure_driver()
         return ahandle
-
-    def adopt(self, handle: QueryHandle) -> AsyncQueryHandle:
-        """Wrap an *existing* sync handle of the wrapped service.
-
-        The recovery seam: a journal-recovered service arrives with its
-        handles already rebuilt on the sync surface (plain
-        :class:`~repro.engine.service.QueryHandle`\\ s — the journaled
-        service is a :class:`SchedulerService` subclass), and the gateway
-        needs awaitable views of them so recovered query ids stay
-        resolvable (and streamable) after a restart.  Idempotent per
-        underlying handle.
-        """
-        existing = self._by_seq.get(handle.seq)
-        if existing is not None and existing.handle is handle:
-            return existing
-        return self._add(handle)
 
     def _add(self, handle: QueryHandle) -> AsyncQueryHandle:
         ahandle = AsyncQueryHandle(self, handle)
         self._handles.append(ahandle)
         self._by_seq[ahandle.seq] = ahandle
         if handle.done:
-            # Recovered terminal: latched and counted now, never live.
+            # Adopted terminal: latched and counted now, never live.
             ahandle._terminal.set()
             self._retired = state_counts((ahandle,), self._retired)
         else:
@@ -661,21 +656,16 @@ class AsyncSchedulerService:
 
     # -- the driver ----------------------------------------------------------
 
-    def _wake_driver(self) -> None:
-        self._wake.set()
-
-    def _kick(self) -> None:
-        """Restart the driver if a live query has none pumping it — a
-        journal-recovered service's in-flight queries, which no submit
-        ever started a driver for."""
-        if any(not handle.done for handle in self._live):
-            self._ensure_driver()
-
     def _ensure_driver(self) -> None:
-        """Start (or restart) the driver task; requires a running loop."""
+        """Start (or restart) the driver task.  Outside a running loop
+        it waits: the first awaited operation on the service starts it."""
         if self._driver is None or self._driver.done():
+            try:
+                loop = asyncio.get_running_loop()
+            except RuntimeError:
+                return
             self._error = None
-            self._driver = asyncio.get_running_loop().create_task(
+            self._driver = loop.create_task(
                 self._drive(),
                 name=f"cdas-driver-{self.name or hex(id(self.service))}",
             )

@@ -226,9 +226,7 @@ class HITSession:
             # Scored above and untouched below: one accuracy read serves
             # every question this assignment answered.
             accuracy = engine.estimator.accuracy(assignment.worker_id)
-            track = self._track
-            if track:
-                hired = self._hit.assignments
+            hired = self._hit.assignments
             for q in self._real:
                 answer = assignment.answers.get(q.question_id)
                 if answer is None:
@@ -241,9 +239,9 @@ class HITSession:
                         assignment.keywords.get(q.question_id, ()),
                     )
                 )
-                if track and (len(votes) > hired or answer not in q.options):
+                if len(votes) > hired or answer not in q.options:
                     _reject_arrival(q, answer, len(votes), hired)
-            if track:
+            if self._track:
                 self._unfolded.append((assignment, accuracy))
             # not self._terminated_early: once the rule fired and we
             # cancelled, never re-evaluate or re-cancel (the legacy loop

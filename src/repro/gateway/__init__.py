@@ -19,9 +19,9 @@ Surface (all under ``/v1``, bearer-token tenant auth)::
     GET    /v1/healthz              liveness (unauthenticated)
     GET    /v1/metrics              scheduler/ledger/journal counters
 
-Composes with the durability layer: a gateway over a journaled service
-flushes the write-ahead journal before acknowledging submits and
-cancels, and after ``recover()`` the same public query ids resolve
+Composes with the durability layer: a journaled service commits each
+submit and cancel before the gateway acknowledges it, and after
+``recover()`` the same public query ids resolve
 (ids are ``<service>-<seq>``, and ``seq`` is journaled).
 """
 

@@ -34,11 +34,11 @@ from __future__ import annotations
 import json
 import re
 from collections.abc import Mapping
-from typing import Any
+from typing import Any, Protocol
 
 from repro.cluster.rpc import ShardDied
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService, ServiceMux
+from repro.engine.aio import AsyncHandleBase, AsyncSchedulerService, ServiceMux
 from repro.engine.planner import PlanInfeasible
 from repro.engine.service import AdmissionRejected
 
@@ -47,7 +47,7 @@ from repro.gateway.auth import AuthError, TokenAuth
 from repro.gateway.codec import BadRequest, dumps
 from repro.gateway.sse import stream_updates
 
-__all__ = ["GatewayApp", "HttpError"]
+__all__ = ["GatewayApp", "GatewayService", "HttpError"]
 
 #: Public query ids look like ``<service>-<seq>``.
 _QUERY_ID = re.compile(r"^(?P<service>.+)-(?P<seq>\d+)$")
@@ -55,6 +55,55 @@ _QUERY_ID = re.compile(r"^(?P<service>.+)-(?P<seq>\d+)$")
 #: Submit bodies may not exceed this (a DoS guard, not a protocol limit;
 #: the demo corpora encode to well under it).
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+
+class GatewayService(Protocol):
+    """The service members the gateway uses, and the only ones: what
+    :class:`~repro.engine.aio.AsyncSchedulerService` and the cluster's
+    ``RemoteShardService`` offer.  ``plan`` and ``submit`` may answer
+    with an awaitable (an RPC round trip); the routes take either."""
+
+    @property
+    def name(self) -> str | None: ...
+
+    @property
+    def handles(self) -> tuple[AsyncHandleBase, ...]: ...
+
+    def handle_for(self, seq: int) -> AsyncHandleBase | None: ...
+
+    @property
+    def idle(self) -> bool: ...
+
+    async def refresh(self) -> None: ...
+
+    def metrics_snapshot(self) -> dict[str, Any]: ...
+
+    def ledger_summary(self) -> dict[str, Any]: ...
+
+    def plan(
+        self,
+        job_name: str,
+        query: Any,
+        *,
+        tenant: str,
+        budget: float | None,
+        priority: float | None,
+        **job_inputs: Any,
+    ) -> Any: ...
+
+    def preadmit(self, plan: Any) -> Any: ...
+
+    def submit(
+        self,
+        job_name: str,
+        query: Any,
+        *,
+        tenant: str,
+        budget: float | None,
+        priority: float | None,
+        reserve: bool,
+        **job_inputs: Any,
+    ) -> Any: ...
 
 
 class HttpError(Exception):
@@ -80,9 +129,10 @@ class GatewayApp:
     Parameters
     ----------
     mux:
-        The services to expose.  A bare :class:`AsyncSchedulerService`
-        is accepted and wrapped in a one-entry mux (named after the
-        service, or ``"svc"``).
+        The services to expose, each a :class:`GatewayService`: a
+        :class:`ServiceMux` or a sharded router.  A bare
+        :class:`AsyncSchedulerService` is accepted and wrapped in a
+        one-entry mux (named after the service, or ``"svc"``).
     auth:
         Bearer-token → tenant resolver.
     routes:
@@ -126,20 +176,9 @@ class GatewayApp:
             "sse_streams": 0,
         }
 
-    def _kick_drivers(self) -> None:
-        """Restart drivers for services holding live queries.
-
-        A freshly recovered journal hands the gateway in-flight handles
-        that no ``submit`` ever started a driver for; touching any
-        endpoint nudges them back to work.  Each service checks only its
-        live queries, never its finished history.
-        """
-        for service in self.mux.services:
-            service._kick()
-
     # -- service / handle resolution -----------------------------------------
 
-    def service_for(self, tenant: str, requested: str | None) -> AsyncSchedulerService:
+    def service_for(self, tenant: str, requested: str | None) -> GatewayService:
         """Pick the service a submission runs on (explicit > route > sole)."""
         name = requested if requested is not None else self.routes.get(tenant)
         if name is None:
@@ -164,7 +203,7 @@ class GatewayApp:
         except KeyError:
             raise HttpError(404, "unknown-service", f"no service {name!r}") from None
 
-    def query_id(self, service: AsyncSchedulerService, handle: AsyncQueryHandle) -> str:
+    def query_id(self, service: GatewayService, handle: AsyncHandleBase) -> str:
         """The public id of one handle: ``<service>-<seq>``.
 
         ``seq`` is the submission ordinal the durability layer journals,
@@ -172,7 +211,7 @@ class GatewayApp:
         """
         return f"{service.name or 'svc'}-{handle.seq}"
 
-    def resolve(self, tenant: str, query_id: str) -> tuple[AsyncSchedulerService, AsyncQueryHandle]:
+    def resolve(self, tenant: str, query_id: str) -> tuple[GatewayService, AsyncHandleBase]:
         """Find a query by public id, enforcing tenant ownership.
 
         Foreign-tenant and unknown ids both read as 404 — the gateway
@@ -201,7 +240,6 @@ class GatewayApp:
         if scope["type"] != "http":  # pragma: no cover - ws etc.
             raise RuntimeError(f"unsupported ASGI scope type {scope['type']!r}")
         self.counters["requests"] += 1
-        self._kick_drivers()
         method = scope["method"].upper()
         path = scope["path"]
         headers: list[tuple[bytes, bytes]] = list(scope.get("headers", ()))

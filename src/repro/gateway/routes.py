@@ -23,7 +23,7 @@ from repro.gateway.codec import (
 )
 
 if TYPE_CHECKING:
-    from repro.gateway.app import GatewayApp
+    from repro.gateway.app import GatewayApp, GatewayService
 
 __all__ = ["healthz", "metrics", "explain", "submit", "poll", "cancel"]
 
@@ -74,7 +74,7 @@ async def metrics(app: "GatewayApp") -> dict[str, Any]:
 
 def _parse_submission(
     app: "GatewayApp", tenant: str, body: dict[str, Any]
-) -> tuple[Any, str, Any, dict[str, Any], dict[str, Any]]:
+) -> tuple["GatewayService", str, Any, dict[str, Any], dict[str, Any]]:
     """Shared request parsing for ``explain`` and ``submit``:
     ``(service, job, query, inputs, options)``."""
     unknown = set(body) - {
@@ -143,10 +143,9 @@ async def submit(
     original query (200, not 201) without submitting anything — safe
     retries for clients that lost the first response.
 
-    On a durable service the submit record is journaled by the inner
-    service and the journal is *flushed before the 201 leaves*, so an
-    acknowledged submission survives a crash and ``recover()`` resolves
-    the same id.
+    A durable service commits the submit record before ``submit``
+    returns, so an acknowledged submission survives a crash and
+    ``recover()`` resolves the same id.
     """
     key = None
     if idempotency_key is not None:
@@ -167,9 +166,6 @@ async def submit(
         reserve=options["mode"] == "reserve",
         **inputs,
     ))
-    # Durable gateway: the submit record must hit disk before the
-    # client is told 201 — an acknowledged id must survive kill -9.
-    service.flush_journal()
     app.counters["submits"] += 1
     query_id = app.query_id(service, handle)
     if key is not None:
@@ -207,9 +203,6 @@ async def cancel(app: "GatewayApp", tenant: str, query_id: str) -> dict[str, Any
     """
     service, handle = app.resolve(tenant, query_id)
     cancelled = await handle.cancel()
-    # The cancel record is written ahead of the market forfeit; make it
-    # durable before acknowledging, mirroring submit's barrier.
-    service.flush_journal()
     payload = handle_payload(query_id, handle)
     payload["cancelled"] = cancelled
     payload["ledger"] = service.ledger_summary()

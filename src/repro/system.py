@@ -376,12 +376,8 @@ class CDAS:
                 journal_meta=journal_meta,
                 snapshot_every=snapshot_every,
             )
-        aservice = AsyncSchedulerService(inner, name=name)
-        if resume:
-            for handle in inner.handles:
-                aservice.adopt(handle)
         return GatewayApp(
-            aservice,
+            AsyncSchedulerService(inner, name=name),
             auth=TokenAuth(tokens),
             routes=routes,
             presets=presets,

@@ -23,6 +23,7 @@ import json
 import sqlite3
 
 import pytest
+from ack_probe import AckProbeStore
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -266,15 +267,18 @@ class TestCancelAcrossRestart:
         assert doomed.reserved == 0.0
         assert service.tenant_reserved("acme") == 0.0
 
+    @pytest.mark.parametrize("probe", [False, True], ids=["stock", "ack-probe"])
     def test_cancel_is_committed_before_the_market_forfeits(
-        self, small_pool, journal_path, monkeypatch
+        self, small_pool, journal_path, monkeypatch, probe
     ):
         # Write-ahead: by the time the backend is told to forfeit a HIT,
         # the cancel record is already committed, so no crash can leave
         # a forfeited HIT behind a query that recovery would re-admit.
-        service = _build_system(small_pool).service(
-            max_in_flight=1, journal=journal_path
-        )
+        # The probe store syncs only on commit, so there the service's
+        # own commit is all that can cover the record.
+        store = AckProbeStore(journal_path) if probe else open_store(journal_path)
+        committed = store.synced_records if probe else store.read_records
+        service = _build_system(small_pool).service(max_in_flight=1, journal=store)
         images = generate_images(per_subject=1, seed=SEED + 3)[:2]
         handle = service.submit(
             "image-tagging", _image_query("tags-a"),
@@ -288,7 +292,7 @@ class TestCancelAcrossRestart:
 
         def probe(hit):
             if not committed_at_forfeit:
-                committed_at_forfeit.append(service.store.read_records())
+                committed_at_forfeit.append(committed())
             return forfeit(hit)
 
         monkeypatch.setattr(PublishedHIT, "cancel", probe)

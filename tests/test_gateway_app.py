@@ -16,6 +16,8 @@ import errno
 import json
 
 import pytest
+from ack_probe import AckProbeStore
+from deadlines import wait_until
 
 from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
@@ -523,34 +525,6 @@ class TestSse:
         assert [event for event, _ in frames] == ["progress", "end"]
 
 
-class _AckProbeStore(FileJournalStore):
-    """A JSONL journal that syncs only when told to commit.
-
-    The :class:`~repro.durability.journal.JournalStore` protocol lets
-    ``append`` defer every sync, so this is a legal store: nothing is
-    durable until something calls ``commit``.  It records how many bytes
-    each sync made durable, which is exactly what survives a crash.
-    """
-
-    def __init__(self, path):
-        super().__init__(path)
-        self.synced = 0
-
-    def append(self, record):
-        self._write_line(json.dumps(record, separators=(",", ":")))
-        self.appended += 1
-        self._unsynced += 1
-
-    def _sync(self):
-        super()._sync()
-        self.synced = self._fh.tell()
-
-    def crash_copy(self, path):
-        """The journal a crash right now would leave: the synced prefix."""
-        path.write_bytes(self.path.read_bytes()[: self.synced])
-        return path
-
-
 def _resume_app(journal) -> GatewayApp:
     cdas = _cdas(52)
     return cdas.gateway(
@@ -565,7 +539,7 @@ def _resume_app(journal) -> GatewayApp:
 
 class TestDurableGateway:
     def test_submit_is_journaled_before_the_201(self, journal_path, tmp_path):
-        store = _AckProbeStore(journal_path)
+        store = AckProbeStore(journal_path)
 
         async def run():
             app = _make_app(journal=store)
@@ -606,14 +580,16 @@ class TestDurableGateway:
     def test_unflushed_submit_ack_is_lost_in_the_crash(
         self, journal_path, tmp_path
     ):
-        """The crash copy is not vacuous: without the route's durability
-        barrier, the id a client holds is gone after a crash."""
-        store = _AckProbeStore(journal_path)
+        """The crash copy is not vacuous: without the durable service's
+        own commit of the action, the id a client holds is gone after a
+        crash."""
+        store = AckProbeStore(journal_path)
 
         async def run():
             app = _make_app(journal=store)
-            # The same defect as deleting the routes' flush_journal calls.
-            app.mux["svc"].flush_journal = lambda: None
+            # Journal the action but skip its commit.
+            durable = app.mux["svc"].service
+            durable._commit_action = durable._observed
             client = InProcessClient(app, token="acme-token")
             submitted = await client.post("/v1/queries", _query_body("alpha"))
             crashed = store.crash_copy(tmp_path / "unflushed.journal.jsonl")
@@ -634,7 +610,7 @@ class TestDurableGateway:
         assert submits(crashed) == []
 
     def test_cancel_is_journaled_before_the_200(self, journal_path, tmp_path):
-        store = _AckProbeStore(journal_path)
+        store = AckProbeStore(journal_path)
 
         async def run():
             app = _make_app(journal=store)
@@ -668,6 +644,69 @@ class TestDurableGateway:
         assert kept.status == 200
         assert doomed.status == 200
         assert doomed.json()["progress"]["state"] == "cancelled"
+
+    def test_recovered_live_query_resumes_without_a_request(
+        self, journal_path, tmp_path
+    ):
+        """A gateway built inside a running loop starts the driver of a
+        recovered live query itself: nobody has to call an endpoint."""
+        crashed, query_id = _crashed_with_a_live_query(journal_path, tmp_path)
+
+        async def resume():
+            app = _resume_app(crashed)
+            handle = _recovered_handle(app, query_id)
+            assert not handle.done
+            await wait_until(lambda: handle.done, what="the recovered query")
+            app.mux["svc"].service.close()
+            return app.counters["requests"], handle.state
+
+        requests, state = asyncio.run(resume())
+        assert requests == 0
+        assert state is QueryState.DONE
+
+    def test_recovered_live_query_resumes_after_one_poll(
+        self, journal_path, tmp_path
+    ):
+        """Built outside any loop, the gateway cannot start a driver;
+        the first poll does, and no further request is needed."""
+        crashed, query_id = _crashed_with_a_live_query(journal_path, tmp_path)
+        app = _resume_app(crashed)
+        handle = _recovered_handle(app, query_id)
+
+        async def resume():
+            client = InProcessClient(app, token="acme-token")
+            polled = await client.get(f"/v1/queries/{query_id}")
+            await wait_until(lambda: handle.done, what="the recovered query")
+            app.mux["svc"].service.close()
+            return polled
+
+        polled = asyncio.run(resume())
+        assert polled.status == 200
+        assert polled.json()["progress"]["state"] != "done"
+        assert app.counters["requests"] == 1
+        assert handle.state is QueryState.DONE
+
+
+def _crashed_with_a_live_query(journal_path, tmp_path):
+    """``(crash copy, query id)``: the journal a crash leaves the moment
+    a submit is acknowledged, its query still live."""
+    store = AckProbeStore(journal_path)
+
+    async def run():
+        app = _make_app(journal=store)
+        client = InProcessClient(app, token="acme-token")
+        submitted = await client.post("/v1/queries", _query_body("alpha"))
+        crashed = store.crash_copy(tmp_path / "live.journal.jsonl")
+        await app.mux["svc"].aclose()
+        app.mux["svc"].service.close()
+        return crashed, submitted.json()["id"]
+
+    return asyncio.run(run())
+
+
+def _recovered_handle(app: GatewayApp, query_id: str) -> AsyncQueryHandle:
+    _, handle = app.resolve("acme", query_id)
+    return handle
 
 
 class _EioAtFirstSubmit(FileJournalStore):

@@ -12,6 +12,12 @@ Members are looked up on live instances with
 :func:`inspect.getattr_static`, so inherited members count (the sqlite
 journal store inherits ``append`` and ``commit``) and attributes set in
 ``__init__`` count as data.
+
+``GatewayService`` is a contract the other way round: it lists only what
+the gateway calls, so an implementor must offer each member as the same
+kind (method or data, an ``async`` one where the gateway awaits it) and
+accept every declared parameter by name; it may take more, and its
+defaults are its own.
 """
 
 from __future__ import annotations
@@ -28,11 +34,15 @@ from repro.amt.market import SimulatedMarket
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.slow import SlowBackend
 from repro.amt.trace import TraceRecorder, TraceReplayBackend
+from repro.cluster.router import RemoteShardService
 from repro.durability.journal import (
     FileJournalStore,
     JournalStore,
     SqliteJournalStore,
 )
+from repro.engine.aio import AsyncSchedulerService
+from repro.gateway.app import GatewayService
+from repro.system import CDAS
 
 #: Protocol → the class names of every implementor in the tree.
 IMPLEMENTORS = {
@@ -173,4 +183,104 @@ def test_drift_is_reported():
     assert problems[1] == "'close': protocol (self), implementor data"
     assert mismatches(JournalStore, object()) == [
         f"missing {name!r}" for name in protocol_members(JournalStore)
+    ]
+
+
+# -- the gateway's service contract ------------------------------------------
+
+
+def contract_mismatches(protocol: type, obj: object) -> list[str]:
+    """Where ``obj`` fails a contract ``protocol`` (empty when it offers
+    every member as the same kind and accepts every declared parameter)."""
+    problems = []
+    for name in protocol_members(protocol):
+        declared = inspect.getattr_static(protocol, name, None)
+        try:
+            actual = inspect.getattr_static(obj, name)
+        except AttributeError:
+            problems.append(f"missing {name!r}")
+            continue
+        if inspect.isfunction(declared) != inspect.isfunction(actual):
+            problems.append(f"{name!r}: protocol {_kind(declared)}, implementor {_kind(actual)}")
+            continue
+        if not inspect.isfunction(declared):
+            continue
+        if inspect.iscoroutinefunction(declared) and not inspect.iscoroutinefunction(actual):
+            problems.append(f"{name!r} must be async")
+        accepted = inspect.signature(actual).parameters
+        takes_any_keyword = any(p.kind is p.VAR_KEYWORD for p in accepted.values())
+        for param in list(inspect.signature(declared).parameters.values())[1:]:
+            if param.kind is param.VAR_KEYWORD:
+                ok = takes_any_keyword
+            else:
+                match = accepted.get(param.name)
+                ok = match is not None and match.kind in (
+                    match.POSITIONAL_OR_KEYWORD,
+                    match.KEYWORD_ONLY,
+                )
+            if not ok:
+                problems.append(f"{name!r} does not accept {param.name!r}")
+    return problems
+
+
+def _kind(member: Any) -> str:
+    return "method" if inspect.isfunction(member) else "data"
+
+
+@pytest.fixture(scope="module")
+def gateway_services(small_pool):
+    """One live instance of every :class:`GatewayService` implementor."""
+    cdas = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=5), seed=5)
+    local = AsyncSchedulerService(cdas.service(), name="svc")
+    remote = RemoteShardService(None, "shard0")
+    return {type(obj).__name__: obj for obj in (local, remote)}
+
+
+@pytest.mark.parametrize("name", ["AsyncSchedulerService", "RemoteShardService"])
+def test_gateway_service_is_offered(gateway_services, name):
+    assert contract_mismatches(GatewayService, gateway_services[name]) == []
+
+
+def test_gateway_service_members():
+    assert protocol_members(GatewayService).keys() == {
+        "name", "handles", "handle_for", "idle", "refresh",
+        "metrics_snapshot", "ledger_summary", "plan", "preadmit", "submit",
+    }
+
+
+class _DriftedService:
+    """A service that lost ``refresh``, turned ``idle`` into a method
+    and dropped ``submit``'s ``reserve``; an async ``plan`` and its own
+    name for the job inputs are allowed."""
+
+    name = "drifted"
+    handles = ()
+
+    def handle_for(self, seq):
+        return None
+
+    def idle(self):
+        return True
+
+    def metrics_snapshot(self):
+        return {}
+
+    def ledger_summary(self):
+        return {}
+
+    async def plan(self, job_name, query, *, tenant, budget, priority, **inputs):
+        return None
+
+    def preadmit(self, plan):
+        return None
+
+    def submit(self, job_name, query, *, tenant, budget, priority, **inputs):
+        return None
+
+
+def test_gateway_service_drift_is_reported():
+    assert contract_mismatches(GatewayService, _DriftedService()) == [
+        "'idle': protocol data, implementor method",
+        "missing 'refresh'",
+        "'submit' does not accept 'reserve'",
     ]

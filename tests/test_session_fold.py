@@ -447,9 +447,11 @@ class _Misbehaving:
         return assignment
 
 
-def _deliver(session_class, pool, mode: str) -> tuple[ValueError, HITSession]:
-    """Publish one tracked session over a misbehaving handle and feed it
-    until ``on_submission`` raises; nothing reads it meanwhile."""
+def _deliver(
+    session_class, pool, mode: str, track: bool = True
+) -> tuple[ValueError, HITSession]:
+    """Publish one session over a misbehaving handle and feed it until
+    ``on_submission`` raises; nothing reads it meanwhile."""
     options = ("pos", "neu", "neg")
     engine = CrowdsourcingEngine(
         SimulatedMarket(pool, seed=5), seed=5, config=EngineConfig()
@@ -465,7 +467,7 @@ def _deliver(session_class, pool, mode: str) -> tuple[ValueError, HITSession]:
     ]
     session = session_class(
         engine, questions, 0.9, gold_pool=gold, worker_count=4,
-        track_trajectories=True,
+        track_trajectories=track,
     )
     session.publish()
     session.handle = _Misbehaving(session.handle, mode)
@@ -477,6 +479,7 @@ def _deliver(session_class, pool, mode: str) -> tuple[ValueError, HITSession]:
     return caught.value, session
 
 
+@pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
 @pytest.mark.parametrize(
     ("mode", "message"),
     [
@@ -484,17 +487,22 @@ def _deliver(session_class, pool, mode: str) -> tuple[ValueError, HITSession]:
         ("extra", "received more answers than the 4 hired workers"),
     ],
 )
-def test_bad_arrivals_raise_from_on_submission(small_pool, monkeypatch, mode, message):
+def test_bad_arrivals_raise_from_on_submission(
+    small_pool, monkeypatch, mode, message, track
+):
     counts = _count_aggregator_work(monkeypatch)
-    error, session = _deliver(HITSession, small_pool, mode)
+    error, session = _deliver(HITSession, small_pool, mode, track)
     assert message in str(error)
-    # Raised at arrival, before anything was read or folded...
+    # Raised at arrival, tracked or not, before anything was read or
+    # folded: the bad answer never finishes the session...
     assert counts == {"built": 0, "fed": []}
-    # ...with the type and text the eager path raised.
+    assert session.state is SessionState.COLLECTING
+    # ...with the type and text the eager tracked path raised.
     reference, _ = _deliver(EagerSession, small_pool, mode)
     assert type(error) is type(reference) and str(error) == str(reference)
-    # Arrivals logged before the bad one still fold and read normally.
-    assert session.trajectory("q1")
+    if track:
+        # Arrivals logged before the bad one still fold and read normally.
+        assert session.trajectory("q1")
 
 
 # -- snapshots -----------------------------------------------------------------
