@@ -654,7 +654,7 @@ class TestDurableGateway:
 
         async def resume():
             app = _resume_app(crashed)
-            handle = _recovered_handle(app, query_id)
+            _, handle = app.resolve("acme", query_id)
             assert not handle.done
             await wait_until(lambda: handle.done, what="the recovered query")
             app.mux["svc"].service.close()
@@ -671,7 +671,7 @@ class TestDurableGateway:
         the first poll does, and no further request is needed."""
         crashed, query_id = _crashed_with_a_live_query(journal_path, tmp_path)
         app = _resume_app(crashed)
-        handle = _recovered_handle(app, query_id)
+        _, handle = app.resolve("acme", query_id)
 
         async def resume():
             client = InProcessClient(app, token="acme-token")
@@ -702,11 +702,6 @@ def _crashed_with_a_live_query(journal_path, tmp_path):
         return crashed, submitted.json()["id"]
 
     return asyncio.run(run())
-
-
-def _recovered_handle(app: GatewayApp, query_id: str) -> AsyncQueryHandle:
-    _, handle = app.resolve("acme", query_id)
-    return handle
 
 
 class _EioAtFirstSubmit(FileJournalStore):
