@@ -1,7 +1,7 @@
 """The front-door shard router: N worker processes, one async facade.
 
 :class:`ShardRouter` is the multi-process twin of
-:class:`~repro.engine.aio.ServiceMux`: it spawns one
+:class:`~repro.engine.aio.ServiceMux`: it forks one
 :mod:`repro.cluster.worker` process per shard, hands each a workload
 *recipe* (never live objects), and exposes every shard as a
 :class:`RemoteShardService` offering the gateway's service contract
@@ -49,13 +49,15 @@ from __future__ import annotations
 
 import asyncio
 import dataclasses
+import gc
 import os
-import subprocess
-import sys
+import signal
+import traceback
 from typing import Any
 
 from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
 from repro.cluster.shards import assign_shard, shard_names
+from repro.cluster.worker import main as worker_main
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
 from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase
@@ -340,7 +342,7 @@ class RemoteShardService:
         self.alive = False
         self.abandoned = False
         self.recovered = False
-        self.proc: subprocess.Popen | None = None
+        self.proc: _ShardProcess | None = None
         self.pid: int | None = None
         self.rpc: RpcClient | None = None
         self.ready = asyncio.Event()
@@ -621,6 +623,92 @@ class RemoteShardService:
         return reply["handles"]
 
 
+class _ShardProcess:
+    """A forked shard worker, waited on without blocking the loop.
+
+    The router reaps its own children: :meth:`poll` is a non-blocking
+    ``waitpid``, and :meth:`wait` parks on a pidfd, which turns readable
+    once the worker has exited, through the event loop.  No thread ever
+    waits, so the router stays single-threaded and every fork copies
+    one thread.
+    """
+
+    def __init__(self, pid: int) -> None:
+        self.pid = pid
+        #: The exit code once reaped; negative when a signal killed it.
+        self.returncode: int | None = None
+        self._pidfd = os.pidfd_open(pid)
+
+    def poll(self) -> int | None:
+        """The exit code, reaping the worker if it has exited; ``None``
+        while it runs."""
+        if self.returncode is None:
+            pid, status = os.waitpid(self.pid, os.WNOHANG)
+            if pid:
+                self.returncode = os.waitstatus_to_exitcode(status)
+                os.close(self._pidfd)
+        return self.returncode
+
+    async def wait(self, timeout: float) -> int | None:
+        """Wait up to ``timeout`` seconds for the exit; the exit code, or
+        ``None`` if the worker still runs."""
+        if self.poll() is None:
+            loop = asyncio.get_running_loop()
+            exited: asyncio.Future[None] = loop.create_future()
+
+            def on_exit() -> None:
+                if not exited.done():
+                    exited.set_result(None)
+
+            loop.add_reader(self._pidfd, on_exit)
+            try:
+                await asyncio.wait_for(exited, timeout)
+            except asyncio.TimeoutError:
+                pass
+            finally:
+                loop.remove_reader(self._pidfd)
+        return self.poll()
+
+    def send_signal(self, sig: int) -> None:
+        if self.poll() is None:
+            os.kill(self.pid, sig)
+
+
+def _fork_worker(connect: str, shard: str) -> _ShardProcess:
+    """Start shard ``shard``'s worker by forking this process, which has
+    already imported everything the worker runs (DESIGN.md §14).
+
+    The child drops what it inherited from the router before it serves:
+    every descriptor above stderr (a listener or client connection held
+    open there would outlive the router's close of it), the router's
+    Python signal handlers and the loop's signal wakeup fd, and, by
+    freezing the inherited heap, any cyclic-GC pass over the router's
+    objects.  It then runs :func:`repro.cluster.worker.main` and exits
+    without returning here.
+    """
+    pid = os.fork()
+    if pid:
+        return _ShardProcess(pid)
+    code = 1
+    try:
+        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        signal.set_wakeup_fd(-1)
+        for sig in signal.valid_signals():
+            if callable(signal.getsignal(sig)):
+                signal.signal(
+                    sig,
+                    signal.default_int_handler
+                    if sig == signal.SIGINT
+                    else signal.SIG_DFL,
+                )
+        gc.freeze()
+        code = worker_main(connect, shard)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        os._exit(code)
+
+
 class ShardRouter:
     """Spawn, route to, observe, and heal a set of shard processes.
 
@@ -760,30 +848,9 @@ class ShardRouter:
     async def _launch(
         self, service: RemoteShardService, initial: bool = True
     ) -> None:
-        import repro
-
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future[Any] = loop.create_future()
+        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
         self._awaiting[service.name] = future
-        env = dict(os.environ)
-        src_root = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            src_root if not existing else src_root + os.pathsep + existing
-        )
-        # cdas-lint: disable=CDAS002 deliberate process-spawn seam: Popen only forks the worker and returns immediately; the loop never blocks on the child
-        service.proc = subprocess.Popen(
-            [
-                sys.executable,
-                "-m",
-                "repro.cluster.worker",
-                "--connect",
-                f"127.0.0.1:{self._port}",
-                "--shard",
-                service.name,
-            ],
-            env=env,
-        )
+        service.proc = _fork_worker(f"127.0.0.1:{self._port}", service.name)
         try:
             reader, writer, hello = await asyncio.wait_for(
                 future, self.spawn_timeout
@@ -794,7 +861,7 @@ class ShardRouter:
                 f"shard {service.name!r} did not dial back within "
                 f"{self.spawn_timeout}s"
             ) from None
-        service.pid = int(hello.get("pid", service.proc.pid))
+        service.pid = int(hello["pid"])
         service.rpc = RpcClient(
             reader,
             writer,
@@ -851,12 +918,8 @@ class ShardRouter:
 
     async def _respawn(self, service: RemoteShardService) -> None:
         """Bring a journaled shard back on its own journal (ids survive)."""
-        proc = service.proc
-        if proc is not None:
-            try:
-                await asyncio.to_thread(proc.wait, 15)
-            except Exception:
-                pass
+        if service.proc is not None:
+            await service.proc.wait(15)
         rpc = service.rpc
         if rpc is not None:
             await rpc.aclose()
@@ -989,20 +1052,15 @@ class ShardRouter:
                     pass
             if rpc is not None:
                 await rpc.aclose()
-            if service.proc is not None and service.proc.poll() is None:
-                service.proc.terminate()
+            if service.proc is not None:
+                service.proc.send_signal(signal.SIGTERM)
         for service in self.services:
             proc = service.proc
             if proc is None:
                 continue
-            try:
-                await asyncio.to_thread(proc.wait, 10)
-            except Exception:
-                proc.kill()
-                try:
-                    await asyncio.to_thread(proc.wait, 5)
-                except Exception:
-                    pass
+            if await proc.wait(10) is None:
+                proc.send_signal(signal.SIGKILL)
+                await proc.wait(5)
             service.alive = False
         if self._server is not None:
             self._server.close()

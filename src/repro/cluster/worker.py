@@ -1,9 +1,10 @@
 """One shard's worker process: an async service behind a socket RPC.
 
-Spawned by the :class:`~repro.cluster.router.ShardRouter` as ``python -m
-repro.cluster.worker --connect HOST:PORT --shard NAME``; connects *back*
-to the router (so the router owns exactly one listening socket), sends a
-``hello`` event, then serves requests strictly in arrival order.  The
+Forked by the :class:`~repro.cluster.router.ShardRouter`, whose child
+runs :func:`main` with the router's ``HOST:PORT`` and the shard's name;
+the worker connects *back* to the router (so the router owns exactly
+one listening socket), sends a ``hello`` event, then serves requests
+strictly in arrival order.  The
 sans-IO core makes the process boundary just another driver: the worker
 runs the same :class:`~repro.engine.aio.AsyncSchedulerService` the
 in-process mux runs, and every mutation a request performs (submit,
@@ -45,10 +46,8 @@ service (``JournalFailed``) and answers every later request with the
 
 from __future__ import annotations
 
-import argparse
 import asyncio
 import os
-import sys
 from typing import Any
 
 from repro.cluster.rpc import read_frame, write_frame
@@ -386,15 +385,15 @@ async def _write_loop(
             return
 
 
-async def _amain(args: argparse.Namespace) -> int:
-    host, _, port = args.connect.rpartition(":")
+async def _amain(connect: str, shard: str) -> int:
+    host, _, port = connect.rpartition(":")
     reader, writer = await asyncio.open_connection(host or "127.0.0.1", int(port))
     outbox: "asyncio.Queue[dict | None]" = asyncio.Queue()
     writer_task = asyncio.get_running_loop().create_task(
         _write_loop(writer, outbox), name="cdas-shard-writer"
     )
-    worker = _Worker(args.shard, outbox)
-    worker.post({"event": "hello", "shard": args.shard, "pid": os.getpid()})
+    worker = _Worker(shard, outbox)
+    worker.post({"event": "hello", "shard": shard, "pid": os.getpid()})
     handlers = {
         "init": worker.init,
         "register_tenant": worker.register_tenant,
@@ -448,24 +447,10 @@ async def _amain(args: argparse.Namespace) -> int:
             pass
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.cluster.worker",
-        description="one CDAS shard process (spawned by ShardRouter)",
-    )
-    parser.add_argument(
-        "--connect", required=True, metavar="HOST:PORT",
-        help="router address to dial back to",
-    )
-    parser.add_argument(
-        "--shard", required=True, help="this worker's shard name"
-    )
-    args = parser.parse_args(argv)
+def main(connect: str, shard: str) -> int:
+    """Serve shard ``shard`` to the router at ``connect`` (``HOST:PORT``)
+    until the router asks it to stop or goes away; the exit code."""
     try:
-        return asyncio.run(_amain(args))
-    except KeyboardInterrupt:  # pragma: no cover - interactive only
+        return asyncio.run(_amain(connect, shard))
+    except KeyboardInterrupt:
         return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

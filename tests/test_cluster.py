@@ -553,34 +553,29 @@ def test_gateway_polls_and_streams_current_progress(flavour):
 
 
 class _InLoopWorker:
-    """A ``subprocess.Popen`` stand-in for the router's worker spawn: runs
+    """A stand-in for the router's worker launch (``_fork_worker``): runs
     the worker's main coroutine as a task on the running loop, so a test
     can read the shard's own objects while the router talks to it over
     a real localhost socket."""
 
-    def __init__(self, argv: list[str], env: dict | None = None) -> None:
-        import argparse
+    def __init__(self, connect: str, shard: str) -> None:
         import os
 
         from repro.cluster import worker
 
-        args = argparse.Namespace(
-            connect=argv[argv.index("--connect") + 1],
-            shard=argv[argv.index("--shard") + 1],
+        self.task = asyncio.get_running_loop().create_task(
+            worker._amain(connect, shard)
         )
-        self.task = asyncio.get_running_loop().create_task(worker._amain(args))
         self.pid = os.getpid()
 
     def poll(self):
         return 0 if self.task.done() else None
 
-    def wait(self, timeout=None):
+    async def wait(self, timeout):
         return 0
 
-    def terminate(self):
+    def send_signal(self, sig):
         self.task.cancel()
-
-    kill = terminate
 
 
 def test_router_metrics_are_the_shards_own(monkeypatch):
@@ -590,9 +585,8 @@ def test_router_metrics_are_the_shards_own(monkeypatch):
     although nobody polled the first two (their handle caches hold the
     submit-time state)."""
     import gc
-    import subprocess
 
-    from repro.cluster import ShardRouter
+    from repro.cluster import ShardRouter, router as router_module
     from repro.engine.aio import AsyncSchedulerService
     from repro.gateway.app import GatewayApp
     from repro.gateway.auth import TokenAuth
@@ -606,7 +600,7 @@ def test_router_metrics_are_the_shards_own(monkeypatch):
         built.append(dict(snapshot))  # the worker adds ``idle`` to its own
         return snapshot
 
-    monkeypatch.setattr(subprocess, "Popen", _InLoopWorker)
+    monkeypatch.setattr(router_module, "_fork_worker", _InLoopWorker)
     monkeypatch.setattr(AsyncSchedulerService, "metrics_snapshot", recorded)
     gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
     many = generate_tweets(["rio"], per_movie=600, seed=SEED + 2)
