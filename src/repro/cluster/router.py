@@ -680,8 +680,8 @@ def _fork_worker(connect: str, shard: str) -> _ShardProcess:
 
     The child drops what it inherited from the router before it serves:
     every descriptor above stderr (a listener or client connection held
-    open there would outlive the router's close of it), the router's
-    Python signal handlers and the loop's signal wakeup fd, and, by
+    open there would outlive the router's close of it), the router
+    loop's SIGINT handler and signal wakeup fd, and, by
     freezing the inherited heap, any cyclic-GC pass over the router's
     objects.  It then runs :func:`repro.cluster.worker.main` and exits
     without returning here.
@@ -693,14 +693,8 @@ def _fork_worker(connect: str, shard: str) -> _ShardProcess:
     try:
         os.closerange(3, os.sysconf("SC_OPEN_MAX"))
         signal.set_wakeup_fd(-1)
-        for sig in signal.valid_signals():
-            if callable(signal.getsignal(sig)):
-                signal.signal(
-                    sig,
-                    signal.default_int_handler
-                    if sig == signal.SIGINT
-                    else signal.SIG_DFL,
-                )
+        if callable(signal.getsignal(signal.SIGINT)):
+            signal.signal(signal.SIGINT, signal.default_int_handler)
         gc.freeze()
         code = worker_main(connect, shard)
     except BaseException:

@@ -118,6 +118,7 @@ class RpcClient:
         self._pending: dict[int, asyncio.Future[dict[str, Any]]] = {}
         self._next_id = 0
         self._closed = False
+        self._closing = False
         self._reader_task = asyncio.get_running_loop().create_task(
             self._read_loop(), name="cdas-rpc-reader"
         )
@@ -196,6 +197,12 @@ class RpcClient:
         except (asyncio.CancelledError, Exception):
             pass
         self._fail_pending()
+        # Only the first call waits: one cancelled in wait_closed() took
+        # the stream's close waiter with it, so a second wait would raise
+        # CancelledError.
+        if self._closing:
+            return
+        self._closing = True
         try:
             self._writer.close()
             await self._writer.wait_closed()

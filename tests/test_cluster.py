@@ -22,7 +22,7 @@ from deadlines import wait_until
 
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.trace import canonical_json
-from repro.cluster.rpc import MAX_FRAME_BYTES, encode_frame, read_frame
+from repro.cluster.rpc import MAX_FRAME_BYTES, RpcClient, encode_frame, read_frame
 from repro.cluster.shards import assign_shard, shard_names, shard_seed
 from repro.tsa.app import movie_query
 from repro.tsa.tweets import generate_tweets
@@ -187,6 +187,39 @@ class TestFraming:
                 await read_frame(reader)
 
         asyncio.run(run())
+
+
+class _StalledWriter:
+    """A stream writer whose close never completes until ``closed`` does."""
+
+    def __init__(self) -> None:
+        self.closed = asyncio.get_running_loop().create_future()
+        self.closing = False
+
+    def close(self) -> None:
+        self.closing = True
+
+    async def wait_closed(self) -> None:
+        await self.closed
+
+
+def test_rpc_aclose_after_a_cancelled_aclose():
+    """A second ``aclose()`` returns although the first was cancelled
+    while it waited for the close: a respawn cancelled mid-close is
+    followed by the router's own ``aclose``."""
+
+    async def run():
+        writer = _StalledWriter()
+        client = RpcClient(asyncio.StreamReader(), writer)
+        first = asyncio.get_running_loop().create_task(client.aclose())
+        await wait_until(lambda: writer.closing, interval=0, what="the first close")
+        first.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await first
+        await asyncio.wait_for(client.aclose(), 5)
+        assert client.closed
+
+    asyncio.run(run())
 
 
 # -- the live router ----------------------------------------------------------
@@ -586,7 +619,8 @@ def test_router_metrics_are_the_shards_own(monkeypatch):
     submit-time state)."""
     import gc
 
-    from repro.cluster import ShardRouter, router as router_module
+    import repro.cluster.router as router_module
+    from repro.cluster import ShardRouter
     from repro.engine.aio import AsyncSchedulerService
     from repro.gateway.app import GatewayApp
     from repro.gateway.auth import TokenAuth
