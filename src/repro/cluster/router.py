@@ -681,10 +681,10 @@ def _fork_worker(connect: str, shard: str) -> _ShardProcess:
     The child drops what it inherited from the router before it serves:
     every descriptor above stderr (a listener or client connection held
     open there would outlive the router's close of it), the router
-    loop's SIGINT handler and signal wakeup fd, and, by
-    freezing the inherited heap, any cyclic-GC pass over the router's
-    objects.  It then runs :func:`repro.cluster.worker.main` and exits
-    without returning here.
+    loop's SIGINT handler and signal wakeup fd, and, by freezing the
+    inherited heap, any cyclic-GC pass over the router's objects.  It
+    then runs :func:`repro.cluster.worker.main` and exits without
+    returning here.
     """
     pid = os.fork()
     if pid:
