@@ -5,14 +5,16 @@ The layering (DESIGN.md §14), bottom-up:
 * :mod:`repro.cluster.shards` — pure placement math: weighted
   rendezvous hashing for tenant → shard homes, per-shard seeds;
 * :mod:`repro.cluster.rpc` — length-prefixed JSON frames over one
-  socket per worker, riding the durability codec for rich values;
+  socketpair per worker, made before the fork, riding the durability
+  codec for rich values;
 * :mod:`repro.cluster.workloads` — the closed registry of shard-local
   CDAS recipes workers build from (pool slices via
   :meth:`WorkerPool.partition`);
 * :mod:`repro.cluster.worker` — one shard process: the existing async
   service behind a read-dispatch loop, pushing progress/terminal/stats;
-* :mod:`repro.cluster.router` — the front door: spawn, route, observe,
-  rebalance, respawn; duck-types ``ServiceMux`` so ``GatewayApp``
+* :mod:`repro.cluster.router` — the front door: fork, route, observe,
+  rebalance, respawn, and stop a shard by closing its connection;
+  duck-types ``ServiceMux`` so ``GatewayApp``
   serves it unchanged.
 """
 

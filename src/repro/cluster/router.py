@@ -52,10 +52,11 @@ import dataclasses
 import gc
 import os
 import signal
+import socket
 import traceback
 from typing import Any
 
-from repro.cluster.rpc import RpcClient, RpcError, ShardDied, read_frame
+from repro.cluster.rpc import RpcClient, RpcError, ShardDied
 from repro.cluster.shards import assign_shard, shard_names
 from repro.cluster.worker import main as worker_main
 from repro.durability import codec as dcodec
@@ -93,6 +94,10 @@ def progress_from_dict(data: dict[str, Any]) -> QueryProgress:
         budget_exhausted=bool(data.get("budget_exhausted", False)),
     )
 
+
+#: Seconds a request waits for a journaled shard to come back from a
+#: respawn before it fails with :class:`ShardDied`.
+RESPAWN_TIMEOUT = 120.0
 
 #: Lifecycle order of the states: a snapshot never moves a cache back.
 _STATE_RANK = {state: rank for rank, state in enumerate(QueryState)}
@@ -500,13 +505,11 @@ class RemoteShardService:
                 f"shard {self.name!r} is gone (no journal to respawn from)"
             )
         try:
-            await asyncio.wait_for(
-                self.ready.wait(), self.router.respawn_timeout
-            )
+            await asyncio.wait_for(self.ready.wait(), RESPAWN_TIMEOUT)
         except asyncio.TimeoutError:
             raise ShardDied(
                 f"shard {self.name!r} did not come back within "
-                f"{self.router.respawn_timeout}s"
+                f"{RESPAWN_TIMEOUT}s"
             ) from None
         if not self.alive:
             raise ShardDied(f"shard {self.name!r} could not be respawned")
@@ -674,29 +677,34 @@ class _ShardProcess:
             os.kill(self.pid, sig)
 
 
-def _fork_worker(connect: str, shard: str) -> _ShardProcess:
-    """Start shard ``shard``'s worker by forking this process, which has
-    already imported everything the worker runs (DESIGN.md §14).
+def _fork_worker(sock: socket.socket, shard: str) -> _ShardProcess:
+    """Start shard ``shard``'s worker on ``sock``, the child's end of its
+    RPC socketpair, by forking this process, which has already imported
+    everything the worker runs (DESIGN.md §14).  The router keeps no
+    copy of ``sock``.
 
     The child drops what it inherited from the router before it serves:
-    every descriptor above stderr (a listener or client connection held
-    open there would outlive the router's close of it), the router
-    loop's SIGINT handler and signal wakeup fd, and, by freezing the
-    inherited heap, any cyclic-GC pass over the router's objects.  It
-    then runs :func:`repro.cluster.worker.main` and exits without
-    returning here.
+    every descriptor above stderr but ``sock`` (a listener or client
+    connection held open there would outlive the router's close of it),
+    the router loop's SIGINT handler and signal wakeup fd, and, by
+    freezing the inherited heap, any cyclic-GC pass over the router's
+    objects.  It then runs :func:`repro.cluster.worker.main` and exits
+    without returning here.
     """
     pid = os.fork()
     if pid:
+        sock.close()
         return _ShardProcess(pid)
     code = 1
     try:
-        os.closerange(3, os.sysconf("SC_OPEN_MAX"))
+        keep = sock.fileno()
+        os.closerange(3, keep)
+        os.closerange(keep + 1, os.sysconf("SC_OPEN_MAX"))
         signal.set_wakeup_fd(-1)
         if callable(signal.getsignal(signal.SIGINT)):
             signal.signal(signal.SIGINT, signal.default_int_handler)
         gc.freeze()
-        code = worker_main(connect, shard)
+        code = worker_main(sock, shard)
     except BaseException:
         traceback.print_exc()
     finally:
@@ -738,8 +746,6 @@ class ShardRouter:
         config: dict[str, Any] | None = None,
         journal: str | None = None,
         max_in_flight: int = 4,
-        spawn_timeout: float = 120.0,
-        respawn_timeout: float = 120.0,
     ) -> None:
         if shards is None:
             if processes is None:
@@ -756,8 +762,6 @@ class ShardRouter:
         self.config = dict(config or {})
         self.journal = journal
         self.max_in_flight = int(max_in_flight)
-        self.spawn_timeout = float(spawn_timeout)
-        self.respawn_timeout = float(respawn_timeout)
         self._shards: dict[str, RemoteShardService] = {
             name: RemoteShardService(
                 self,
@@ -767,9 +771,6 @@ class ShardRouter:
             for name in self.shard_order
         }
         self._tenants: dict[str, dict[str, Any]] = {}
-        self._server: asyncio.AbstractServer | None = None
-        self._port: int | None = None
-        self._awaiting: dict[str, asyncio.Future[Any]] = {}
         self._tasks: list[asyncio.Task[None]] = []
         self._closing = False
         self.recovered_queries = 0
@@ -802,11 +803,7 @@ class ShardRouter:
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> "ShardRouter":
-        """Listen, spawn every worker, and complete the init handshakes."""
-        self._server = await asyncio.start_server(
-            self._on_connection, "127.0.0.1", 0
-        )
-        self._port = self._server.sockets[0].getsockname()[1]
+        """Fork every worker and complete the init handshakes."""
         await asyncio.gather(
             *(self._launch(self._shards[name]) for name in self.shard_order)
         )
@@ -817,19 +814,6 @@ class ShardRouter:
 
     async def __aexit__(self, *_exc: Any) -> None:
         await self.aclose()
-
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        frame = await read_frame(reader)
-        if not frame or frame.get("event") != "hello":
-            writer.close()
-            return
-        future = self._awaiting.pop(frame.get("shard"), None)
-        if future is None or future.done():
-            writer.close()
-            return
-        future.set_result((reader, writer, frame))
 
     def _shard_config(self, name: str) -> dict[str, Any]:
         config = dict(self.config)
@@ -842,20 +826,10 @@ class ShardRouter:
     async def _launch(
         self, service: RemoteShardService, initial: bool = True
     ) -> None:
-        future: asyncio.Future[Any] = asyncio.get_running_loop().create_future()
-        self._awaiting[service.name] = future
-        service.proc = _fork_worker(f"127.0.0.1:{self._port}", service.name)
-        try:
-            reader, writer, hello = await asyncio.wait_for(
-                future, self.spawn_timeout
-            )
-        except asyncio.TimeoutError:
-            self._awaiting.pop(service.name, None)
-            raise RuntimeError(
-                f"shard {service.name!r} did not dial back within "
-                f"{self.spawn_timeout}s"
-            ) from None
-        service.pid = int(hello["pid"])
+        ours, theirs = socket.socketpair()
+        service.proc = _fork_worker(theirs, service.name)
+        service.pid = service.proc.pid
+        reader, writer = await asyncio.open_connection(sock=ours)
         service.rpc = RpcClient(
             reader,
             writer,
@@ -926,11 +900,10 @@ class ShardRouter:
             )
 
     def kill_shard(self, name: str, sig: int = 9) -> int:
-        """Send ``sig`` to a shard's process (failure-injection helper
-        for tests and the chaos example); returns the pid signalled."""
+        """Send ``sig`` to a shard's process unless it has exited
+        (a failure-injection helper for tests); returns the shard's pid."""
         service = self._shards[name]
-        assert service.proc is not None and service.pid is not None
-        os.kill(service.pid, sig)
+        service.proc.send_signal(sig)
         return service.pid
 
     # -- tenants -------------------------------------------------------------
@@ -1025,7 +998,8 @@ class ShardRouter:
     # -- shutdown ------------------------------------------------------------
 
     async def aclose(self) -> None:
-        """Graceful shutdown: ask, then terminate, then kill."""
+        """Graceful shutdown: close each shard's connection, wait for the
+        worker to finish on EOF and exit, and kill one that does not."""
         self._closing = True
         tasks = list(self._tasks)
         for service in self.services:
@@ -1038,16 +1012,8 @@ class ShardRouter:
             except (asyncio.CancelledError, Exception):
                 pass
         for service in self.services:
-            rpc = service.rpc
-            if rpc is not None and not rpc.closed:
-                try:
-                    await asyncio.wait_for(rpc.call("shutdown"), 5.0)
-                except Exception:
-                    pass
-            if rpc is not None:
-                await rpc.aclose()
-            if service.proc is not None:
-                service.proc.send_signal(signal.SIGTERM)
+            if service.rpc is not None:
+                await service.rpc.aclose()
         for service in self.services:
             proc = service.proc
             if proc is None:
@@ -1056,6 +1022,3 @@ class ShardRouter:
                 proc.send_signal(signal.SIGKILL)
                 await proc.wait(5)
             service.alive = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()

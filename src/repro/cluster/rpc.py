@@ -8,13 +8,17 @@ image corpora — ride the durability layer's type-tagged codec
 journal already round-trips, so the wire format introduces **zero** new
 serialisation of engine objects.
 
-Three frame shapes flow over one connection:
+Three frame shapes flow over one connection, a socketpair the router
+makes before it forks the shard:
 
 * request  — ``{"id": n, "method": str, "params": {...}}`` (router → worker)
 * response — ``{"id": n, "result": {...}}`` or
   ``{"id": n, "error": {"kind": str, "message": str, "data": {...}}}``
 * event    — ``{"event": str, ...}`` (worker → router push: progress,
-  terminal results, stats; plus the initial ``hello``)
+  terminal results, stats)
+
+There is no shutdown frame: the router closes its end, and the worker
+stops on EOF.
 
 :class:`RpcClient` is the router's half: it serialises concurrent
 ``call()``\\ s onto the stream, matches responses to futures by id, and

@@ -1,10 +1,10 @@
 """One shard's worker process: an async service behind a socket RPC.
 
 Forked by the :class:`~repro.cluster.router.ShardRouter`, whose child
-runs :func:`main` with the router's ``HOST:PORT`` and the shard's name;
-the worker connects *back* to the router (so the router owns exactly
-one listening socket), sends a ``hello`` event, then serves requests
-strictly in arrival order.  The
+runs :func:`main` with its end of the shard's RPC socketpair (made
+before the fork) and the shard's name, then serves requests strictly in
+arrival order until the router closes its end: on EOF the worker closes
+its service (flushing the journal) and exits 0.  The
 sans-IO core makes the process boundary just another driver: the worker
 runs the same :class:`~repro.engine.aio.AsyncSchedulerService` the
 in-process mux runs, and every mutation a request performs (submit,
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 from typing import Any
 
 from repro.cluster.rpc import read_frame, write_frame
@@ -385,15 +386,13 @@ async def _write_loop(
             return
 
 
-async def _amain(connect: str, shard: str) -> int:
-    host, _, port = connect.rpartition(":")
-    reader, writer = await asyncio.open_connection(host or "127.0.0.1", int(port))
+async def _amain(sock: socket.socket, shard: str) -> int:
+    reader, writer = await asyncio.open_connection(sock=sock)
     outbox: "asyncio.Queue[dict | None]" = asyncio.Queue()
     writer_task = asyncio.get_running_loop().create_task(
         _write_loop(writer, outbox), name="cdas-shard-writer"
     )
     worker = _Worker(shard, outbox)
-    worker.post({"event": "hello", "shard": shard, "pid": os.getpid()})
     handlers = {
         "init": worker.init,
         "register_tenant": worker.register_tenant,
@@ -410,14 +409,11 @@ async def _amain(connect: str, shard: str) -> int:
         while True:
             frame = await read_frame(reader)
             if frame is None:
-                # Router gone (EOF or kill): stop serving.  An orphaned
-                # shard must never outlive its router.
+                # The router closed its end (shutdown) or died: stop
+                # serving.  An orphaned shard must never outlive its router.
                 return 0
             call_id = frame.get("id")
             method = frame.get("method")
-            if method == "shutdown":
-                worker.post({"id": call_id, "result": {"ok": True}})
-                return 0
             handler = handlers.get(method)
             if handler is None:
                 worker.post({
@@ -447,10 +443,10 @@ async def _amain(connect: str, shard: str) -> int:
             pass
 
 
-def main(connect: str, shard: str) -> int:
-    """Serve shard ``shard`` to the router at ``connect`` (``HOST:PORT``)
-    until the router asks it to stop or goes away; the exit code."""
+def main(sock: socket.socket, shard: str) -> int:
+    """Serve shard ``shard`` to the router on ``sock`` until the router
+    closes its end or goes away; the exit code."""
     try:
-        return asyncio.run(_amain(connect, shard))
+        return asyncio.run(_amain(sock, shard))
     except KeyboardInterrupt:
         return 0

@@ -587,17 +587,17 @@ def test_gateway_polls_and_streams_current_progress(flavour):
 
 class _InLoopWorker:
     """A stand-in for the router's worker launch (``_fork_worker``): runs
-    the worker's main coroutine as a task on the running loop, so a test
-    can read the shard's own objects while the router talks to it over
-    a real localhost socket."""
+    the worker's main coroutine on the shard's end of its socketpair as
+    a task on the running loop, so a test can read the shard's own
+    objects while the router talks to it over a real socket."""
 
-    def __init__(self, connect: str, shard: str) -> None:
+    def __init__(self, sock, shard: str) -> None:
         import os
 
         from repro.cluster import worker
 
         self.task = asyncio.get_running_loop().create_task(
-            worker._amain(connect, shard)
+            worker._amain(sock, shard)
         )
         self.pid = os.getpid()
 
@@ -605,7 +605,8 @@ class _InLoopWorker:
         return 0 if self.task.done() else None
 
     async def wait(self, timeout):
-        return 0
+        await asyncio.wait({self.task}, timeout=timeout)
+        return self.poll()
 
     def send_signal(self, sig):
         self.task.cancel()

@@ -7,7 +7,10 @@ these tests pin what it must not keep, and how it ends:
   or respawned later (while the router holds more connections);
 * an SSE client whose connection was open across a respawn still reads
   the stream to its end and then EOF;
-* a shard never outlives its router, and a SIGINT stops it cleanly.
+* a shard never outlives its router, and a SIGINT stops it cleanly;
+* the router holds one socket per shard and no listener, closing that
+  socket stops the shard with exit code 0, and a shard that has exited
+  is never signalled again.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import subprocess
 import sys
 import threading
 
+import pytest
 from deadlines import wait_until
 
 from repro.cluster import ShardRouter
@@ -26,6 +30,7 @@ from repro.gateway import GatewayServer
 from repro.gateway.app import GatewayApp
 from repro.gateway.auth import TokenAuth
 from repro.gateway.testing import InProcessClient, parse_sse
+from repro.tsa.app import movie_query
 from repro.tsa.tweets import generate_tweets
 
 SEED = 2012
@@ -220,3 +225,58 @@ def test_shard_exits_zero_on_sigint():
             return shard.proc.returncode
 
     assert asyncio.run(run()) == 0
+
+
+@pytest.mark.parametrize("journaled", [False, True], ids=["unjournaled", "journaled"])
+def test_shards_exit_zero_when_the_router_closes(tmp_path, journaled):
+    """Closing the router closes each shard's connection; every worker
+    reads EOF, closes its service (flushing a journal) and exits 0."""
+    journal = str(tmp_path / "wal") if journaled else None
+
+    async def run():
+        router = ShardRouter(2, workload="bench", seed=SEED, journal=journal)
+        await router.start()
+        try:
+            await router.register_tenant("acme")
+            handle = await router.route("acme").submit(
+                "twitter-sentiment", movie_query("rio", 0.9), tenant="acme",
+                **_inputs(20),
+            )
+            await asyncio.wait_for(handle.result(), 60)
+            assert handle.state.value == "done"
+        finally:
+            await router.aclose()
+        return [service.proc.returncode for service in router.services]
+
+    assert asyncio.run(run()) == [0, 0]
+
+
+def test_router_holds_one_socket_per_shard():
+    """Starting the router adds exactly one socket per shard to the
+    router process: its end of the shard's socketpair, and no listener."""
+
+    async def run():
+        before = _sockets(os.getpid())
+        async with ShardRouter(2, workload="bench", seed=SEED) as router:
+            added = _sockets(os.getpid()) - before
+            return len(added), len(router)
+
+    added, shards = asyncio.run(run())
+    assert added == shards
+
+
+def test_kill_shard_after_close_signals_nothing(monkeypatch):
+    """A closed router has reaped its shards, so their pids may belong
+    to other processes by now: ``kill_shard`` sends them nothing."""
+
+    async def run():
+        async with ShardRouter(2, workload="bench", seed=SEED) as router:
+            pass
+        return router
+
+    router = asyncio.run(run())
+    signalled = []
+    monkeypatch.setattr(os, "kill", lambda pid, sig: signalled.append((pid, sig)))
+    for service in router.services:
+        router.kill_shard(service.name)
+    assert signalled == []
