@@ -14,8 +14,7 @@ The layering (DESIGN.md §14), bottom-up:
   service behind a read-dispatch loop, pushing progress/terminal/stats;
 * :mod:`repro.cluster.router` — the front door: fork, route, observe,
   rebalance, respawn, and stop a shard by closing its connection;
-  duck-types ``ServiceMux`` so ``GatewayApp``
-  serves it unchanged.
+  duck-types ``ServiceMux`` so ``GatewayApp`` serves it unchanged.
 """
 
 from repro.cluster.router import (

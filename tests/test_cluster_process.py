@@ -234,9 +234,9 @@ def test_shards_exit_zero_when_the_router_closes(tmp_path, journaled):
     journal = str(tmp_path / "wal") if journaled else None
 
     async def run():
-        router = ShardRouter(2, workload="bench", seed=SEED, journal=journal)
-        await router.start()
-        try:
+        async with ShardRouter(
+            2, workload="bench", seed=SEED, journal=journal
+        ) as router:
             await router.register_tenant("acme")
             handle = await router.route("acme").submit(
                 "twitter-sentiment", movie_query("rio", 0.9), tenant="acme",
@@ -244,8 +244,6 @@ def test_shards_exit_zero_when_the_router_closes(tmp_path, journaled):
             )
             await asyncio.wait_for(handle.result(), 60)
             assert handle.state.value == "done"
-        finally:
-            await router.aclose()
         return [service.proc.returncode for service in router.services]
 
     assert asyncio.run(run()) == [0, 0]
