@@ -176,7 +176,7 @@ def test_bench_recovery_time_10k_events(benchmark, bench_seed, tmp_path, bench_g
     )
     while service.step():
         pass
-    service.snapshot()  # idle → quiescent; compacts the whole history
+    pointer = service.snapshot()  # idle → quiescent; compacts the whole history
     service.flush_journal()
     service.close()
     digest = outcome_digest(service)
@@ -205,6 +205,7 @@ def test_bench_recovery_time_10k_events(benchmark, bench_seed, tmp_path, bench_g
     benchmark.extra_info["journal_events"] = events
     benchmark.extra_info["journal_records"] = service.journal_offset
     benchmark.extra_info["snapshot_recover_s"] = round(snap_s, 4)
+    benchmark.extra_info["snapshot_bytes"] = (path.parent / pointer["path"]).stat().st_size
     benchmark.extra_info["full_replay_s"] = round(full_s, 4)
     bench_gate(
         snap_s < full_s / 2,

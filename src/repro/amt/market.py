@@ -70,6 +70,11 @@ class PublishedHIT:
     assignment is charged to the market ledger at pull time (AMT charges on
     collection); :meth:`cancel` forfeits — and therefore never pays for —
     whatever has not been pulled yet.
+
+    A drained or cancelled handle drops its assignments: the cursor still
+    counts what was collected, and nothing else reads them again.  The
+    worker profiles stay, for :meth:`worker_profile` reads after the last
+    pull.
     """
 
     hit: HIT
@@ -89,8 +94,8 @@ class PublishedHIT:
 
     @property
     def outstanding(self) -> int:
-        """Assignments still pending (0 after cancel)."""
-        if self._cancelled:
+        """Assignments still pending (0 once drained or cancelled)."""
+        if self.done:
             return 0
         return len(self._assignments) - self._cursor
 
@@ -124,8 +129,11 @@ class PublishedHIT:
         """Collect (and pay for) the next submission, ``None`` when done."""
         if self.done:
             return None
-        assignment = self._assignments[self._cursor]
+        assignments = self._assignments
+        assignment = assignments[self._cursor]
         self._cursor += 1
+        if self._cursor == len(assignments):
+            self._assignments = ()
         self._ledger.charge(self.hit.hit_id, 1)
         return assignment
 
@@ -142,7 +150,15 @@ class PublishedHIT:
         if avoided:
             self._ledger.cancel(self.hit.hit_id, avoided)
         self._cancelled = True
+        self._assignments = ()
         return avoided
+
+    def __setstate__(self, state: dict) -> None:
+        # Handles pickled while they still kept a done HIT's assignments
+        # load in the released form.
+        self.__dict__.update(state)
+        if self.done:
+            self._assignments = ()
 
     def worker_profile(self, worker_id: str) -> WorkerProfile:
         try:

@@ -7,6 +7,13 @@ flight or pending, so every session is sealed).  Recovery then loads the
 snapshot and replays only the journal tail after its offset: O(delta),
 not O(history).
 
+A sealed HIT enters the pickle as its verdicts, not its raw votes: its
+session keeps the verified records and, per question, whether it was
+answered; its market handle keeps the collected count and the worker
+profiles, not the assignments.  Both let go of the rest as the HIT is
+verified.  A snapshot written while sealed HITs still kept their votes
+and assignments loads into the same form, and its version is the same.
+
 Closures and generators cannot pickle, so the parts of a query record
 that hold them (batch-spec ``sources``, the ``finalize`` assembler) are
 stripped before pickling and *regenerated* at load time by re-invoking
@@ -25,6 +32,7 @@ file bytes.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import pickle
 from collections import deque
@@ -51,6 +59,22 @@ class SnapshotError(RuntimeError):
 def default_snapshot_path(store_path: Path, offset: int) -> Path:
     """Where auto-snapshots live: next to the journal, offset-stamped."""
     return store_path.parent / f"{store_path.name}.snap-{offset}"
+
+
+def _loads(data: bytes) -> Any:
+    """``pickle.loads`` with the cyclic collector paused.
+
+    A snapshot unpickles tens of thousands of container objects that
+    all outlive the load, so every collection the allocations trigger
+    walks a growing heap and frees nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return pickle.loads(data)
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _capture_pickle(service: Any) -> bytes:
@@ -184,7 +208,7 @@ def resolve_snapshot(
         if hashlib.sha256(data).hexdigest() != record["digest"]:
             continue
         try:
-            payload = pickle.loads(data)
+            payload = _loads(data)
         except Exception:
             continue
         if payload.get("version") != SNAPSHOT_VERSION:
@@ -202,7 +226,7 @@ def install_snapshot(
 ) -> None:
     """Transplant a snapshot into the freshly-built ``durable`` service and
     regenerate the stripped batch sources of every active record."""
-    state = pickle.loads(payload["state"])
+    state = _loads(payload["state"])
     durable.engine = state["engine"]
     durable.scheduler = state["scheduler"]
     durable.admission = state["admission"]

@@ -10,6 +10,8 @@ The session owns everything that is per-HIT — the composed questions, the
 vote log, the termination strategy, the final records — and borrows
 everything that is engine-wide (worker-accuracy estimator, config, privacy
 manager, HIT-id counter) from its :class:`~repro.engine.engine.CrowdsourcingEngine`.
+The vote log lives only until the HIT is verified: a sealed session
+keeps its records and, per question, whether it was answered.
 Stepping a session performs *exactly* the operations of the legacy blocking
 loop in the same order, which is what keeps ``run_batch`` (now a one-session
 scheduler run) bit-for-bit identical to the pre-scheduler engine.
@@ -108,7 +110,9 @@ class HITSession:
         self.result: HITRunResult | None = None
         self._hit: HIT | None = None
         self._real: list[Question] = []
-        self._votes: dict[str, list[Vote]] = {}
+        # Each real question's votes while collecting; once sealed, only
+        # whether it was answered (the verdicts live in ``result``).
+        self._votes: dict[str, list[Vote]] | dict[str, bool] = {}
         # Tracked sessions only: the publish-time μ, the per-question
         # aggregators (built by the first read) and the arrivals, each with
         # its worker's accuracy at arrival, not yet folded into them.
@@ -256,6 +260,7 @@ class HITSession:
                 self._terminated_early = True
         if self.handle.done:
             self._finish()
+            self._release_votes()
 
     def _all_questions_stable(self) -> bool:
         """Early-termination gate: every real question's rule must hold."""
@@ -298,6 +303,7 @@ class HITSession:
         if not self.handle.done:
             raise ValueError("cannot seal a session whose handle is still delivering")
         self._finish()
+        self._release_votes()
 
     # -- live view (Algorithm 5 reuse) ---------------------------------------
 
@@ -362,6 +368,10 @@ class HITSession:
         state.setdefault("_unfolded", [])
         state.setdefault("_mean_accuracy", None)
         self.__dict__.update(state)
+        # Sealed sessions pickled while they still kept their vote lists
+        # load in the released form.
+        if self.state is SessionState.DONE:
+            self._release_votes()
 
     # -- verify --------------------------------------------------------------
 
@@ -387,6 +397,12 @@ class HITSession:
             records=records,
         )
         self.state = SessionState.DONE
+
+    def _release_votes(self) -> None:
+        """Drop the raw votes of a verified HIT, keeping which questions
+        were answered: ``result`` holds everything verification made of
+        them, and no read of a sealed session needs them again."""
+        self._votes = {qid: bool(votes) for qid, votes in self._votes.items()}
 
 
 def _reject_arrival(question: Question, answer: str, answered: int, hired: int) -> None:

@@ -8,20 +8,28 @@ everything it built — records, sessions, verdicts, published HITs.
 
 Every test here runs with the cyclic collector disabled: a service that
 outlives ``del`` is held by a reference cycle, not by anything live.
+
+A live service lets go of what it no longer reads, too: a sealed HIT
+keeps its verdicts, not its raw votes, and a done market handle keeps
+its counts, not its assignments (DESIGN.md §11).
 """
 
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
 
 import pytest
 
-from repro.amt.market import SimulatedMarket
-from repro.durability import recover
+from repro.amt.hit import HIT
+from repro.amt.market import PublishedHIT, SimulatedMarket
+from repro.durability import outcome_digest, recover
 from repro.engine.query import Query
 from repro.engine.service import QueryHandle, QueryState
+from repro.engine.session import HITSession, SessionState
 from repro.it.images import generate_images
+from repro.scenarios import handle_summary
 from repro.system import CDAS
 from repro.tsa.app import movie_query
 from repro.tsa.stream import TweetStream
@@ -241,3 +249,199 @@ def test_record_unpickled_with_a_plan_thunk_reads_no_plan(small_pool):
     assert not hasattr(old, "plan_thunk")
     assert old.plan_args is None
     assert QueryHandle(service, old).plan is None
+
+
+# -- a sealed HIT keeps its verdicts, not its raw votes -----------------------
+
+
+def _sessions(service) -> list[HITSession]:
+    return [s for handle in service.handles for s in handle._record.sessions]
+
+
+def _assert_released(service) -> None:
+    """No sealed session holds a vote list; no done handle, assignments."""
+    sealed = [s for s in _sessions(service) if s.state is SessionState.DONE]
+    assert sealed
+    for session in sealed:
+        assert session._votes
+        assert all(type(answered) is bool for answered in session._votes.values())
+    done = [h for h in service.engine.market._published.values() if h.done]
+    assert done
+    assert all(h._assignments == () for h in done)
+
+
+def test_sealed_sessions_and_done_hits_let_go_of_votes_and_assignments(small_pool):
+    service = _system(small_pool).service(max_in_flight=2)
+    _drive(service)
+    _assert_released(service)
+    assert any(s.questions_answered for s in _sessions(service))
+
+
+def test_a_done_market_handle_reads_as_it_did_with_its_assignments(small_pool):
+    market = SimulatedMarket(small_pool, seed=SEED)
+    questions = tuple(
+        tweet_to_question(t) for t in generate_tweets(["rio"], per_movie=3, seed=SEED)
+    )
+    drained = market.publish(HIT(hit_id="drained", questions=questions, assignments=3))
+    workers = [w.worker_id for w in drained.workers]
+    pulled = drained.collect_all()
+    assert len(pulled) == 3 and drained._assignments == ()
+    assert (drained.collected, drained.outstanding, drained.done) == (3, 0, True)
+    assert drained.peek_time() is None and drained.next_arrival_eta() is None
+    assert drained.next_submission() is None and drained.cancel() == 0
+    assert drained.collected == 3
+    assert [drained.worker_profile(w).worker_id for w in workers] == workers
+
+    cancelled = market.publish(HIT(hit_id="cancelled", questions=questions, assignments=4))
+    assert cancelled.next_submission() is not None
+    assert cancelled.cancel() == 3 and cancelled._assignments == ()
+    assert (cancelled.collected, cancelled.outstanding, cancelled.done) == (1, 0, True)
+    assert cancelled.peek_time() is None and cancelled.next_submission() is None
+    assert market.handle("cancelled") is cancelled and market.published_hits == 2
+    assert market.ledger.charged_assignments == 4
+    assert market.ledger.cancelled_assignments == 3
+
+
+def _tracked_reads(pool) -> tuple[list, list, list]:
+    """Every handle's progress after each step of a tracked run, then its
+    terminal summary and every session's per-question reads."""
+    service = _system(pool).service(max_in_flight=2, track_trajectories=True)
+    service.register_tenant("acme", priority=2.0)
+    service.submit(
+        "twitter-sentiment", movie_query("rio", 0.9), tenant="acme",
+        reserve=True, **_tsa("rio"),
+    )
+    service.submit(
+        "twitter-sentiment", movie_query("kungfu", 0.9, window=1), **_standing()
+    )
+    doomed = service.submit(
+        "twitter-sentiment", movie_query("alpha", 0.9), **_tsa("alpha", per_movie=24)
+    )
+    steps = []
+    while service.step():
+        steps.append([h.progress() for h in service.handles])
+        if not doomed.done and doomed.progress().hits_in_flight:
+            assert doomed.cancel()
+    assert [h.state for h in service.handles] == [
+        QueryState.DONE, QueryState.DONE, QueryState.CANCELLED,
+    ]
+    summaries = [handle_summary(h) for h in service.handles]
+    sessions = [
+        (
+            s.questions_answered,
+            s.live_best_confidences(),
+            [(qid, s.trajectory(qid), s.confidences(qid)) for qid in s._votes],
+        )
+        for s in _sessions(service)
+    ]
+    return steps, summaries, sessions, service
+
+
+def test_released_reads_equal_a_twin_that_keeps_its_votes(small_pool, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(HITSession, "_release_votes", lambda self: None)
+        *kept, twin = _tracked_reads(small_pool)
+    assert any(
+        isinstance(votes, list) and votes
+        for s in _sessions(twin) for votes in s._votes.values()
+    )
+    *released, service = _tracked_reads(small_pool)
+    _assert_released(service)
+    assert released == kept
+    assert outcome_digest(service) == outcome_digest(twin)
+
+
+#: Bytes a finished query of :func:`_waves` may leave behind in an
+#: untracked service.  Its records (questions, verdicts and the weighted
+#: observations they were verified from) take about 36 KB; keeping the
+#: raw votes and market assignments as well took about 57 KB.
+RETAINED_PER_QUERY = 45_000
+
+
+def _waves(service, tweets, gold, waves: int) -> None:
+    """``waves`` rounds of one sentiment query per subject, each round
+    run to idle.  Every round submits the same input objects, so what
+    grows is what the service keeps per finished query."""
+    for _ in range(waves):
+        for subject, subject_tweets in tweets.items():
+            service.submit(
+                "twitter-sentiment", movie_query(subject, 0.9),
+                tweets=subject_tweets, gold_tweets=gold,
+                worker_count=5, batch_size=4,
+            )
+        service.run_until_idle()
+
+
+def test_a_finished_query_keeps_a_bounded_footprint(small_pool):
+    service = _system(small_pool).service(max_in_flight=8, track_trajectories=False)
+    tweets = {
+        subject: generate_tweets([subject], per_movie=20, seed=SEED + 2)
+        for subject in (f"movie-{i}" for i in range(4))
+    }
+    gold = _gold()
+    _waves(service, tweets, gold, 1)  # warm every cache first
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        _waves(service, tweets, gold, 1)
+        before = tracemalloc.get_traced_memory()[0]
+        _waves(service, tweets, gold, 3)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    finished = 3 * len(tweets)
+    assert all(h.state is QueryState.DONE for h in service.handles)
+    assert grown / finished < RETAINED_PER_QUERY, grown / finished
+
+
+def test_a_snapshot_that_kept_votes_and_assignments_still_recovers(
+    small_pool, tmp_path, monkeypatch
+):
+    """Snapshots written before sealed HITs let go of their votes and
+    assignments carry both.  They install, drop them, and recover to the
+    same outcome digest."""
+    path = tmp_path / "old.journal.jsonl"
+    published: list[tuple[PublishedHIT, tuple]] = []
+    publish = SimulatedMarket.publish
+
+    def keeping(market, hit):
+        handle = publish(market, hit)
+        published.append((handle, handle._assignments))
+        return handle
+
+    with monkeypatch.context() as patch:
+        patch.setattr(HITSession, "_release_votes", lambda self: None)
+        patch.setattr(SimulatedMarket, "publish", keeping)
+        service = _system(small_pool).service(max_in_flight=1, journal=path)
+        service.submit("twitter-sentiment", movie_query("rio", 0.9), **_tsa("rio"))
+        service.run_until_idle()
+        standing = service.submit(
+            "twitter-sentiment", movie_query("kungfu", 0.9, window=1), **_standing()
+        )
+        # Between two of the standing query's HITs: the snapshot holds a
+        # sealed session of a query whose source it must regenerate.
+        while not (service.quiescent and standing._record.sessions):
+            assert service.step()
+            service.scheduler.reap()
+        assert not standing.done
+        for handle, assignments in published:
+            handle._assignments = assignments  # as the old code kept them
+        service.snapshot()
+    doomed = service.submit(
+        "twitter-sentiment", movie_query("alpha", 0.9), **_tsa("alpha", per_movie=24)
+    )
+    while doomed.progress().hits_in_flight == 0:
+        service.step()
+    assert doomed.cancel()
+    service.run_until_idle()
+    service.close()
+    digest = outcome_digest(service)
+
+    recovered = recover(path, _system(small_pool))
+    recovered.run_until_idle()
+    recovered.close()
+    assert 0 < recovered.replayed_events < service.scheduler.events_processed
+    assert outcome_digest(recovered) == digest
+    _assert_released(recovered)
