@@ -302,7 +302,7 @@ def test_a_done_market_handle_reads_as_it_did_with_its_assignments(small_pool):
     assert market.ledger.cancelled_assignments == 3
 
 
-def _tracked_reads(pool) -> tuple[list, list, list]:
+def _tracked_reads(pool) -> tuple[list, list, list, object]:
     """Every handle's progress after each step of a tracked run, then its
     terminal summary and every session's per-question reads."""
     service = _system(pool).service(max_in_flight=2, track_trajectories=True)
