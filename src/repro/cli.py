@@ -53,21 +53,11 @@ Commands
 from __future__ import annotations
 
 import argparse
-import asyncio
 from collections.abc import Sequence
 
 from repro.amt.pricing import PriceSchedule
 from repro.core.budget import plan_query
-from repro.experiments import all_experiments
-from repro.experiments.ablations import (
-    run_aggregator_comparison,
-    run_colluder_ablation,
-    run_cross_job_ablation,
-    run_domain_pruning_ablation,
-    run_spammer_ablation,
-)
 from repro.experiments.base import DEFAULT_SEED
-from repro.experiments.latency_study import run_latency_study
 from repro.util.records import digest
 
 __all__ = ["main", "experiment_registry"]
@@ -75,6 +65,16 @@ __all__ = ["main", "experiment_registry"]
 
 def experiment_registry():
     """Paper experiments plus the ablation studies."""
+    from repro.experiments import all_experiments
+    from repro.experiments.ablations import (
+        run_aggregator_comparison,
+        run_colluder_ablation,
+        run_cross_job_ablation,
+        run_domain_pruning_ablation,
+        run_spammer_ablation,
+    )
+    from repro.experiments.latency_study import run_latency_study
+
     registry = dict(all_experiments())
     registry.update(
         {
@@ -219,6 +219,8 @@ def _plan_line(plan) -> str:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Mixed multi-tenant workload on one scheduler service (DESIGN.md §7)."""
+    import asyncio
+
     if args.processes > 1:
         # The multi-process path spawns shard workers that each build
         # their own CDAS (repro.cluster.workloads); nothing to build here.
@@ -310,6 +312,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 async def _serve_asyncio(cdas, tweets, gold, images, gold_images, args) -> int:
     """The same workload through a ServiceMux: one async service per
     tenant group on one event loop, progress streamed from updates()."""
+    import asyncio
+
     from repro.engine.aio import ServiceMux
 
     mux = ServiceMux()
@@ -378,6 +382,8 @@ async def _serve_http(cdas, tweets, gold, images, gold_images, args) -> int:
     instead of truncated: every query id the previous process
     acknowledged resolves again, which is how a killed gateway restarts.
     """
+    import asyncio
+
     from repro.gateway import GatewayServer
 
     host, port = args.http
@@ -441,6 +447,8 @@ async def _serve_http_cluster(args: argparse.Namespace) -> int:
     shard writes ``BASE.<shard>``; a killed worker is respawned on its
     own journal and acknowledged query ids survive.
     """
+    import asyncio
+
     from repro.cluster import ShardRouter
     from repro.gateway import GatewayServer
     from repro.gateway.app import GatewayApp

@@ -34,7 +34,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import sqlite3
 import time
 from pathlib import Path
 from typing import Any, Iterable, Protocol, runtime_checkable
@@ -232,6 +231,8 @@ class SqliteJournalStore(FileJournalStore):
     )
 
     def __init__(self, path: str | Path, fsync_every: int = DEFAULT_FSYNC_EVERY) -> None:
+        import sqlite3  # only this store uses it; file journals never load it
+
         super().__init__(path, fsync_every)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._con = sqlite3.connect(str(self.path))

@@ -5,11 +5,6 @@ two-phase crowdsourcing engine that embeds the quality-sensitive answering
 model.
 """
 
-from repro.engine.aio import (
-    AsyncQueryHandle,
-    AsyncSchedulerService,
-    ServiceMux,
-)
 from repro.engine.engine import (
     CrowdsourcingEngine,
     EngineConfig,
@@ -43,9 +38,6 @@ from repro.engine.session import HITSession, SessionState
 from repro.engine.templates import QueryTemplate, render_hit_description
 
 __all__ = [
-    "AsyncQueryHandle",
-    "AsyncSchedulerService",
-    "ServiceMux",
     "CrowdsourcingEngine",
     "EngineConfig",
     "HITRunResult",

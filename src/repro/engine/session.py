@@ -19,7 +19,8 @@ scheduler run) bit-for-bit identical to the pre-scheduler engine.
 When ``track_trajectories`` is set, the session additionally exposes live
 confidences and full §4.2 trajectories from a per-question
 :class:`~repro.core.online.OnlineAggregator` (Algorithm 5) while the HIT is
-still collecting.  An arrival only logs ``(assignment, accuracy)``; the
+still collecting.  An arrival only logs its worker, accuracy, submit
+time and the answers and keywords of the real questions; the
 aggregators are built on the first read (with the publish-time ``μ``) and
 each read folds the arrivals logged since the last one into them, in
 arrival order — so a session nobody reads pays no Equation 4 work, and a
@@ -53,6 +54,13 @@ __all__ = ["SessionState", "HITSession"]
 
 #: A raw vote as logged by the session: (worker id, answer, reason keywords).
 Vote = tuple[str, str, tuple[str, ...]]
+
+#: One arrival in a tracked session's fold log: (worker id, accuracy at
+#: arrival, submit time, then the answer — ``None`` if none — and the
+#: reason keywords for each real question in HIT order).
+Arrival = tuple[
+    str, float, float, tuple[str | None, ...], tuple[tuple[str, ...], ...]
+]
 
 
 class SessionState(Enum):
@@ -118,7 +126,7 @@ class HITSession:
         # its worker's accuracy at arrival, not yet folded into them.
         self._mean_accuracy: float | None = None
         self._aggregators: dict[str, OnlineAggregator] = {}
-        self._unfolded: list[tuple[Assignment, float]] = []
+        self._unfolded: list[Arrival] = []
         self._strategy = (
             strategy_by_name(engine.config.termination)
             if engine.config.termination is not None
@@ -246,7 +254,7 @@ class HITSession:
                 if len(votes) > hired or answer not in q.options:
                     _reject_arrival(q, answer, len(votes), hired)
             if self._track:
-                self._unfolded.append((assignment, accuracy))
+                self._unfolded.append(_logged(assignment, accuracy, self._real))
             # not self._terminated_early: once the rule fired and we
             # cancelled, never re-evaluate or re-cancel (the legacy loop
             # broke out immediately; a misbehaving handle delivering
@@ -344,18 +352,17 @@ class HITSession:
                     hired_workers=hired,
                     mean_accuracy=self._mean_accuracy,
                 )
-        for assignment, accuracy in self._unfolded:
-            for q in self._real:
-                answer = assignment.answers.get(q.question_id)
+        for worker_id, accuracy, submit_time, answers, keywords in self._unfolded:
+            for q, answer, reasons in zip(self._real, answers, keywords):
                 if answer is None:
                     continue
                 aggregators[q.question_id].submit(
                     WorkerAnswer(
-                        worker_id=assignment.worker_id,
+                        worker_id=worker_id,
                         answer=answer,
                         accuracy=accuracy,
-                        keywords=assignment.keywords.get(q.question_id, ()),
-                        timestamp=assignment.submit_time,
+                        keywords=reasons,
+                        timestamp=submit_time,
                     )
                 )
         self._unfolded.clear()
@@ -368,6 +375,12 @@ class HITSession:
         state.setdefault("_unfolded", [])
         state.setdefault("_mean_accuracy", None)
         self.__dict__.update(state)
+        # Sessions pickled while the log held whole assignments, as
+        # ``(assignment, accuracy)`` pairs, load in the compact form.
+        self._unfolded = [
+            _logged(*entry, self._real) if len(entry) == 2 else entry
+            for entry in self._unfolded
+        ]
         # Sealed sessions pickled while they still kept their vote lists
         # load in the released form.
         if self.state is SessionState.DONE:
@@ -403,6 +416,20 @@ class HITSession:
         were answered: ``result`` holds everything verification made of
         them, and no read of a sealed session needs them again."""
         self._votes = {qid: bool(votes) for qid, votes in self._votes.items()}
+
+
+def _logged(
+    assignment: Assignment, accuracy: float, real: Sequence[Question]
+) -> Arrival:
+    """The tracked log's entry for one arrival: what the fold needs of the
+    assignment, and nothing of its gold answers."""
+    return (
+        assignment.worker_id,
+        accuracy,
+        assignment.submit_time,
+        tuple(assignment.answers.get(q.question_id) for q in real),
+        tuple(assignment.keywords.get(q.question_id, ()) for q in real),
+    )
 
 
 def _reject_arrival(question: Question, answer: str, answered: int, hired: int) -> None:

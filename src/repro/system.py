@@ -45,7 +45,6 @@ from typing import TYPE_CHECKING, Any
 
 from repro.amt.backend import MarketBackend
 from repro.amt.hit import Question
-from repro.engine.aio import AsyncSchedulerService
 from repro.engine.engine import CrowdsourcingEngine, EngineConfig
 from repro.engine.jobs import JobManager, JobSpec, ProcessingPlan
 from repro.engine.planner import JobProjector, Projection
@@ -55,6 +54,7 @@ from repro.engine.scheduler import BatchSink
 from repro.engine.service import SchedulerService
 
 if TYPE_CHECKING:
+    from repro.engine.aio import AsyncSchedulerService
     from repro.gateway import GatewayApp
 
 __all__ = ["JobRunner", "JobSubmitter", "CDAS"]
@@ -309,6 +309,8 @@ class CDAS:
         keeps the fsync barrier off its hot loop by flushing whenever it
         goes dormant or drains (DESIGN.md §12).
         """
+        from repro.engine.aio import AsyncSchedulerService
+
         return AsyncSchedulerService(
             self.service(
                 max_in_flight=max_in_flight,
@@ -338,7 +340,7 @@ class CDAS:
         snapshot_every: int | None = None,
         resume: bool = False,
         heartbeat: float | None = None,
-    ) -> "GatewayApp":
+    ) -> GatewayApp:
         """An HTTP/ASGI gateway over one service of this system (§13).
 
         Builds the async serving stack — one
@@ -361,6 +363,7 @@ class CDAS:
         :class:`~repro.gateway.GatewayApp` directly; this helper covers
         the common single-service shape the CLI serves.
         """
+        from repro.engine.aio import AsyncSchedulerService
         from repro.gateway import GatewayApp, TokenAuth
 
         if resume:

@@ -17,12 +17,13 @@ its counts, not its assignments (DESIGN.md §11).
 from __future__ import annotations
 
 import gc
+import pickle
 import tracemalloc
 import weakref
 
 import pytest
 
-from repro.amt.hit import HIT
+from repro.amt.hit import HIT, Assignment
 from repro.amt.market import PublishedHIT, SimulatedMarket
 from repro.durability import outcome_digest, recover
 from repro.engine.query import Query
@@ -351,10 +352,11 @@ def test_released_reads_equal_a_twin_that_keeps_its_votes(small_pool, monkeypatc
     assert outcome_digest(service) == outcome_digest(twin)
 
 
-#: Bytes a finished query of :func:`_waves` may leave behind in an
-#: untracked service.  Its records (questions, verdicts and the weighted
-#: observations they were verified from) take about 36 KB; keeping the
-#: raw votes and market assignments as well took about 57 KB.
+#: Bytes a finished query of :func:`_waves` may leave behind, tracked or
+#: not.  Its records (questions, verdicts and the weighted observations
+#: they were verified from) take about 36 KB; keeping the raw votes and
+#: market assignments as well took about 57 KB, and a tracked session's
+#: fold log of whole assignments about 49 KB.
 RETAINED_PER_QUERY = 45_000
 
 
@@ -372,8 +374,8 @@ def _waves(service, tweets, gold, waves: int) -> None:
         service.run_until_idle()
 
 
-def test_a_finished_query_keeps_a_bounded_footprint(small_pool):
-    service = _system(small_pool).service(max_in_flight=8, track_trajectories=False)
+def _retained_per_query(pool, track: bool) -> float:
+    service = _system(pool).service(max_in_flight=8, track_trajectories=track)
     tweets = {
         subject: generate_tweets([subject], per_movie=20, seed=SEED + 2)
         for subject in (f"movie-{i}" for i in range(4))
@@ -391,9 +393,16 @@ def test_a_finished_query_keeps_a_bounded_footprint(small_pool):
     finally:
         if not tracing:
             tracemalloc.stop()
-    finished = 3 * len(tweets)
     assert all(h.state is QueryState.DONE for h in service.handles)
-    assert grown / finished < RETAINED_PER_QUERY, grown / finished
+    return grown / (3 * len(tweets))
+
+
+def test_a_finished_query_keeps_a_bounded_footprint(small_pool):
+    """Nobody reads these sessions' trajectories, so a tracked session's
+    fold log outlives it: it must hold no more than the fold needs."""
+    for track in (False, True):
+        retained = _retained_per_query(small_pool, track)
+        assert retained < RETAINED_PER_QUERY, (track, retained)
 
 
 def test_a_snapshot_that_kept_votes_and_assignments_still_recovers(
@@ -445,3 +454,46 @@ def test_a_snapshot_that_kept_votes_and_assignments_still_recovers(
     assert 0 < recovered.replayed_events < service.scheduler.events_processed
     assert outcome_digest(recovered) == digest
     _assert_released(recovered)
+
+
+def test_a_session_pickled_with_whole_assignments_loads_compact(small_pool):
+    """Tracked sessions used to log ``(assignment, accuracy)`` per arrival,
+    gold answers included.  Pickled that way, a session loads with the
+    compact log and reads the same trajectories."""
+    service = _system(small_pool).service(max_in_flight=1, track_trajectories=True)
+    service.submit("twitter-sentiment", movie_query("rio", 0.9), **_tsa("rio"))
+    service.run_until_idle()
+    session = _sessions(service)[0]
+    compact = list(session._unfolded)
+    assert compact
+    gold = [q for q in session._hit.questions if q.is_gold]
+    assert gold
+    session._unfolded = [
+        (
+            Assignment(
+                hit_id=session.hit_id,
+                worker_id=worker_id,
+                answers={
+                    **{q.question_id: q.options[0] for q in gold},
+                    **{
+                        q.question_id: answer
+                        for q, answer in zip(session._real, answers)
+                        if answer is not None
+                    },
+                },
+                keywords={
+                    q.question_id: reasons
+                    for q, reasons in zip(session._real, keywords)
+                    if reasons
+                },
+                submit_time=submit_time,
+            ),
+            accuracy,
+        )
+        for worker_id, accuracy, submit_time, answers, keywords in compact
+    ]
+    copy = pickle.loads(pickle.dumps(session))
+    session._unfolded = compact
+    assert copy._unfolded == compact
+    for q in session._real:
+        assert copy.trajectory(q.question_id) == session.trajectory(q.question_id)
