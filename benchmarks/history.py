@@ -7,7 +7,10 @@ drifting host penalises neither side).  For every end-to-end metric
 ``BENCHMARK.json`` declares, it prints each side's median and quartiles
 and how many pairs the change won, then appends one row to
 ``BENCH_perfbench.json`` at the root of this checkout: both commits,
-nproc, Python version, seed, run length and those figures.
+nproc, Python version, seed, run length and those figures, with every
+pair's two values in run order and the side that ran first — a burst of
+host load shows as a run of pairs where both sides moved together, a
+lopsided change as one side moving alone.
 
 Usage (from the checkout root; the parent is any second checkout, e.g. a
 ``git worktree`` of ``HEAD~1``)::
@@ -80,8 +83,11 @@ def compare(
     parent: list[dict[str, float]],
     change: list[dict[str, float]],
     declared: list[dict[str, Any]],
+    first: list[str],
 ) -> dict[str, Any]:
-    """Per metric: both sides' median and quartiles, and pair wins."""
+    """Per metric: both sides' median and quartiles, pair wins, and each
+    pair's values in run order with the side (``"parent"`` or
+    ``"change"``) that ran first."""
     out: dict[str, Any] = {}
     for spec in declared:
         name = spec["name"]
@@ -95,6 +101,10 @@ def compare(
             "change": summarise([c for _, c in pairs]),
             "wins": wins,
             "pairs": len(pairs),
+            "runs": [
+                {"first": side, "parent": p, "change": c}
+                for side, (p, c) in zip(first, pairs)
+            ],
         }
     return out
 
@@ -156,13 +166,15 @@ def main(argv: list[str] | None = None) -> int:
     }
     for workload in args.workload or WORKLOADS:
         runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+        first: list[str] = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            first.append(order[0])
             for side in order:
                 checkout = parent if side == "parent" else change
                 runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
             print(f"  {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
-        figures = compare(runs["parent"], runs["change"], declared)
+        figures = compare(runs["parent"], runs["change"], declared, first)
         print_table(workload, figures)
         row["workloads"][workload] = figures
     if not args.no_append:

@@ -368,6 +368,12 @@ class DurableSchedulerService(SchedulerService):
         self._commit_action({"k": "cancel", "t": self.ticks, "q": record.seq})
         return super()._cancel(record)
 
+    def _release(self, record: Any) -> None:
+        """As :meth:`SchedulerService._release`, and forget the query's
+        grant groups: a snapshot records them for active queries only."""
+        super()._release(record)
+        self._grant_groups.pop(record.seq, None)
+
     # -- the pump ------------------------------------------------------------
 
     def step(self) -> bool:

@@ -21,7 +21,9 @@ the job's submitter with the journaled submission inputs — determinism
 guarantees the regenerated stream is bit-identical, so it is
 fast-forwarded past the specs that were already granted and re-linked to
 the pickled sessions.  Terminal records keep their pickled results and
-regenerate nothing.  The lazy auto-plan's ``plan_args`` are stripped
+regenerate nothing; they hold no sessions, and the scheduler lists only
+active queries' (DESIGN.md §7).  A snapshot written while they still
+held them loads into that form.  The lazy auto-plan's ``plan_args`` are stripped
 too and not regenerated: a plan-less query restored from a snapshot
 reads its ``plan`` as ``None``.
 
@@ -243,6 +245,10 @@ def install_snapshot(
     for rec in durable._records:
         if rec.state in TERMINAL_STATES:
             rec.observer = durable._observer
+            if rec.sessions:
+                # Written before terminal records let go of their
+                # sessions: release them now, as the run did since.
+                durable._release(rec)
             continue
         info = extras.get(rec.seq)
         submit_rec = submits_by_seq.get(rec.seq)

@@ -29,7 +29,7 @@ import time
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Protocol, runtime_checkable
+from typing import TYPE_CHECKING, Any, Protocol, runtime_checkable
 
 from repro.amt.backend import EventPump, SubmissionEvent
 from repro.amt.hit import Question
@@ -178,7 +178,10 @@ class HITScheduler:
         self._pending: deque[HITSession] = deque()
         self._sources: deque[tuple[Iterator[BatchSpec], SessionGroup]] = deque()
         self._in_flight: dict[str, HITSession] = {}
-        self._all: list[HITSession] = []
+        #: Every session spawned and not forgotten, in spawn order (a dict
+        #: used as an ordered set): what :meth:`run` and :attr:`sessions`
+        #: read.
+        self._all: dict[HITSession, None] = {}
         #: Simulated time of the last processed event — new HITs publish "now".
         self.clock = 0.0
         #: High-water mark of concurrently collecting HITs.
@@ -284,8 +287,25 @@ class HITScheduler:
             self._pending.remove(session)
         except ValueError:
             return False
-        self._all.remove(session)
+        del self._all[session]
         return True
+
+    def forget(self, sessions: Iterable[HITSession]) -> None:
+        """Stop listing sealed sessions in :attr:`sessions`.
+
+        The service calls this for a query that turned terminal: nothing
+        reads its sessions through the scheduler, and holding them here
+        would keep every finished query's sessions alive.
+        """
+        for session in sessions:
+            self._all.pop(session, None)
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        # A scheduler pickled while ``_all`` was a list loads as the
+        # ordered set.
+        if isinstance(state["_all"], list):
+            state["_all"] = dict.fromkeys(state["_all"])
+        self.__dict__.update(state)
 
     def reap(self) -> int:
         """Seal in-flight sessions whose handles finished out-of-band.
@@ -315,7 +335,7 @@ class HITScheduler:
         )
         if group is not None:
             group.sessions.append(session)
-        self._all.append(session)
+        self._all[session] = None
         return session
 
     def _next_session(self) -> HITSession | None:

@@ -393,7 +393,9 @@ class _QueryRecord:
         #: grant-time figure when its costed source is actually reserved.
         self.upfront_reservation = 0.0
         self.state = QueryState.QUEUED
-        self.sessions: list[HITSession] = []  # grant order
+        #: Grant order.  Emptied, with :attr:`groups`, :attr:`sources` and
+        #: :attr:`finalize`, once the query is terminal (:meth:`release`).
+        self.sessions: Sequence[HITSession] = []
         #: Windows materialised from window streams so far (standing
         #: queries); indexes the observer's ``on_window`` notifications.
         self.windows_pulled = 0
@@ -567,6 +569,26 @@ class _QueryRecord:
         if self.state in TERMINAL_STATES:
             self._final_spend = total
         return total
+
+    def release(self, ledger) -> Sequence[HITSession]:
+        """Let go of what a terminal query's readers no longer use.
+
+        Called once, when the query is terminal and every session it
+        still lists has sealed.  The sealed-prefix aggregate is first
+        extended over every session and the spend memoised, so
+        :meth:`QueryHandle.progress` and :meth:`spend` go on reading the
+        same values from the aggregate alone; then the sessions, their
+        groups, the batch sources and the ``finalize`` closure are
+        dropped.  Returns the dropped sessions.
+        """
+        prefix = self.sealed_prefix(ledger)
+        sessions = self.sessions
+        assert prefix.length == len(sessions), "released an unsealed session"
+        self.spend(ledger)
+        self.sessions = self.groups = ()
+        self.sources = ()
+        self.finalize = None
+        return sessions
 
     @property
     def work_done(self) -> bool:
@@ -1338,8 +1360,8 @@ class SchedulerService:
         # (no projector, uncalibrated μ) reads as ``None`` rather than
         # breaking the plan-less surface.  Planning is pure, so deferring
         # it changes nothing but *when* μ is sampled.  The record pins
-        # the job inputs for its lifetime — no heavier than the
-        # sessions/results it retains anyway.
+        # the job inputs for its lifetime, as a plan-path record's
+        # ``QueryPlan.job_inputs`` does.
         record.plan_args = (
             job_name,
             query,
@@ -1539,6 +1561,7 @@ class SchedulerService:
                 record.drop_remaining_batches()
                 if self.observer is not None:
                     self.observer.on_complete(record)
+                self._release(record)
 
     def _fill_slots(self) -> bool:
         """Grant free publish slots to admitted queries; True if any."""
@@ -1592,6 +1615,11 @@ class SchedulerService:
                 live.append(record)
         self._live = live
 
+    def _release(self, record: _QueryRecord) -> None:
+        """Drop a terminal query's sessions from its record and from the
+        scheduler: readers keep state, progress, spend and the result."""
+        self.scheduler.forget(record.release(self.engine.market.ledger))
+
     def _complete(self, record: _QueryRecord) -> None:
         """Assemble a finished query's result (or its failure)."""
         if record.budget_exhausted and not record.sessions:
@@ -1605,10 +1633,13 @@ class SchedulerService:
                 record.result_value = record.finalize()
                 record.state = QueryState.DONE
             except Exception as exc:  # surfaced via handle.result()
-                record.error = exc
+                # Without its traceback: the frames hold the finalizer,
+                # its sessions and this service.
+                record.error = exc.with_traceback(None)
                 record.state = QueryState.FAILED
         if self.observer is not None:
             self.observer.on_complete(record)
+        self._release(record)
 
     # -- cancellation ----------------------------------------------------------
 
@@ -1634,4 +1665,8 @@ class SchedulerService:
         record.state = QueryState.CANCELLED
         # Release the cancelled HITs' publish slots immediately.
         self.scheduler.reap()
+        # ``cancel`` flips a handle done, so the reap sealed every published
+        # session; one whose publish raised never seals, and keeps them all.
+        if all(session.done for session in record.sessions):
+            self._release(record)
         return True

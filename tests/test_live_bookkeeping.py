@@ -12,6 +12,7 @@ equals the memo-less reference under the quality screen.
 from __future__ import annotations
 
 import pytest
+from grant_log import GrantLog
 
 from repro.amt.hit import Question
 from repro.amt.market import SimulatedMarket
@@ -119,11 +120,13 @@ class TestFinishedHistoryIsNotWalked:
 class TestSealedCursor:
     def test_out_of_order_seals_finalise_on_the_last_seal(self, small_pool):
         service = _system(small_pool).service(max_in_flight=4)
+        # The record lets go of its sessions once DONE; the log keeps them.
+        log = GrantLog(service)
         handle = service.submit(**_tweets("order", 16, seed=SEED + 7))
         record = handle._record
         out_of_order = False
         while service.step():
-            sessions = record.sessions
+            sessions = log.of(handle.seq)
             sealed = [s.done for s in sessions]
             # A later session sealed while an earlier one still collects.
             out_of_order |= any(
@@ -137,7 +140,7 @@ class TestSealedCursor:
             assert record._first_unsealed <= len(sessions)
             assert all(s.done for s in sessions[: record._first_unsealed])
         assert out_of_order, "the run never sealed sessions out of order"
-        assert len(record.sessions) == 4
+        assert len(sessions) == 4
         assert handle.state is QueryState.DONE
 
     def test_old_records_restart_the_cursor(self, small_pool):

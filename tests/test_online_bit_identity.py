@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import pickle
 
+from grant_log import GrantLog
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -138,6 +139,8 @@ def test_tracked_trajectories_equal_a_from_scratch_rebuild(small_pool, monkeypat
     monkeypatch.setattr(HITSession, "on_submission", checked)
     cdas = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=31), seed=31)
     service = cdas.service(max_in_flight=3)
+    # Each record lets go of its sessions once DONE; the log keeps them.
+    log = GrantLog(service)
     gold = generate_tweets(["gold-movie"], per_movie=10, seed=32)
     handles = [
         service.submit(
@@ -153,7 +156,7 @@ def test_tracked_trajectories_equal_a_from_scratch_rebuild(small_pool, monkeypat
     service.run_until_idle()
     points = 0
     for handle in handles:
-        for session in handle._record.sessions:
+        for session in log.of(handle.seq):
             for aggregator in session._aggregators.values():
                 answers = aggregator._answers
                 for k, point in enumerate(aggregator.trajectory, start=1):

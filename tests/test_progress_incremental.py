@@ -11,9 +11,14 @@ the sealed prefix: a capped tenant, a budget-exhausted query, a reserved
 standing query, a mid-flight cancel, a cancel that withdraws a granted but
 unpublished session, and a snapshot + ``recover()`` round-trip whose
 restored records carry their pickled aggregates.
+
+A query's record lets go of its sessions once the query is terminal, so
+the reference walks the sessions each service's grant log holds.
 """
 
 from __future__ import annotations
+
+from grant_log import GrantLog, services_logged
 
 from repro.amt.market import SimulatedMarket
 from repro.durability import recover
@@ -38,12 +43,18 @@ def _system(pool) -> CDAS:
 # -- the from-scratch reference ----------------------------------------------
 
 
+def _granted(handle) -> list:
+    """Every session granted to the handle's query, in grant order.  A
+    withdrawn one is never published and adds nothing below."""
+    return handle._service.observer.of(handle.seq)
+
+
 def reference_spend(handle) -> float:
     """Every published session's ledger cost, in session order."""
     ledger = handle._service.engine.market.ledger
     return sum(
         ledger.cost_of(session.hit_id)
-        for session in handle._record.sessions
+        for session in _granted(handle)
         if session.handle is not None
     )
 
@@ -53,7 +64,7 @@ def reference_progress(handle) -> QueryProgress:
     record = handle._record
     answered = finalized = completed = in_flight = 0
     confidences: list[float] = []
-    for session in record.sessions:
+    for session in _granted(handle):
         answered += session.questions_answered
         if session.result is not None:
             completed += 1
@@ -183,11 +194,20 @@ def _run_until_snapshot_then_crash(service, path):
     return crashed, (standing, capped, frugal, doomed, withdrawn)
 
 
+def _hold_finished_sessions(recovered, uncrashed) -> None:
+    """A query terminal in the snapshot comes back without sessions; its
+    reference walks the ones the uncrashed run granted it."""
+    for handle in recovered.handles:
+        if handle.done and not _granted(handle):
+            recovered.observer.by_seq[handle.seq] = _granted(uncrashed.handles[handle.seq])
+
+
 def test_incremental_progress_matches_reference_every_step(small_pool, tmp_path):
     path = tmp_path / "svc.journal.jsonl"
     service = _system(small_pool).service(
         max_in_flight=2, journal=path, snapshot_every=6
     )
+    GrantLog(service)
     crashed, handles = _run_until_snapshot_then_crash(service, path)
     standing, capped, frugal, doomed, withdrawn = handles
     # The uninterrupted run finishes under the same check...
@@ -202,7 +222,9 @@ def test_incremental_progress_matches_reference_every_step(small_pool, tmp_path)
     expected = {h.seq: h.progress() for h in service.handles}
 
     # ...and so does the recovered one, from its pickled aggregates on.
-    recovered = recover(crashed, _system(small_pool))
+    with services_logged():
+        recovered = recover(crashed, _system(small_pool))
+    _hold_finished_sessions(recovered, service)
     assert any(h._record._sealed.length for h in recovered.handles)
     _check(recovered)
     while _step_checked(recovered):
@@ -215,6 +237,7 @@ def test_record_unpickled_without_the_aggregate_starts_it_empty(small_pool):
     """A record pickled before the aggregate existed (it held an id-keyed
     cache instead) rebuilds the aggregate on its first poll."""
     service = _system(small_pool).service(max_in_flight=2)
+    log = GrantLog(service)
     handle = service.submit(
         gold_tweets=generate_tweets(["gold-movie"], per_movie=12, seed=SEED + 1),
         tweets=generate_tweets(["rio"], per_movie=12, seed=SEED + 2),
@@ -223,7 +246,10 @@ def test_record_unpickled_without_the_aggregate_starts_it_empty(small_pool):
     service.run_until_idle()
     expected = handle.progress()
     record = handle._record
-    state = dict(record.__dict__, _sealed_progress={})
+    # Such a record also still held its sessions.
+    state = dict(
+        record.__dict__, _sealed_progress={}, sessions=log.of(handle.seq)
+    )
     del state["_sealed"]
     old = object.__new__(type(record))
     old.__setstate__(state)

@@ -9,6 +9,7 @@ to the service path.
 from __future__ import annotations
 
 import pytest
+from grant_log import GrantLog
 
 from repro.amt.market import SimulatedMarket
 from repro.engine.query import Query
@@ -674,21 +675,24 @@ class TestProgressCaching:
 
     def test_cache_only_covers_sealed_sessions(self, small_pool):
         service = _cdas(small_pool).service(max_in_flight=1)
+        # The record lets go of its sessions once DONE; the log keeps them.
+        log = GrantLog(service)
         handle = service.submit(
             "twitter-sentiment", movie_query("alpha", 0.9),
             batch_size=6, **_tsa_inputs()
         )
         record = handle._record
+        sessions = log.of(handle.seq)
         while not handle.done:
             if not service.step():
                 break
             progress = handle.progress()
             # The aggregate never covers an unsealed session, and live
             # counters stay monotone while it grows.
-            sealed = sum(1 for s in record.sessions if s.result is not None)
+            sealed = sum(1 for s in sessions if s.result is not None)
             assert all(
                 s.result is not None
-                for s in record.sessions[: record._sealed.length]
+                for s in sessions[: record._sealed.length]
             )
             assert record._sealed.length <= sealed
             assert progress.hits_completed == sealed

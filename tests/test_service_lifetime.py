@@ -22,6 +22,7 @@ import tracemalloc
 import weakref
 
 import pytest
+from grant_log import services_logged
 
 from repro.amt.hit import HIT, Assignment
 from repro.amt.market import PublishedHIT, SimulatedMarket
@@ -48,6 +49,15 @@ def no_cyclic_gc():
     finally:
         if enabled:
             gc.enable()
+
+
+@pytest.fixture(autouse=True)
+def grant_logs():
+    """Every service here holds the sessions it grants in a grant log,
+    which :func:`_sessions` reads: a terminal query's record lets go of
+    its own (DESIGN.md §7)."""
+    with services_logged():
+        yield
 
 
 def _system(pool) -> CDAS:
@@ -256,7 +266,7 @@ def test_record_unpickled_with_a_plan_thunk_reads_no_plan(small_pool):
 
 
 def _sessions(service) -> list[HITSession]:
-    return [s for handle in service.handles for s in handle._record.sessions]
+    return service.observer.sessions
 
 
 def _assert_released(service) -> None:

@@ -24,6 +24,7 @@ import dataclasses
 import pickle
 
 import pytest
+from grant_log import GrantLog, services_logged
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -174,7 +175,9 @@ def _tsa(subject: str, per_movie: int, seed: int, **inputs) -> dict:
 
 
 def _sessions(service) -> list[HITSession]:
-    return [s for h in service.handles for s in h._record.sessions]
+    """Every session the service granted, as its grant log holds them: a
+    terminal query's record lets go of its own (DESIGN.md §7)."""
+    return service.observer.sessions
 
 
 def _outcome(read):
@@ -192,6 +195,8 @@ class _Pair:
     def __init__(self, pool) -> None:
         self.lazy = _system(pool).service(max_in_flight=2)
         self.eager = _system(pool).service(max_in_flight=2)
+        GrantLog(self.lazy)
+        GrantLog(self.eager)
         _make_eager(self.eager)
 
     def both(self, op):
@@ -518,6 +523,7 @@ def _crash_and_recover(pool, tmp_path, before_crash=lambda service: None):
     recovered from the copy and finished the same way."""
     path = tmp_path / "svc.journal.jsonl"
     service = _system(pool).service(max_in_flight=1, journal=path, snapshot_every=6)
+    GrantLog(service)
     standing = service.submit(
         "twitter-sentiment",
         Query(keywords=("rio",), required_accuracy=0.9, domain="movies",
@@ -537,7 +543,8 @@ def _crash_and_recover(pool, tmp_path, before_crash=lambda service: None):
     crashed.write_bytes(path.read_bytes())
     service.run_until_idle()
     service.close()
-    recovered = recover(crashed, _system(pool))
+    with services_logged():
+        recovered = recover(crashed, _system(pool))
     assert recovered.replayed_records == 0  # everything came from the snapshot
     restored = _sessions(recovered)
     recovered.run_until_idle()
@@ -596,6 +603,7 @@ def test_pickled_session_round_trips_its_log(small_pool):
     """A sealed, unread session pickles its log and μ, and reads the same
     after the round trip as before it."""
     service = _system(small_pool).service(max_in_flight=1)
+    GrantLog(service)
     service.submit(**_tsa("alpha", 8, SEED + 2))
     service.run_until_idle()
     session = _sessions(service)[0]
