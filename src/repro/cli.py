@@ -43,10 +43,10 @@ Commands
     structured divergence when it does not.  ``--time-scale`` stretches
     the recorded arrival timestamps (0 compresses all waiting away,
     1 reproduces the recording's pacing).
-``lint [PATHS] [--json FILE] [--markdown FILE]``
+``lint [PATHS] [--root DIR]``
     Run the cdas-lint invariant checker (DESIGN.md §15): determinism in
-    the sans-IO core and async purity.  Exits 1 on new findings, 0 when
-    everything is clean or waived.  Same engine as
+    the sans-IO core and async purity.  Exits 1 on any finding, 0 when
+    the tree is clean, 2 on a missing path.  Same module as
     ``python -m repro.analysis``.
 """
 
@@ -661,7 +661,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 
 
 def _cmd_lint(args: argparse.Namespace) -> int:
-    from repro.analysis.cli import run as run_lint_cli
+    from repro.analysis import run as run_lint_cli
 
     return run_lint_cli(args)
 
@@ -872,7 +872,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_p.set_defaults(func=_cmd_profile)
 
-    from repro.analysis.cli import add_arguments as add_lint_arguments
+    from repro.analysis import add_arguments as add_lint_arguments
 
     lint_p = sub.add_parser(
         "lint",

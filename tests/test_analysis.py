@@ -1,21 +1,19 @@
 """Tests for the cdas-lint invariant checker (DESIGN.md §15).
 
 Each rule gets a fixture tree under ``tmp_path`` with a true positive
-*and* a near-miss negative, the waiver channel is exercised end to end,
-the JSON report schema is pinned, and — the acceptance tests — the real
-tree lints clean while an injected ``time.time()`` in
-``engine/scheduler.py`` makes the lint fail.
+*and* a near-miss negative, the command line's output and exit codes
+are pinned, and — the acceptance tests — the real tree lints clean
+while an injected ``time.time()`` in ``engine/scheduler.py`` or a
+``time.sleep`` in a coroutine of ``gateway/routes.py`` makes the lint
+fail.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis import ENGINE_RULE, report_dict, run_lint, scan_waivers
-from repro.analysis.cli import main as lint_main
-from repro.analysis.rules import AsyncPurityRule, DeterminismRule
+from repro.analysis import ENGINE_RULE, main, run_lint
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -51,7 +49,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         (finding,) = rule_findings(result, "CDAS001")
         assert "time.time" in finding.message
         assert finding.symbol == "now"
@@ -69,7 +67,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         assert len(rule_findings(result, "CDAS001")) == 1
 
     def test_monotonic_clock_is_legal(self, tmp_path):
@@ -84,7 +82,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         assert rule_findings(result, "CDAS001") == []
 
     def test_wall_clock_outside_core_is_out_of_scope(self, tmp_path):
@@ -99,7 +97,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         assert rule_findings(result, "CDAS001") == []
 
     def test_random_module_fires_and_seeded_generator_does_not(self, tmp_path):
@@ -119,7 +117,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         findings = rule_findings(result, "CDAS001")
         assert [f.symbol for f in findings] == ["bad"]
 
@@ -135,7 +133,7 @@ class TestDeterminism:
                 """
             },
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         assert len(rule_findings(result, "CDAS001")) == 1
 
 
@@ -157,7 +155,7 @@ class TestAsyncPurity:
                 """
             },
         )
-        result = run_lint(root, rules=[AsyncPurityRule()])
+        result = run_lint(root)
         (finding,) = rule_findings(result, "CDAS002")
         assert "time.sleep" in finding.message
         assert finding.symbol == "handler"
@@ -174,7 +172,7 @@ class TestAsyncPurity:
                 """
             },
         )
-        result = run_lint(root, rules=[AsyncPurityRule()])
+        result = run_lint(root)
         assert rule_findings(result, "CDAS002") == []
 
     def test_nested_sync_helper_is_not_the_loop(self, tmp_path):
@@ -193,7 +191,7 @@ class TestAsyncPurity:
                 """
             },
         )
-        result = run_lint(root, rules=[AsyncPurityRule()])
+        result = run_lint(root)
         assert rule_findings(result, "CDAS002") == []
 
     def test_subprocess_in_async_def_fires(self, tmp_path):
@@ -208,7 +206,7 @@ class TestAsyncPurity:
                 """
             },
         )
-        result = run_lint(root, rules=[AsyncPurityRule()])
+        result = run_lint(root)
         assert len(rule_findings(result, "CDAS002")) == 1
 
     def test_asyncio_sleep_is_legal(self, tmp_path):
@@ -223,12 +221,53 @@ class TestAsyncPurity:
                 """
             },
         )
-        result = run_lint(root, rules=[AsyncPurityRule()])
+        result = run_lint(root)
         assert rule_findings(result, "CDAS002") == []
+
+    def test_nested_async_def_is_reported_once(self, tmp_path):
+        root = make_tree(
+            tmp_path,
+            {
+                "repro/gateway/handlers.py": """
+                import time
+
+                async def outer():
+                    async def inner():
+                        time.sleep(0.1)
+                    await inner()
+                """
+            },
+        )
+        result = run_lint(root)
+        (finding,) = rule_findings(result, "CDAS002")
+        assert finding.symbol == "inner"
+        assert result.exit_code == 1
+
+    def test_async_def_inside_a_sync_factory_is_scanned(self, tmp_path):
+        # The sync factory's own body is exempt; the coroutine it defines
+        # still runs on the loop.
+        root = make_tree(
+            tmp_path,
+            {
+                "repro/gateway/handlers.py": """
+                import time
+
+                def make_handler():
+                    time.sleep(0.1)
+
+                    async def handler():
+                        time.sleep(0.1)
+                    return handler
+                """
+            },
+        )
+        result = run_lint(root)
+        (finding,) = rule_findings(result, "CDAS002")
+        assert finding.symbol == "handler"
 
 
 # ---------------------------------------------------------------------------
-# Waivers
+# Unparseable files + CLI
 # ---------------------------------------------------------------------------
 
 VIOLATION = """
@@ -239,168 +278,29 @@ def now():
 """
 
 
-class TestWaivers:
-    def run(self, tmp_path, source):
-        root = make_tree(tmp_path, {"repro/engine/sched.py": source})
-        return run_lint(root, rules=[DeterminismRule()])
-
-    def test_waiver_on_line_above_suppresses(self, tmp_path):
-        source = VIOLATION.replace(
-            "    return time.time()",
-            "    # cdas-lint: disable=CDAS001 probe, never journaled\n"
-            "    return time.time()",
-        )
-        result = self.run(tmp_path, source)
-        (finding,) = result.findings
-        assert finding.waived and finding.waiver == "probe, never journaled"
-        assert result.exit_code == 0
-
-    def test_trailing_waiver_suppresses(self, tmp_path):
-        source = VIOLATION.replace(
-            "    return time.time()",
-            "    return time.time()  # cdas-lint: disable=CDAS001 probe only",
-        )
-        result = self.run(tmp_path, source)
-        assert result.exit_code == 0
-
-    def test_file_level_waiver_covers_everything(self, tmp_path):
-        source = (
-            "# cdas-lint: disable-file=CDAS001 synthetic fixture\n" + VIOLATION
-        )
-        result = self.run(tmp_path, source)
-        assert result.exit_code == 0
-        assert all(f.waived for f in result.findings)
-
-    def test_waiver_for_the_wrong_rule_does_not_suppress(self, tmp_path):
-        source = VIOLATION.replace(
-            "    return time.time()",
-            "    return time.time()  # cdas-lint: disable=CDAS002 wrong rule",
-        )
-        result = self.run(tmp_path, source)
-        assert result.exit_code == 1
-
-    def test_waiver_without_reason_is_itself_a_finding(self, tmp_path):
-        source = VIOLATION.replace(
-            "    return time.time()",
-            "    return time.time()  # cdas-lint: disable=CDAS001",
-        )
-        result = self.run(tmp_path, source)
-        rules = sorted(f.rule for f in result.findings)
-        assert rules == ["CDAS000", "CDAS001"]
-        assert result.exit_code == 1
-
-    def test_malformed_waiver_is_a_finding(self, tmp_path):
-        source = "# cdas-lint: dissable=CDAS001 typo\n"
-        waivers = scan_waivers(source, "x.py")
-        (problem,) = waivers.problems
-        assert problem.rule == ENGINE_RULE
-        assert waivers.waivers == []
-
-    def test_prose_mentioning_the_marker_is_not_a_waiver(self, tmp_path):
-        source = "# see the docs for cdas-lint: disable syntax\n"
-        waivers = scan_waivers(source, "x.py")
-        assert waivers.problems == [] and waivers.waivers == []
-
-    def test_waiver_inside_string_literal_does_not_count(self, tmp_path):
-        source = VIOLATION.replace(
-            "    return time.time()",
-            '    _ = "# cdas-lint: disable=CDAS001 inside a string"\n'
-            "    return time.time()",
-        )
-        result = self.run(tmp_path, source)
-        assert result.exit_code == 1
-
-    def test_multi_rule_waiver(self, tmp_path):
-        source = "# cdas-lint: disable=CDAS001, CDAS002 one reason for both\n"
-        waivers = scan_waivers(source, "x.py")
-        (waiver,) = waivers.waivers
-        assert waiver.rules == ("CDAS001", "CDAS002")
-        assert waiver.reason == "one reason for both"
-
-    def test_waiver_for_an_unknown_rule_is_a_finding(self, tmp_path):
-        # A retired or misspelt rule id can't suppress anything, so its
-        # waiver must not sit in the tree looking like it does.
-        source = VIOLATION.replace(
-            "    return time.time()",
-            "    # cdas-lint: disable=CDAS009 no such rule\n"
-            "    return time.time()",
-        )
-        result = self.run(tmp_path, source)
-        rules = sorted(f.rule for f in result.findings)
-        assert rules == ["CDAS000", "CDAS001"]
-        (problem,) = rule_findings(result, ENGINE_RULE)
-        assert "CDAS009" in problem.message and problem.new
-        assert result.exit_code == 1
-        waivers = scan_waivers(
-            "# cdas-lint: disable=CDAS001,CDAS003 one known, one retired\n", "x.py"
-        )
-        assert waivers.waivers == [] and len(waivers.problems) == 1
-
-    def test_unwaivable_engine_findings(self, tmp_path):
-        # A syntax error can't be waived away by a comment in the file.
+class TestReportAndCli:
+    def test_unparseable_file_is_a_cdas000_finding(self, tmp_path):
         root = make_tree(
             tmp_path,
             {"repro/engine/broken.py": "def oops(:\n    pass\n"},
         )
-        result = run_lint(root, rules=[DeterminismRule()])
+        result = run_lint(root)
         (finding,) = result.findings
-        assert finding.rule == ENGINE_RULE and finding.new
+        assert finding.rule == ENGINE_RULE
         assert result.exit_code == 1
 
-
-# ---------------------------------------------------------------------------
-# JSON report + CLI
-# ---------------------------------------------------------------------------
-
-
-class TestReportAndCli:
-    def test_report_schema(self, tmp_path):
+    def test_cli_prints_findings_and_exit_code(self, tmp_path, capsys):
         root = make_tree(tmp_path, {"repro/engine/sched.py": VIOLATION})
-        result = run_lint(root, rules=[DeterminismRule()])
-        report = report_dict(
-            result.findings,
-            checked_files=result.checked_files,
-            rules=result.rules,
-        )
-        assert report["version"] == 2 and report["tool"] == "cdas-lint"
-        (entry,) = report["findings"]
-        assert set(entry) == {
-            "rule", "path", "line", "col", "symbol", "message",
-            "waived", "waiver",
-        }
-        summary = report["summary"]
-        assert set(summary) == {"checked_files", "total", "new", "waived", "by_rule"}
-        assert summary["total"] == summary["new"] == 1
-        assert summary["by_rule"] == {"CDAS001": 1}
-        json.dumps(report)  # must be serialisable as-is
-
-    def test_cli_json_output_and_exit_code(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"repro/engine/sched.py": VIOLATION})
-        out = tmp_path / "report.json"
-        code = lint_main(["--root", str(root), "--json", str(out)])
+        code = main(["--root", str(root)])
         assert code == 1
-        report = json.loads(out.read_text(encoding="utf-8"))
-        assert report["summary"]["new"] == 1
         rendered = capsys.readouterr().out
-        assert "CDAS001" in rendered
+        assert "repro/engine/sched.py:5:11 CDAS001" in rendered
+        assert "cdas-lint: 1 finding(s) (1 files checked)" in rendered
 
     def test_cli_rejects_missing_paths(self, tmp_path, capsys):
-        code = lint_main(["--root", str(tmp_path), "no/such/file.py"])
+        code = main(["--root", str(tmp_path), "no/such/file.py"])
         assert code == 2
         assert "do not exist" in capsys.readouterr().err
-
-    def test_cli_list_rules(self, capsys):
-        assert lint_main(["--list-rules"]) == 0
-        out = capsys.readouterr().out
-        listed = [line.split()[0] for line in out.splitlines()]
-        assert listed == ["CDAS001", "CDAS002"]
-
-    def test_markdown_summary(self, tmp_path, capsys):
-        root = make_tree(tmp_path, {"repro/engine/sched.py": VIOLATION})
-        code = lint_main(["--root", str(root), "--quiet", "--markdown", "-"])
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "### cdas-lint" in out and "| CDAS001 | 1 | 1 | 0 |" in out
 
 
 # ---------------------------------------------------------------------------
@@ -411,11 +311,9 @@ class TestReportAndCli:
 class TestAcceptance:
     def test_real_tree_lints_clean(self):
         result = run_lint(REPO_ROOT)
-        assert result.new_findings == []
+        assert result.findings == []
         assert result.exit_code == 0
         assert result.checked_files > 100
-        # Every waiver in the tree carries its reason along.
-        assert all(f.waiver for f in result.findings if f.waived)
 
     def test_wall_clock_in_the_scheduler_fails_the_lint(self, tmp_path):
         real = (REPO_ROOT / "src/repro/engine/scheduler.py").read_text(
@@ -430,4 +328,20 @@ class TestAcceptance:
         result = run_lint(root)
         (finding,) = rule_findings(result, "CDAS001")
         assert finding.symbol == "_wall_clock_probe"
+        assert result.exit_code == 1
+
+
+    def test_blocking_sleep_in_a_gateway_route_fails_the_lint(self, tmp_path):
+        real = (REPO_ROOT / "src/repro/gateway/routes.py").read_text(
+            encoding="utf-8"
+        )
+        sabotaged = real + (
+            "\n\nimport time as _probe_time\n\n\n"
+            "async def _blocking_probe():\n"
+            "    _probe_time.sleep(0.1)\n"
+        )
+        root = make_tree(tmp_path, {"repro/gateway/routes.py": sabotaged})
+        result = run_lint(root)
+        (finding,) = rule_findings(result, "CDAS002")
+        assert finding.symbol == "_blocking_probe"
         assert result.exit_code == 1
