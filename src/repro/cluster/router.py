@@ -29,6 +29,12 @@ one ``snapshot`` round trip, and a metrics or healthz read
 (:meth:`RemoteShardService.refresh`) one ``stats`` round trip: the
 shard's own metrics entry is the only one there is.
 
+Ownership runs one way (DESIGN.md §14): the router owns its shard
+services, a service owns its RPC client, process and handles, and every
+back-reference is weak — a service's ``router``, a handle's service,
+and the client's event and close callbacks.  So a closed, dropped router
+is freed by reference counting, and a handle held alone stays readable.
+
 Placement is weighted rendezvous hashing (:func:`assign_shard`) over the
 *routable* shards, so the rebalancing rules need no coordination state:
 
@@ -54,6 +60,7 @@ import os
 import signal
 import socket
 import traceback
+import weakref
 from typing import Any
 
 from repro.cluster.rpc import RpcClient, RpcError, ShardDied
@@ -61,7 +68,7 @@ from repro.cluster.shards import assign_shard, shard_names
 from repro.cluster.worker import main as worker_main
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase
+from repro.engine.aio import DEFAULT_UPDATE_QUEUE, AsyncHandleBase, weak_method
 from repro.engine.planner import CounterOffer, PlanDecision, PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
@@ -220,7 +227,12 @@ class RemoteQueryHandle(AsyncHandleBase):
         is down answers from the cache rather than waiting out a
         respawn."""
         service = self._service
-        if self._terminal.is_set() or self._watched or not service.alive:
+        if (
+            self._terminal.is_set()
+            or self._watched
+            or service is None
+            or not service.alive
+        ):
             return
         try:
             # The reader applied the snapshot event before this returns.
@@ -236,14 +248,19 @@ class RemoteQueryHandle(AsyncHandleBase):
     ) -> "asyncio.Queue[QueryProgress]":
         queue = super().subscribe(max_pending)
         if len(self._queues) == 1:
-            self._service._sync_watch(self)
+            self._sync_watch()
         return queue
 
     def unsubscribe(self, queue: "asyncio.Queue[QueryProgress]") -> None:
         watched = bool(self._queues)
         super().unsubscribe(queue)
         if watched and not self._queues:
-            self._service._sync_watch(self)
+            self._sync_watch()
+
+    def _sync_watch(self) -> None:
+        service = self._service
+        if service is not None:
+            service._sync_watch(self)
 
     # -- terminal payloads (pushed with the terminal event) ------------------
 
@@ -268,17 +285,18 @@ class RemoteQueryHandle(AsyncHandleBase):
     async def cancel(self) -> bool:
         """Charge-final cancel over RPC; the reader applied the frozen
         snapshot and the shard's stats before the reply resolved."""
-        if self.done:
+        service = self._service
+        if self.done or service is None:
             return False
         try:
-            reply = await self._service._call("cancel", seq=self.seq)
+            reply = await service._call("cancel", seq=self.seq)
         except ShardDied:
             # The shard died under the cancel; its close handler settles
             # this handle (strand or respawn), so report "not cancelled
             # by us" rather than raising at the client.
             return False
         except RpcError as exc:
-            raise self._service._rebuild_error(exc) from None
+            raise service._rebuild_error(exc) from None
         await asyncio.sleep(0)
         return bool(reply["cancelled"])
 
@@ -339,9 +357,9 @@ class RemoteShardService:
     """
 
     def __init__(
-        self, router: "ShardRouter", name: str, journal: str | None = None
+        self, router: "ShardRouter | None", name: str, journal: str | None = None
     ) -> None:
-        self.router = router
+        self._router = None if router is None else weakref.ref(router)
         self.name = name
         self.journal = journal
         self.alive = False
@@ -369,6 +387,11 @@ class RemoteShardService:
         )
 
     # -- observation (cache reads) -------------------------------------------
+
+    @property
+    def router(self) -> "ShardRouter | None":
+        """The router that owns this service (held weakly), or ``None``."""
+        return None if self._router is None else self._router()
 
     @property
     def recoverable(self) -> bool:
@@ -428,7 +451,7 @@ class RemoteShardService:
     def ledger_summary(self) -> dict[str, Any]:
         return dict(self._stats.get("ledger") or {})
 
-    # -- push plumbing -------------------------------------------------------
+    # -- push plumbing (the RPC client's callbacks) --------------------------
 
     def _handle_event(self, frame: dict[str, Any]) -> None:
         """Apply one event, in wire order."""
@@ -449,17 +472,19 @@ class RemoteShardService:
         else:
             handle._absorb(frame["snapshot"])
 
+    def _connection_closed(self) -> None:
+        router = self.router
+        if router is not None:
+            router._on_shard_close(self)
+
     # -- router-side watch ---------------------------------------------------
 
     def _sync_watch(self, handle: RemoteQueryHandle) -> None:
         """Bring the shard's watch of ``handle`` in line with whether a
         router-side queue is open (one exchange in flight per handle).
         A service no router drives has no shard to ask."""
-        if (
-            handle._terminal.is_set()
-            or self.router is None
-            or self.router._closing
-        ):
+        router = self.router
+        if handle._terminal.is_set() or router is None or router._closing:
             return
         task = handle._watch_sync
         if task is not None and not task.done():
@@ -472,20 +497,26 @@ class RemoteShardService:
         task.add_done_callback(self._watch_tasks.discard)
 
     async def _watch_loop(self, handle: RemoteQueryHandle) -> None:
-        while not handle._terminal.is_set():
-            want = bool(handle._queues)
-            if want == handle._watched:
-                return
-            if not want:
-                # Pushes stop being trusted once the unwatch is on its way.
-                handle._watched = False
-            try:
-                await self._call("watch" if want else "unwatch", seq=handle.seq)
-            except (ShardDied, RpcError):
-                # A respawn re-watches; an abandoned shard fails the handle.
-                return
-            # A watch's snapshot event was applied before the reply.
-            handle._watched = want
+        try:
+            while not handle._terminal.is_set():
+                want = bool(handle._queues)
+                if want == handle._watched:
+                    return
+                if not want:
+                    # Pushes stop being trusted once the unwatch is on its way.
+                    handle._watched = False
+                try:
+                    await self._call("watch" if want else "unwatch", seq=handle.seq)
+                except (ShardDied, RpcError):
+                    # A respawn re-watches; an abandoned shard fails the handle.
+                    return
+                # A watch's snapshot event was applied before the reply.
+                handle._watched = want
+        finally:
+            # The handle lets go of the finished exchange: a cancelled
+            # task may keep its traceback (3.10 does), which holds the
+            # handle.
+            handle._watch_sync = None
 
     def _rewatch(self) -> None:
         """A respawned worker watches nothing: watch again every live
@@ -518,6 +549,13 @@ class RemoteShardService:
         await self._await_ready()
         assert self.rpc is not None
         return await self.rpc.call(method, **params)
+
+    async def _ensure_tenant(self, tenant: str) -> None:
+        """Register the router's record of ``tenant`` here first; a
+        service no router drives has no record to register."""
+        router = self.router
+        if router is not None:
+            await router._ensure_registered(self, tenant)
 
     def _rebuild_error(self, exc: RpcError) -> Exception:
         """Re-raise the worker's wire taxonomy as engine exceptions."""
@@ -566,7 +604,7 @@ class RemoteShardService:
         priority: float | None = None,
         **inputs: Any,
     ) -> RemotePlan:
-        await self.router._ensure_registered(self, tenant)
+        await self._ensure_tenant(tenant)
         try:
             reply = await self._call(
                 "plan",
@@ -600,7 +638,7 @@ class RemoteShardService:
         reserve: bool = True,
         **inputs: Any,
     ) -> RemoteQueryHandle:
-        await self.router._ensure_registered(self, tenant)
+        await self._ensure_tenant(tenant)
         try:
             reply = await self._call(
                 "submit",
@@ -771,7 +809,8 @@ class ShardRouter:
             for name in self.shard_order
         }
         self._tenants: dict[str, dict[str, Any]] = {}
-        self._tasks: list[asyncio.Task[None]] = []
+        #: Respawns in flight; each leaves the set when it is done.
+        self._tasks: set[asyncio.Task[None]] = set()
         self._closing = False
         self.recovered_queries = 0
 
@@ -833,8 +872,8 @@ class ShardRouter:
         service.rpc = RpcClient(
             reader,
             writer,
-            on_event=service._handle_event,
-            on_close=lambda svc=service: self._on_shard_close(svc),
+            on_event=weak_method(service._handle_event),
+            on_close=weak_method(service._connection_closed),
         )
         reply = await service.rpc.call(
             "init",
@@ -865,7 +904,8 @@ class ShardRouter:
             task = asyncio.get_running_loop().create_task(
                 self._respawn(service), name=f"cdas-respawn-{service.name}"
             )
-            self._tasks.append(task)
+            self._tasks.add(task)
+            task.add_done_callback(self._tasks.discard)
         else:
             self._abandon(
                 service,

@@ -123,8 +123,10 @@ class RpcClient:
         self._next_id = 0
         self._closed = False
         self._closing = False
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop(), name="cdas-rpc-reader"
+        self._reader_task: asyncio.Task[None] | None = (
+            asyncio.get_running_loop().create_task(
+                self._read_loop(), name="cdas-rpc-reader"
+            )
         )
 
     @property
@@ -195,11 +197,15 @@ class RpcClient:
 
     async def aclose(self) -> None:
         """Close the stream and cancel the reader (idempotent)."""
-        self._reader_task.cancel()
-        try:
-            await self._reader_task
-        except (asyncio.CancelledError, Exception):
-            pass
+        # Let go of the finished reader: a cancelled task may keep its
+        # CancelledError (3.10 does), whose traceback holds this client.
+        task, self._reader_task = self._reader_task, None
+        if task is not None:
+            task.cancel()
+            try:
+                await task
+            except (asyncio.CancelledError, Exception):
+                pass
         self._fail_pending()
         # Only the first call waits: one cancelled in wait_closed() took
         # the stream's close waiter with it, so a second wait would raise

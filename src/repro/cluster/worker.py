@@ -55,7 +55,7 @@ from repro.cluster.rpc import read_frame, write_frame
 from repro.cluster.workloads import WORKLOADS
 from repro.durability import codec as dcodec
 from repro.durability.journal import JournalFailed
-from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService
+from repro.engine.aio import AsyncQueryHandle, AsyncSchedulerService, weak_method
 from repro.engine.planner import PlanInfeasible
 from repro.engine.service import (
     TERMINAL_STATES,
@@ -98,7 +98,11 @@ def handle_snapshot(ahandle: AsyncQueryHandle) -> dict[str, Any]:
 
 
 class _Worker:
-    """Shard state: the service, its handles, and the push plumbing."""
+    """Shard state: the service, its handles, and the push plumbing.
+
+    The worker owns its service, so the driver hooks it installs there
+    hold it weakly (:func:`~repro.engine.aio.weak_method`).
+    """
 
     def __init__(self, shard: str, outbox: "asyncio.Queue[dict | None]") -> None:
         self.shard = shard
@@ -124,6 +128,10 @@ class _Worker:
         """Post a ``stats`` event (the ``stats`` request's answer)."""
         self.post({"event": "stats", "stats": self.stats()})
         return {"ok": True}
+
+    def _on_drain(self, _service: AsyncSchedulerService) -> None:
+        # The driver flushed the journal before draining.
+        self.send_stats()
 
     def _on_latch(self, ahandle: AsyncQueryHandle) -> None:
         """Send the ``terminal`` frame of a handle the driver just
@@ -226,9 +234,8 @@ class _Worker:
         # Adopts a recovered service's handles; its driver task runs only
         # after this handler returns, with the hooks below set.
         service = AsyncSchedulerService(inner, name=self.shard)
-        # The driver flushed the journal before draining.
-        service.on_drain = lambda _svc: self.send_stats()
-        service.on_latch = self._on_latch
+        service.on_drain = weak_method(self._on_drain)
+        service.on_latch = weak_method(self._on_latch)
         self.service = service
         for ahandle in service.handles:
             self._post_snapshot(ahandle)

@@ -32,6 +32,12 @@ front door (DESIGN.md §8); the split of responsibilities is strict:
   so K services make even progress; :attr:`ServiceMux.step_log` records
   the global interleaving for tests and dashboards.
 
+Ownership is acyclic (DESIGN.md §7): a service owns the handles it
+issued and a mux the services it holds, and nothing they own points back
+at them strongly — a handle holds its service weakly, and the mux's step
+hook appends to the log, not through the mux.  So a closed, dropped
+service is freed by reference counting with everything it built.
+
 Determinism is preserved by construction: each wrapped service performs
 exactly the same ``step()`` sequence it would under the blocking PR-2
 API (the drivers interleave *between* steps, never inside one), so
@@ -41,6 +47,7 @@ results gathered concurrently are bit-identical to sequential runs.
 from __future__ import annotations
 
 import asyncio
+import weakref
 from collections.abc import AsyncIterator, Callable, Iterable, Mapping
 from typing import Any
 
@@ -62,6 +69,7 @@ __all__ = [
     "ServiceMux",
     "DEFAULT_UPDATE_QUEUE",
     "state_counts",
+    "weak_method",
 ]
 
 #: Default bound on each update subscriber's pending-snapshot queue.
@@ -88,6 +96,24 @@ def state_counts(
     return states
 
 
+def weak_method(method: Callable[..., Any]) -> Callable[..., None]:
+    """``method`` as a callback that does not keep its object alive.
+
+    For a hook an object installs on something it owns (a driver's
+    observer, an RPC client's event handler), where a bound method would
+    close a reference cycle.  Once the object is gone the call does
+    nothing.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def call(*args: Any) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(*args)
+
+    return call
+
+
 class AsyncHandleBase:
     """The awaitable-handle body shared by local and remote query handles.
 
@@ -106,12 +132,17 @@ class AsyncHandleBase:
       :attr:`error_text` for a FAILED one;
     * who pumps the query: a local handle starts its service's driver, a
       remote one's shard runs its own.
+
+    The service owns its handles, so a handle holds it only weakly
+    (:attr:`_service` is ``None`` once it is gone).  Every read works
+    without it; what needs it — pumping, a cancel, a watch — falls back
+    to what a closed service would answer.
     """
 
     def __init__(
         self, service: Any, seq: int, job_name: str, query: Any, tenant: str
     ) -> None:
-        self._service = service
+        self._service_ref = weakref.ref(service)
         #: Submission ordinal within the service — stable across
         #: recovery; the gateway's public query ids are built from it.
         self.seq = seq
@@ -130,6 +161,11 @@ class AsyncHandleBase:
             f"subject={self.query.subject!r}, tenant={self.tenant!r}, "
             f"state={self.state.value!r})"
         )
+
+    @property
+    def _service(self) -> Any:
+        """The service that issued this handle, or ``None`` once dropped."""
+        return self._service_ref()
 
     # -- observation (sync, never awaits; supplied by the progress source) ---
 
@@ -357,9 +393,20 @@ class AsyncQueryHandle(AsyncHandleBase):
         return self.handle.progress()
 
     def _pump(self) -> None:
-        """Make sure the service's driver is pumping a live query."""
-        if not self.done:
-            self._service._ensure_driver()
+        """Make sure the service's driver is pumping a live query.  With
+        its service dropped, nothing can pump it again: strand it."""
+        if self.done:
+            return
+        service = self._service
+        if service is None:
+            self._strand(
+                RuntimeError(
+                    f"service dropped with query {self.query.subject!r} "
+                    f"{self.state.value}"
+                )
+            )
+        else:
+            service._ensure_driver()
 
     async def result(self, timeout: float | None = None) -> Any:
         self._pump()
@@ -393,7 +440,9 @@ class AsyncQueryHandle(AsyncHandleBase):
         cancelled = self.handle.cancel()
         if cancelled:
             self._publish()
-            self._service._wake.set()
+            service = self._service
+            if service is not None:
+                service._wake.set()
             # Let waiters observe the cancellation before we return.
             await asyncio.sleep(0)
         return cancelled
@@ -821,6 +870,9 @@ class ServiceMux:
         if service.name is None:
             service.name = name
         previous = service.on_step
+        # The hook appends to the log, not through the mux, which owns a
+        # service holding it.
+        step_log = self.step_log
 
         def record(
             svc: AsyncSchedulerService,
@@ -829,7 +881,7 @@ class ServiceMux:
         ) -> None:
             if _previous is not None:
                 _previous(svc)
-            self.step_log.append(_name)
+            step_log.append(_name)
 
         service.on_step = record
         self._services[name] = service

@@ -19,6 +19,7 @@ import asyncio
 
 import pytest
 from deadlines import wait_until
+from in_loop_shard import InLoopWorker
 
 from repro.amt.pool import PoolConfig, WorkerPool
 from repro.amt.trace import canonical_json
@@ -585,41 +586,12 @@ def test_gateway_polls_and_streams_current_progress(flavour):
     assert end == final["progress"]
 
 
-class _InLoopWorker:
-    """A stand-in for the router's worker launch (``_fork_worker``): runs
-    the worker's main coroutine on the shard's end of its socketpair as
-    a task on the running loop, so a test can read the shard's own
-    objects while the router talks to it over a real socket."""
-
-    def __init__(self, sock, shard: str) -> None:
-        import os
-
-        from repro.cluster import worker
-
-        self.task = asyncio.get_running_loop().create_task(
-            worker._amain(sock, shard)
-        )
-        self.pid = os.getpid()
-
-    def poll(self):
-        return 0 if self.task.done() else None
-
-    async def wait(self, timeout):
-        await asyncio.wait({self.task}, timeout=timeout)
-        return self.poll()
-
-    def send_signal(self, sig):
-        self.task.cancel()
-
-
 def test_router_metrics_are_the_shards_own(monkeypatch):
     """A ``/v1/metrics`` read through a router is the shard's own
     ``metrics_snapshot()`` at read time, plus ``alive``: once a poll
     reports the last submitted query running, no query reads ``queued``,
     although nobody polled the first two (their handle caches hold the
     submit-time state)."""
-    import gc
-
     import repro.cluster.router as router_module
     from repro.cluster import ShardRouter
     from repro.engine.aio import AsyncSchedulerService
@@ -635,7 +607,7 @@ def test_router_metrics_are_the_shards_own(monkeypatch):
         built.append(dict(snapshot))  # the worker adds ``idle`` to its own
         return snapshot
 
-    monkeypatch.setattr(router_module, "_fork_worker", _InLoopWorker)
+    monkeypatch.setattr(router_module, "_fork_worker", InLoopWorker)
     monkeypatch.setattr(AsyncSchedulerService, "metrics_snapshot", recorded)
     gold = generate_tweets(["gold-movie"], per_movie=8, seed=SEED + 1)
     many = generate_tweets(["rio"], per_movie=600, seed=SEED + 2)
@@ -674,9 +646,6 @@ def test_router_metrics_are_the_shards_own(monkeypatch):
             return metrics["services"]["shard0"], built[before:], health
 
     entry, built_since, health = asyncio.run(run())
-    # The in-loop shard's world is cyclic garbage now: free it here, not
-    # in a GC pause inside a later test's timing window.
-    gc.collect()
     assert "queued" not in entry["queries"]
     assert sum(entry["queries"].values()) == 3
     # The first entry the shard built after the poll is the one served.

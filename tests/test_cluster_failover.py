@@ -282,3 +282,24 @@ def test_router_aclose_settles_watch_calls(tmp_path):
     in_flight, pending = asyncio.run(run())
     assert all(task.done() for task in in_flight)
     assert pending == []
+
+
+def test_respawn_tasks_leave_the_router_when_done(tmp_path):
+    """A long-lived router keeps no finished respawn: after each of two
+    journaled kill→respawn cycles, no done task is left in its set."""
+
+    async def run():
+        async with ShardRouter(
+            1, workload="bench", seed=SEED, journal=str(tmp_path / "wal")
+        ) as router:
+            shard = router["shard0"]
+            for _ in range(2):
+                killed = router.kill_shard("shard0")
+                await wait_until(
+                    lambda: shard.alive and shard.pid != killed,
+                    what="the journaled shard's respawn",
+                )
+                await asyncio.gather(*router._tasks)
+                assert [task for task in router._tasks if task.done()] == []
+
+    asyncio.run(run())
