@@ -194,8 +194,11 @@ class RemoteQueryHandle(AsyncHandleBase):
         #: The shard forwards progress frames: a ``watch`` was answered
         #: and no ``unwatch`` was sent since.
         self._watched = False
-        #: The task bringing the shard's watch in line with ``_queues``.
-        self._watch_sync: asyncio.Task[None] | None = None
+        #: The task bringing the shard's watch in line with ``_queues``,
+        #: held weakly: the service's ``_watch_tasks`` owns it while it
+        #: runs, and a finished one (a cancelled task's traceback holds
+        #: this handle) must not stay.
+        self._watch_sync: weakref.ref[asyncio.Task[None]] | None = None
         if self._last.state in TERMINAL_STATES:
             self._terminal.set()
         elif self._error is not None:
@@ -486,37 +489,31 @@ class RemoteShardService:
         router = self.router
         if handle._terminal.is_set() or router is None or router._closing:
             return
-        task = handle._watch_sync
+        task = None if handle._watch_sync is None else handle._watch_sync()
         if task is not None and not task.done():
             return  # it re-checks the queues after its exchange
         task = asyncio.get_running_loop().create_task(
             self._watch_loop(handle), name=f"cdas-watch-{self.name}-{handle.seq}"
         )
-        handle._watch_sync = task
+        handle._watch_sync = weakref.ref(task)
         self._watch_tasks.add(task)
         task.add_done_callback(self._watch_tasks.discard)
 
     async def _watch_loop(self, handle: RemoteQueryHandle) -> None:
-        try:
-            while not handle._terminal.is_set():
-                want = bool(handle._queues)
-                if want == handle._watched:
-                    return
-                if not want:
-                    # Pushes stop being trusted once the unwatch is on its way.
-                    handle._watched = False
-                try:
-                    await self._call("watch" if want else "unwatch", seq=handle.seq)
-                except (ShardDied, RpcError):
-                    # A respawn re-watches; an abandoned shard fails the handle.
-                    return
-                # A watch's snapshot event was applied before the reply.
-                handle._watched = want
-        finally:
-            # The handle lets go of the finished exchange: a cancelled
-            # task may keep its traceback (3.10 does), which holds the
-            # handle.
-            handle._watch_sync = None
+        while not handle._terminal.is_set():
+            want = bool(handle._queues)
+            if want == handle._watched:
+                return
+            if not want:
+                # Pushes stop being trusted once the unwatch is on its way.
+                handle._watched = False
+            try:
+                await self._call("watch" if want else "unwatch", seq=handle.seq)
+            except (ShardDied, RpcError):
+                # A respawn re-watches; an abandoned shard fails the handle.
+                return
+            # A watch's snapshot event was applied before the reply.
+            handle._watched = want
 
     def _rewatch(self) -> None:
         """A respawned worker watches nothing: watch again every live

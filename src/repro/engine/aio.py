@@ -675,7 +675,10 @@ class AsyncSchedulerService:
         exactly as the sync service, including :class:`PlanInfeasible` on
         a refused ``plan=``); run as the driver pumps.  Callable from
         inside or outside a running loop; outside, the driver starts on
-        the first awaited operation."""
+        the first awaited operation.  A handle holds its service only
+        weakly, so the caller keeps the service until its queries
+        finish: a live handle whose service was dropped before its
+        driver started strands with :class:`RuntimeError`."""
         handle = self.service.submit(
             job_name,
             query,

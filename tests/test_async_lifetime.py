@@ -252,6 +252,23 @@ def test_a_live_handle_strands_when_its_service_is_dropped(small_pool):
 
     asyncio.run(run())
 
+    # Submitted outside a loop, a query has no driver task to keep its
+    # service alive: with only the handle kept, the first await strands.
+    service = _system(small_pool).async_service(max_in_flight=2)
+    handle = service.submit(
+        "twitter-sentiment", movie_query("solaris", 0.9), **_tsa("solaris")
+    )
+    ref = weakref.ref(service)
+    del service
+    assert ref() is None
+
+    async def await_alone():
+        with pytest.raises(RuntimeError, match="service dropped"):
+            await handle.result()
+
+    asyncio.run(await_alone())
+    assert handle.stranded is not None and not handle.done
+
 
 def test_a_remote_handle_outlives_its_router():
     async def run():
