@@ -10,7 +10,9 @@ and how many pairs the change won, then appends one row to
 nproc, Python version, seed, run length and those figures, with every
 pair's two values in run order and the side that ran first — a burst of
 host load shows as a run of pairs where both sides moved together, a
-lopsided change as one side moving alone.
+lopsided change as one side moving alone.  Each workload's row also
+keeps both sides' summed ``attempted`` and ``failed`` operation counts
+and their ``failed_frac``.
 
 Usage (from the checkout root; the parent is any second checkout, e.g. a
 ``git worktree`` of ``HEAD~1``)::
@@ -53,8 +55,11 @@ def commit_of(checkout: Path) -> str:
     return f"{sha}+dirty" if dirty else sha
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[str, float]:
-    """One untraced perfbench run; its end-to-end metric values."""
+def run_once(
+    checkout: Path, workload: str, seed: int, seconds: float
+) -> tuple[dict[str, float], int, int]:
+    """One untraced perfbench run: its end-to-end metric values and its
+    attempted and failed operation counts."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0",
@@ -68,7 +73,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict[s
     if proc.returncode != 0 or not payload.get("correct"):
         sys.stderr.write(proc.stdout + proc.stderr)
         raise SystemExit(f"{workload} run in {checkout} failed (exit {proc.returncode})")
-    return {name: m["value"] for name, m in payload["metrics"].items()}
+    values = {name: m["value"] for name, m in payload["metrics"].items()}
+    return values, int(payload["attempted"]), int(payload["failed"])
+
+
+def failures(counts: list[tuple[int, int]]) -> dict[str, float]:
+    """Summed ``(attempted, failed)`` counts of one side's runs."""
+    attempted = sum(a for a, _ in counts)
+    failed = sum(f for _, f in counts)
+    return {
+        "attempted": attempted,
+        "failed": failed,
+        "failed_frac": failed / attempted if attempted else 0.0,
+    }
 
 
 def summarise(values: list[float]) -> dict[str, float]:
@@ -166,17 +183,29 @@ def main(argv: list[str] | None = None) -> int:
     }
     for workload in args.workload or WORKLOADS:
         runs: dict[str, list[dict[str, float]]] = {"parent": [], "change": []}
+        counts: dict[str, list[tuple[int, int]]] = {"parent": [], "change": []}
         first: list[str] = []
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             first.append(order[0])
             for side in order:
                 checkout = parent if side == "parent" else change
-                runs[side].append(run_once(checkout, workload, args.seed, args.seconds))
+                values, attempted, failed = run_once(
+                    checkout, workload, args.seed, args.seconds
+                )
+                runs[side].append(values)
+                counts[side].append((attempted, failed))
             print(f"  {workload} pair {i + 1}/{args.pairs} done", file=sys.stderr)
         figures = compare(runs["parent"], runs["change"], declared, first)
         print_table(workload, figures)
         row["workloads"][workload] = figures
+        row.setdefault("failed", {})[workload] = {
+            side: failures(counts[side]) for side in ("parent", "change")
+        }
+        print("  failed_frac        " + "  ".join(
+            f"{side} {fig['failed']}/{fig['attempted']}"
+            for side, fig in row["failed"][workload].items()
+        ))
     if not args.no_append:
         append_row(row)
         print(f"appended a row to {HISTORY.name}")

@@ -68,3 +68,12 @@ def test_compare_keeps_every_pair_in_run_order():
             ],
         },
     }
+
+
+def test_failures_sum_each_sides_runs():
+    assert _history().failures([(40, 0), (38, 1), (42, 1)]) == {
+        "attempted": 120,
+        "failed": 2,
+        "failed_frac": 2 / 120,
+    }
+    assert _history().failures([(0, 0)])["failed_frac"] == 0.0
