@@ -21,8 +21,10 @@ Usage (from the checkout root; the parent is any second checkout, e.g. a
         --workload http_open --pairs 10 --seed 2012 --seconds 20
 
 Every run must print ``correct: true``; a failed or unparsable run stops
-the script before anything is appended.  ``perfbench/`` and
-``BENCHMARK.json`` are only read.
+the script before anything is appended.  A row names both sides'
+commits, so a checkout with uncommitted changes to tracked files is
+refused before anything runs, unless ``--no-append`` only prints the
+figures.  ``perfbench/`` and ``BENCHMARK.json`` are only read.
 """
 
 from __future__ import annotations
@@ -168,11 +170,20 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     parent, change = args.parent.resolve(), args.change.resolve()
+    commits = {"parent": commit_of(parent), "change": commit_of(change)}
+    dirty = [side for side, commit in commits.items() if commit.endswith("+dirty")]
+    if dirty and not args.no_append:
+        print(
+            f"the {' and '.join(dirty)} checkout has uncommitted changes, so a "
+            "row would not name the code it measured: commit them, or pass "
+            "--no-append",
+            file=sys.stderr,
+        )
+        return 2
     with open(change / "BENCHMARK.json", encoding="utf-8") as fh:
         declared = json.load(fh)["end_to_end"]
     row: dict[str, Any] = {
-        "parent": commit_of(parent),
-        "change": commit_of(change),
+        **commits,
         "nproc": nproc(),
         "python": platform.python_version(),
         "seed": args.seed,

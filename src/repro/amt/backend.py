@@ -134,6 +134,8 @@ class MarketBackend(Protocol):
     None`` across all their published HITs (same contract as the handle
     method, see :class:`HITHandle`); like there, it is optional so
     existing backends remain valid — probe with :func:`arrival_eta`.
+    A backend that keeps its handles may implement ``forget(hit_ids)``,
+    which a service calls with a released query's done HITs.
     """
 
     ledger: CostLedger

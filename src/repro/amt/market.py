@@ -39,6 +39,7 @@ protocol, never on this class.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Iterable
 from dataclasses import dataclass
 from operator import attrgetter
 
@@ -292,10 +293,9 @@ class SimulatedMarket:
         self.schedule = schedule if schedule is not None else PriceSchedule()
         self.latency = latency if latency is not None else LognormalLatency()
         self.ledger = CostLedger(schedule=self.schedule)
-        self._published: dict[str, PublishedHIT] = {}
-        # Open-HIT stack behind next_arrival_eta: a handle is popped (once,
-        # amortised O(1)) when observed done; ``done`` is monotone.
-        self._maybe_open: list[PublishedHIT] = []
+        # HIT id → handle, or ``None`` once forgotten: the id stays, so a
+        # republication still raises and ``published_hits`` still counts it.
+        self._published: dict[str, PublishedHIT | None] = {}
         # (clique, question_id) → the colluders' agreed digest value.
         self._colluder_digests: dict[tuple[int, str], int] = {}
         # (worker_id, topics tuple) → per-question topic accuracies.
@@ -316,6 +316,8 @@ class SimulatedMarket:
         return state
 
     def __setstate__(self, state: dict) -> None:
+        # A market pickled with its open-HIT stack drops it.
+        state.pop("_maybe_open", None)
         self.__dict__.update(state)
 
     # -- publishing ----------------------------------------------------------
@@ -368,13 +370,12 @@ class SimulatedMarket:
                 )
             )
         assignments.sort(key=_SUBMIT_KEY)
-        handle = PublishedHIT(
+        handle = self._published[hit_id] = PublishedHIT(
             hit=hit,
             workers=workers,
             _assignments=tuple(assignments),
             _ledger=self.ledger,
         )
-        self._register(handle)
         return handle
 
     def publish_reference(self, hit: HIT) -> PublishedHIT:
@@ -416,22 +417,17 @@ class SimulatedMarket:
             assignments.append(assignment)
 
         assignments.sort(key=lambda a: a.submit_time)
-        handle = PublishedHIT(
+        handle = self._published[hit.hit_id] = PublishedHIT(
             hit=hit,
             workers=workers,
             _assignments=tuple(assignments),
             _ledger=self.ledger,
         )
-        self._register(handle)
         return handle
 
     def publish_many(self, hits) -> list[PublishedHIT]:
         """Publish ``hits`` in order through :meth:`publish`."""
         return [self.publish(hit) for hit in hits]
-
-    def _register(self, handle: PublishedHIT) -> None:
-        self._published[handle.hit.hit_id] = handle
-        self._maybe_open.append(handle)
 
     def _colluder_row(self, meta: _HITMeta, clique: int) -> dict[str, str]:
         """The clique's agreed wrong answers — pure hashing, cached.
@@ -515,22 +511,33 @@ class SimulatedMarket:
         """``0.0`` while any published HIT still has submissions pending
         (virtual time — collectable immediately), else ``None``.
 
-        Amortised O(1): finished handles pop off the open stack exactly
-        once (``done`` is monotone), instead of rescanning every published
-        HIT per call.
+        Scans every handle not forgotten; the pump reads its handles'
+        ETAs (:class:`~repro.amt.backend.EventPump`), not this.
         """
-        maybe_open = self._maybe_open
-        while maybe_open:
-            if not maybe_open[-1].done:
+        for handle in self._published.values():
+            if handle is not None and not handle.done:
                 return 0.0
-            maybe_open.pop()
         return None
 
     def handle(self, hit_id: str) -> PublishedHIT:
-        try:
-            return self._published[hit_id]
-        except KeyError:
-            raise KeyError(f"HIT {hit_id!r} was never published") from None
+        handle = self._published.get(hit_id)
+        if handle is None:
+            fate = "forgotten" if hit_id in self._published else "never published"
+            raise KeyError(f"HIT {hit_id!r} was {fate}")
+        return handle
+
+    def forget(self, hit_ids: Iterable[str]) -> None:
+        """Let go of done HITs' handles, keeping only their ids.
+
+        A service calls this for a query it released (DESIGN.md §7): the
+        query's sessions, which held the handles, are gone, and nothing
+        reads them here.  :attr:`published_hits` still counts each HIT,
+        republishing its id still raises, and :meth:`handle` raises
+        ``KeyError`` for it.  The blocking paths never call this.
+        """
+        published = self._published
+        for hit_id in hit_ids:
+            published[hit_id] = None
 
     @property
     def published_hits(self) -> int:

@@ -1039,10 +1039,6 @@ class TraceReplayBackend:
 
     # -- completion ------------------------------------------------------------
 
-    @property
-    def replayed_publishes(self) -> int:
-        return self._next_publish
-
     def fingerprint(self) -> str:
         """Hex digest of the interactions actually replayed so far.
 

@@ -29,7 +29,7 @@ against ground truth from the outside.
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +50,13 @@ from repro.core.verification import (
 )
 from repro.engine.privacy import PrivacyManager
 
-__all__ = ["EngineConfig", "QuestionRecord", "HITRunResult", "CrowdsourcingEngine"]
+__all__ = [
+    "EngineConfig",
+    "QuestionRecord",
+    "HITRunResult",
+    "CrowdsourcingEngine",
+    "seal_records",
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,7 +126,13 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class QuestionRecord:
-    """Final state of one real (non-gold) question after a HIT run."""
+    """Final state of one real (non-gold) question after a HIT run.
+
+    ``observation`` is the evidence the verdict was drawn from.  A
+    service seals a finished query's records (:func:`seal_records`):
+    they keep the question and the verdict's answer, confidence and
+    method, and read ``observation == ()`` and ``verdict.scores == {}``.
+    """
 
     question: Question
     verdict: Verdict
@@ -141,6 +153,26 @@ class QuestionRecord:
             accepted=self.verdict.answer is not None,
             observation=self.observation,
         )
+
+
+#: The ``scores`` every sealed verdict shares; like every verdict field,
+#: read-only.
+_SEALED_SCORES: Mapping[str, float] = {}
+
+
+def seal_records(records: Iterable[QuestionRecord]) -> None:
+    """Drop each record's evidence in place: its ``observation`` and its
+    verdict's ``scores``.
+
+    What stays is what a finished query's readers use: the question and
+    the verdict's answer, confidence and method (``correct``,
+    ``outcome()`` and the result summaries read nothing else).  In place,
+    because the records are shared by the result's ``records`` and its
+    ``hit_results``.
+    """
+    for record in records:
+        object.__setattr__(record, "observation", ())
+        object.__setattr__(record.verdict, "scores", _SEALED_SCORES)
 
 
 @dataclass(frozen=True)

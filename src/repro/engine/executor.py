@@ -13,11 +13,9 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import TypeVar
 
-from repro.amt.hit import Question
 from repro.core.domain import AnswerDomain
 from repro.core.presentation import OpinionReport, QuestionOutcome, build_report
 from repro.engine.query import Query
-from repro.engine.scheduler import BatchSink, SessionGroup
 
 __all__ = ["ProgramExecutor", "batched"]
 
@@ -66,40 +64,6 @@ class ProgramExecutor:
     ) -> Iterator[list[T]]:
         """Filter then batch — the executor→engine hand-off of Algorithm 1."""
         return batched(self.filter_stream(items, query), batch_size)
-
-    def submit_stream(
-        self,
-        sink: BatchSink,
-        items: Iterable[T],
-        query: Query,
-        to_question: Callable[[T], Question],
-        *,
-        batch_size: int,
-        gold_pool: Sequence[Question] = (),
-        worker_count: int | None = None,
-    ) -> SessionGroup:
-        """Feed the filtered stream to a scheduler or service *incrementally*.
-
-        Instead of materialising every batch up front (the old
-        ``for batch in buffer_batches(...): engine.run_batch(batch)`` shape),
-        this registers a lazy :class:`BatchSpec` source on any
-        :class:`BatchSink`: the sink pulls — and only then materialises —
-        the next batch when a publish slot frees up, so an unbounded stream
-        never sits buffered in memory and up to ``max_in_flight`` batches
-        crowd-source concurrently.
-
-        Returns the :class:`SessionGroup` whose results (available once the
-        sink has run) feed :meth:`summarize`.
-        """
-        return sink.add_batches(
-            (
-                [to_question(item) for item in batch]
-                for batch in self.buffer_batches(items, query, batch_size)
-            ),
-            required_accuracy=query.required_accuracy,
-            gold_pool=gold_pool,
-            worker_count=worker_count,
-        )
 
     def summarize(
         self,

@@ -57,7 +57,7 @@ import time
 import weakref
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import TYPE_CHECKING, Any
 
@@ -377,6 +377,11 @@ class _QueryRecord:
         self.groups = [entry.group for entry in sources]
         self.finalize = finalize
         self.query_plan = query_plan
+        #: Whether :attr:`query_plan` is the service's own projection
+        #: (auto-planned or resolved from :attr:`plan_args`), not one the
+        #: caller passed in: a terminal record swaps its own for a copy
+        #: without job inputs.
+        self.plan_owned = False
         #: Deferred auto-plan for plan-less submissions: the
         #: ``(job_name, query, plan kwargs)`` that :meth:`SchedulerService.plan`
         #: is called with, once, on the first ``QueryHandle.plan`` read
@@ -430,6 +435,7 @@ class _QueryRecord:
         # stripped (``None``); the arguments are gone with it.
         state.pop("plan_thunk", None)
         state.setdefault("plan_args", None)
+        state.setdefault("plan_owned", False)
         state.setdefault("_sealed", _SealedPrefix())
         state.setdefault("_first_unsealed", 0)
         self.__dict__.update(state)
@@ -579,7 +585,10 @@ class _QueryRecord:
         :meth:`QueryHandle.progress` and :meth:`spend` go on reading the
         same values from the aggregate alone; then the sessions, their
         groups, the batch sources and the ``finalize`` closure are
-        dropped.  Returns the dropped sessions.
+        dropped.  A result that can ``seal()`` keeps its verdicts
+        without their evidence, and the service's own plan its
+        projection without the job inputs.  Returns the dropped
+        sessions.
         """
         prefix = self.sealed_prefix(ledger)
         sessions = self.sessions
@@ -588,7 +597,21 @@ class _QueryRecord:
         self.sessions = self.groups = ()
         self.sources = ()
         self.finalize = None
+        seal = getattr(self.result_value, "seal", None)
+        if seal is not None:
+            seal()
+        self.drop_plan_inputs()
         return sessions
+
+    def drop_plan_inputs(self) -> None:
+        """Swap the service's own plan for a copy without job inputs.
+
+        A copy, so that a plan a reader took from ``handle.plan`` earlier
+        keeps its inputs.  A plan the caller passed in stays as given.
+        """
+        plan = self.query_plan
+        if self.plan_owned and plan is not None and plan.job_inputs:
+            self.query_plan = replace(plan, job_inputs={})
 
     @property
     def work_done(self) -> bool:
@@ -897,6 +920,9 @@ class QueryHandle:
                 record.query_plan = self._service.plan(job_name, query, **kwargs)
             except Exception:
                 record.query_plan = None
+            record.plan_owned = True
+            if record.state in TERMINAL_STATES:
+                record.drop_plan_inputs()
         return record.query_plan
 
     @property
@@ -1314,6 +1340,7 @@ class SchedulerService:
                     **job_inputs,
                 ),
                 reserve=True,
+                owned=True,
             )
         if plan is not None:
             if (
@@ -1384,8 +1411,11 @@ class SchedulerService:
         if priority is not None and priority <= 0:
             raise ValueError(f"priority must be positive, got {priority}")
 
-    def _submit_plan(self, qplan: QueryPlan, reserve: bool) -> QueryHandle:
-        """Execute a :class:`QueryPlan`: reserve, then hand to the pump."""
+    def _submit_plan(
+        self, qplan: QueryPlan, reserve: bool, owned: bool = False
+    ) -> QueryHandle:
+        """Execute a :class:`QueryPlan`: reserve, then hand to the pump.
+        ``owned`` marks a plan the service projected itself."""
         job_name = qplan.job_name
         self._validate_request(job_name, qplan.budget, qplan.priority)
         policy = self.admission.tenant(qplan.tenant)
@@ -1422,6 +1452,7 @@ class SchedulerService:
             query_plan=qplan,
             reserve=reserve,
         )
+        record.plan_owned = owned
         record.observer = self.observer
         if decision is not None:
             record.reserved = decision.upfront
@@ -1617,8 +1648,14 @@ class SchedulerService:
 
     def _release(self, record: _QueryRecord) -> None:
         """Drop a terminal query's sessions from its record and from the
-        scheduler: readers keep state, progress, spend and the result."""
-        self.scheduler.forget(record.release(self.engine.market.ledger))
+        scheduler, and its HITs from a market that can forget them:
+        readers keep state, progress, spend and the sealed result."""
+        market = self.engine.market
+        sessions = record.release(market.ledger)
+        self.scheduler.forget(sessions)
+        forget = getattr(market, "forget", None)
+        if forget is not None:
+            forget([session.hit_id for session in sessions])
 
     def _complete(self, record: _QueryRecord) -> None:
         """Assemble a finished query's result (or its failure)."""

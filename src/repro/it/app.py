@@ -15,7 +15,12 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.engine.engine import CrowdsourcingEngine, HITRunResult, QuestionRecord
+from repro.engine.engine import (
+    CrowdsourcingEngine,
+    HITRunResult,
+    QuestionRecord,
+    seal_records,
+)
 from repro.engine.jobs import JobSpec
 from repro.engine.planner import Projection, ceil_div
 from repro.engine.scheduler import BatchSink, HITScheduler, SessionGroup
@@ -55,6 +60,10 @@ class ITResult:
     images: tuple[SyntheticImage, ...]
     records: tuple[QuestionRecord, ...]
     hit_results: tuple[HITRunResult, ...]
+
+    def seal(self) -> None:
+        """Keep the verdicts, drop their evidence (:func:`seal_records`)."""
+        seal_records(self.records)
 
     @property
     def decision_accuracy(self) -> float:

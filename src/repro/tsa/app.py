@@ -13,7 +13,12 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from repro.core.presentation import OpinionReport
-from repro.engine.engine import CrowdsourcingEngine, HITRunResult, QuestionRecord
+from repro.engine.engine import (
+    CrowdsourcingEngine,
+    HITRunResult,
+    QuestionRecord,
+    seal_records,
+)
 from repro.engine.executor import ProgramExecutor, batched
 from repro.engine.jobs import JobSpec
 from repro.engine.planner import Projection, ceil_div, window_cost
@@ -83,7 +88,8 @@ class TSAResult:
     report:
         The §4.3 opinion summary (percentages + reasons).
     records:
-        Per-tweet verdicts with their backing observations.
+        Per-tweet verdicts with their backing observations (without them
+        once :meth:`seal` ran).
     hit_results:
         The engine-level result of every HIT the query ran.
     """
@@ -91,6 +97,10 @@ class TSAResult:
     report: OpinionReport
     records: tuple[QuestionRecord, ...]
     hit_results: tuple[HITRunResult, ...]
+
+    def seal(self) -> None:
+        """Keep the verdicts, drop their evidence (:func:`seal_records`)."""
+        seal_records(self.records)
 
     @property
     def accuracy(self) -> float:

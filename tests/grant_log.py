@@ -6,11 +6,16 @@ a finished query's sessions holds them itself: :class:`GrantLog` sits in
 the service's lifecycle-observer seat, keeps each granted session under
 its query's seq, and forwards every hook to the observer it replaced (a
 journaled service's), so the journal is written exactly as without it.
+
+The release also seals the query's result, in place, and the sessions'
+HIT results share its records: a test that compares the evidence
+(observations, verdict scores) reads it at completion, before the
+release, as :class:`EvidenceLog` does.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from typing import Any
 
@@ -57,19 +62,42 @@ class GrantLog:
             self._inner.on_reserve(record, amount)
 
 
+class EvidenceLog(GrantLog):
+    """A grant log that also applies ``fingerprint`` to each of a query's
+    HIT results as the query completes, while they still hold their
+    evidence."""
+
+    def __init__(self, service: Any, fingerprint: Callable[[Any], Any]) -> None:
+        super().__init__(service)
+        self.fingerprint = fingerprint
+        self.evidence: dict[int, list[Any]] = {}
+
+    def on_complete(self, record: Any) -> None:
+        self.evidence[record.seq] = [
+            self.fingerprint(s.result)
+            for s in self.of(record.seq)
+            if s.result is not None
+        ]
+        super().on_complete(record)
+
+
 @contextmanager
-def services_logged() -> Iterator[None]:
+def services_logged(
+    log: Callable[[Any], GrantLog] = GrantLog,
+) -> Iterator[list[GrantLog]]:
     """While open, every service a system builds — through
-    ``CDAS.service`` or ``recover()`` — gets a :class:`GrantLog` before
-    its first submit or replayed grant.  A recovered service's log starts
-    with the sessions its snapshot restored to each query (none for a
-    query already terminal in the snapshot)."""
+    ``CDAS.service`` or ``recover()`` — gets a grant log (``log(service)``)
+    before its first submit or replayed grant; the context yields every
+    log made, in build order.  A recovered service's log starts with the
+    sessions its snapshot restored to each query (none for a query
+    already terminal in the snapshot)."""
     build = CDAS._build_service
     install = recovery.install_snapshot
+    logs: list[GrantLog] = []
 
     def logged(self: CDAS, *args: Any, **kwargs: Any) -> Any:
         service = build(self, *args, **kwargs)
-        GrantLog(service)
+        logs.append(log(service))
         return service
 
     def seeded(durable: Any, *args: Any) -> None:
@@ -80,4 +108,4 @@ def services_logged() -> Iterator[None]:
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(CDAS, "_build_service", logged)
         patch.setattr(recovery, "install_snapshot", seeded)
-        yield
+        yield logs

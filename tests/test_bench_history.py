@@ -3,13 +3,19 @@
 A row keeps, per metric, both sides' median and quartiles and the pair
 wins, and every pair's two values in run order with the side that ran
 first, so a reader can tell a burst of host load (both sides of a pair
-moving together) from a lopsided change after the fact.
+moving together) from a lopsided change after the fact.  A row names
+the commits it measured, so a checkout with uncommitted changes is
+refused.
 """
 
 from __future__ import annotations
 
 import importlib.util
+import shutil
+import subprocess
 from pathlib import Path
+
+import pytest
 
 HISTORY = Path(__file__).resolve().parent.parent / "benchmarks" / "history.py"
 
@@ -77,3 +83,38 @@ def test_failures_sum_each_sides_runs():
         "failed_frac": 2 / 120,
     }
     assert _history().failures([(0, 0)])["failed_frac"] == 0.0
+
+
+def _git(repo: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-c", "user.name=bench", "-c", "user.email=bench@example.org", *args],
+        cwd=repo, check=True, capture_output=True, text=True,
+    ).stdout.strip()
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="needs git")
+def test_a_checkout_with_uncommitted_changes_appends_no_row(tmp_path, capsys):
+    history = _history()
+    repos = {}
+    for side in ("parent", "change"):
+        repo = repos[side] = tmp_path / side
+        repo.mkdir()
+        _git(repo, "init", "-q")
+        (repo / "code.py").write_text("A = 1\n")
+        _git(repo, "add", "code.py")
+        _git(repo, "commit", "-q", "-m", "code")
+    sha = _git(repos["change"], "rev-parse", "HEAD")
+    assert history.commit_of(repos["change"]) == sha
+    (repos["change"] / "untracked.txt").write_text("scratch\n")
+    assert history.commit_of(repos["change"]) == sha
+    (repos["change"] / "code.py").write_text("A = 2\n")
+    assert history.commit_of(repos["change"]) == f"{sha}+dirty"
+
+    rows = history.HISTORY.read_bytes() if history.HISTORY.is_file() else None
+    clean, dirty = str(repos["parent"]), str(repos["change"])
+    assert history.main(["--parent", clean, "--change", dirty]) == 2
+    assert "the change checkout has uncommitted" in capsys.readouterr().err
+    assert history.main(["--parent", dirty, "--change", clean]) == 2
+    assert "the parent checkout has uncommitted" in capsys.readouterr().err
+    after = history.HISTORY.read_bytes() if history.HISTORY.is_file() else None
+    assert after == rows

@@ -8,10 +8,12 @@ deterministically for a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
 import pytest
+from grant_log import EvidenceLog, services_logged
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -562,29 +564,47 @@ class TestSubmitMany:
         tweets, gold = self._tweets_and_gold(seed=9)
         query = movie_query("alpha", 0.9)
 
-        serial = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=41), seed=41)
-        serial_result = serial.submit(
-            "twitter-sentiment",
-            query,
-            tweets=tweets,
-            gold_tweets=gold,
-            worker_count=5,
-        )
+        # Each service seals its finished query's records, so the
+        # evidence is compared as each query completes.
+        with services_logged(
+            functools.partial(EvidenceLog, fingerprint=_result_fingerprint)
+        ) as logs:
+            serial = CDAS.with_default_jobs(
+                SimulatedMarket(small_pool, seed=41), seed=41
+            )
+            serial_result = serial.submit(
+                "twitter-sentiment",
+                query,
+                tweets=tweets,
+                gold_tweets=gold,
+                worker_count=5,
+            )
 
-        shared = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=41), seed=41)
-        (many_result,) = shared.submit_many(
-            [
-                (
-                    "twitter-sentiment",
-                    query,
-                    {"tweets": tweets, "gold_tweets": gold, "worker_count": 5},
-                )
-            ],
-            max_in_flight=1,
-        )
+            shared = CDAS.with_default_jobs(
+                SimulatedMarket(small_pool, seed=41), seed=41
+            )
+            (many_result,) = shared.submit_many(
+                [
+                    (
+                        "twitter-sentiment",
+                        query,
+                        {"tweets": tweets, "gold_tweets": gold, "worker_count": 5},
+                    )
+                ],
+                max_in_flight=1,
+            )
+        serial_log, many_log = logs
+        (evidence,) = serial_log.evidence.values()
+        records = [r for fingerprint in evidence for r in fingerprint[-1]]
+        assert records and all(scores and votes for *_, scores, votes in records)
+        assert serial_log.evidence == many_log.evidence
         assert [_result_fingerprint(r) for r in serial_result.hit_results] == [
             _result_fingerprint(r) for r in many_result.hit_results
         ]
+        assert all(
+            r.observation == () and r.verdict.scores == {}
+            for r in serial_result.records
+        )
         assert serial_result.report == many_result.report
         assert serial.total_cost == shared.total_cost
 

@@ -5,17 +5,20 @@ keeps of a finished one has to stay small.  Once a query is terminal —
 DONE, FAILED, or CANCELLED with its forfeited HITs sealed — its record
 keeps state, progress, spend and the result, and drops its sessions
 (with their tracked aggregators, trajectories, arrival logs and HIT
-questions); the scheduler stops listing them too.
+questions); the scheduler stops listing them too.  The result keeps its
+verdicts without their evidence, the service's own plan drops its job
+inputs, and the market forgets the query's HITs.
 
 The traffic here has the gateway's shape: queries arrive in waves while
 others run, and every live handle's ``progress()`` is read between
 steps, as the poll route reads it, so tracked sessions build and feed
-their aggregators.  Both checks run with the cyclic collector off: what
+their aggregators.  The checks run with the cyclic collector off: what
 outlives a query is held by something live, not by a cycle.
 """
 
 from __future__ import annotations
 
+import asyncio
 import dataclasses
 import gc
 import pickle
@@ -25,21 +28,38 @@ import weakref
 import pytest
 from grant_log import GrantLog
 
+from repro.amt.hit import HIT
 from repro.amt.market import SimulatedMarket
-from repro.durability import DurableSchedulerService, outcome_digest, recover
+from repro.durability import DurableSchedulerService, codec, outcome_digest, recover
 from repro.engine.scheduler import HITScheduler
 from repro.engine.service import TERMINAL_STATES, QueryState
+from repro.gateway import InProcessClient
+from repro.scenarios import result_summary
 from repro.system import CDAS, _tsa_submitter
-from repro.tsa.app import build_tsa_spec, movie_query
+from repro.tsa.app import TSAResult, build_tsa_spec, movie_query
 from repro.tsa.stream import TweetStream
 from repro.tsa.tweets import generate_tweets, tweet_to_question
 
 SEED = 2012
 
-#: Bytes a finished query of :func:`_wave` may leave behind.  Its record,
-#: verdicts and result take about 23 KB; keeping its read sessions as well
-#: (aggregators, trajectories, fold logs, HIT questions) took about 61 KB.
-RETAINED_PER_QUERY = 35_000
+#: Bytes a finished query of :func:`_wave` may leave behind.  Its record
+#: and its sealed result take about 14 KB, or 21 KB after the whole suite
+#: ran in the same process; keeping the verdicts' evidence and the
+#: market's HITs as well took about 23 KB (28 KB), and keeping its read
+#: sessions too (aggregators, trajectories, fold logs, HIT questions)
+#: about 61 KB.
+RETAINED_PER_QUERY = 26_000
+
+#: One wave of gateway traffic: http_open's mix of query sizes in small,
+#: as ``(tweets, cancelled right after its submit)``.
+GATEWAY_WAVE = ((60, False), (60, False), (300, False), (60, False), (60, True))
+
+#: Bytes a finished query of a :data:`GATEWAY_WAVE` may leave behind.
+#: About 72 KB are its record, its sealed result (questions and
+#: verdicts) and the async and journal layers' bookkeeping; keeping the
+#: verdicts' evidence, its plan's decoded tweets and the market's HITs
+#: as well took about 178 KB.
+GATEWAY_RETAINED_PER_QUERY = 100_000
 
 
 @pytest.fixture(autouse=True)
@@ -138,6 +158,178 @@ def test_a_finished_query_leaves_a_bounded_footprint(small_pool):
         if not tracing:
             tracemalloc.stop()
     assert grown / finished < RETAINED_PER_QUERY, grown / finished
+
+
+def test_a_gateway_query_leaves_a_bounded_footprint(small_pool, tmp_path):
+    """Waves of gateway traffic through a journaled service: every
+    request body is decoded afresh, so each query holds its own tweets,
+    as in a server."""
+    app = _system(small_pool).gateway(
+        {"acme-token": "acme"}, name="svc", max_in_flight=4,
+        journal=tmp_path / "gateway.journal.jsonl",
+    )
+    service = app.mux["svc"]
+    service.register_tenant("acme")
+    gold = codec.encode(generate_tweets(["gold-movie"], per_movie=10, seed=SEED + 1))
+    bodies = [
+        {
+            "job": "twitter-sentiment",
+            "query": codec.encode(movie_query("rio", 0.9)),
+            "inputs": {
+                "tweets": codec.encode(
+                    generate_tweets(["rio"], per_movie=size, seed=SEED + index)
+                ),
+                "gold_tweets": gold,
+                "worker_count": 5,
+                "batch_size": 6,
+            },
+        }
+        for index, (size, _) in enumerate(GATEWAY_WAVE)
+    ]
+
+    async def wave(client) -> int:
+        """Submit a wave (cancelling as it says), then poll every query
+        to its terminal state."""
+        polling = []
+        for body, (_, cancel) in zip(bodies, GATEWAY_WAVE):
+            response = await client.post("/v1/queries", body)
+            assert response.status == 201, response.body
+            query_id = response.json()["id"]
+            if cancel:
+                assert (await client.delete(f"/v1/queries/{query_id}")).status == 200
+            polling.append(query_id)
+        states = []
+        while polling:
+            await asyncio.sleep(0)
+            for query_id in list(polling):
+                state = (await client.get(f"/v1/queries/{query_id}")).json()
+                if state["progress"]["state"] in ("done", "cancelled", "failed"):
+                    states.append(state["progress"]["state"])
+                    polling.remove(query_id)
+        assert sorted(states) == ["cancelled"] + ["done"] * (len(bodies) - 1)
+        return len(states)
+
+    async def run() -> float:
+        client = InProcessClient(app, token="acme-token")
+        await wave(client)  # warm every cache first
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            await wave(client)
+            before = tracemalloc.get_traced_memory()[0]
+            finished = 0
+            for _ in range(3):
+                finished += await wave(client)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        await service.aclose()
+        service.service.close()
+        return grown / finished
+
+    retained = asyncio.run(run())
+    assert retained < GATEWAY_RETAINED_PER_QUERY, retained
+
+
+def _evidence(result) -> list:
+    """Each record's verdict and the evidence behind it."""
+    return [
+        (
+            r.question.question_id, r.verdict.answer, r.verdict.confidence,
+            r.verdict.method, dict(r.verdict.scores), r.observation,
+        )
+        for r in result.records
+    ]
+
+
+class _Completions(GrantLog):
+    """Each DONE query's result summary and evidence, read as the query
+    completes: before the service releases it."""
+
+    def __init__(self, service) -> None:
+        super().__init__(service)
+        self.seen: dict[int, tuple] = {}
+
+    def on_complete(self, record) -> None:
+        if record.result_value is not None:
+            self.seen[record.seq] = (
+                result_summary(record.result_value), _evidence(record.result_value),
+            )
+        super().on_complete(record)
+
+
+def test_a_released_query_keeps_its_verdicts_not_their_evidence(small_pool):
+    service = _system(small_pool).service(max_in_flight=4)
+    completions = _Completions(service)
+    inputs = _Inputs()
+    handles = _wave(service, inputs)
+    auto = service.submit(
+        "twitter-sentiment", movie_query("rio", 0.9), reserve=True,
+        tweets=inputs.tweets["rio"], gold_tweets=inputs.gold,
+        worker_count=5, batch_size=4,
+    )
+    own_plan = service.plan(
+        "twitter-sentiment", movie_query("solaris", 0.9),
+        tweets=inputs.tweets["solaris"], gold_tweets=inputs.gold,
+        worker_count=5, batch_size=4,
+    )
+    planned = service.submit(plan=own_plan)
+    early_plan = auto.plan
+    service.run_until_idle()
+    for handle in [*handles[:2], auto, planned]:
+        summary, evidence = completions.seen[handle.seq]
+        assert all(votes and scores for *_, scores, votes in evidence)
+        result = handle.result()
+        assert result_summary(result) == summary
+        assert [
+            (r.question.question_id, r.verdict.answer, r.verdict.confidence,
+             r.verdict.method)
+            for r in result.records
+        ] == [fields[:4] for fields in evidence]
+        assert all(r.observation == () and r.verdict.scores == {} for r in result.records)
+        assert all(r.records for r in result.hit_results)
+        assert result.accuracy == sum(
+            answer == record.question.truth
+            for (_, answer, *_), record in zip(evidence, result.records)
+        ) / len(evidence)
+    # The service's own plan drops the decoded tweets; a plan read
+    # earlier, and one the caller passed in, keep them.
+    assert auto.plan.job_inputs == {} and auto.plan.to_dict() == early_plan.to_dict()
+    assert early_plan.job_inputs["tweets"] is inputs.tweets["rio"]
+    assert planned.plan is own_plan and own_plan.job_inputs
+    # A plan-less query's lazy plan, first read after its release, too.
+    assert handles[0].plan.job_inputs == {}
+
+
+def test_the_market_forgets_the_hits_of_a_released_query(small_pool, monkeypatch):
+    service = _system(small_pool).service(max_in_flight=4)
+    market = service.engine.market
+    remembered = [h for h in market._published.values() if h is not None]
+    published: dict[str, weakref.ref] = {}
+    publish = SimulatedMarket.publish
+
+    def tracked(market, hit):
+        handle = publish(market, hit)
+        published[hit.hit_id] = weakref.ref(handle)
+        return handle
+
+    monkeypatch.setattr(SimulatedMarket, "publish", tracked)
+    inputs = _Inputs()
+    for _ in range(3):
+        _wave(service, inputs)
+        assert published and all(ref() is None for ref in published.values())
+        assert market.published_hits == len(remembered) + len(published)
+        assert [h for h in market._published.values() if h is not None] == remembered
+        assert market.next_arrival_eta() is None
+    hit_id = next(iter(published))
+    with pytest.raises(KeyError, match="forgotten"):
+        market.handle(hit_id)
+    question = tweet_to_question(inputs.tweets["rio"][0])
+    with pytest.raises(ValueError, match="already published"):
+        market.publish(HIT(hit_id=hit_id, questions=(question,), assignments=1))
+    assert market.published_hits == len(remembered) + len(published)
 
 
 class _GrantRefs(GrantLog):
@@ -256,6 +448,26 @@ def test_a_snapshot_of_released_records_recovers(small_pool, tmp_path):
     assert all(r.sessions == () and r.groups == () for r in terminal)
     assert len(active) == 1 and active[0].sessions
     assert list(state["scheduler"].sessions) == list(active[0].sessions)
+    _recovers_to(path, small_pool, service)
+
+
+def test_a_snapshot_that_kept_unsealed_results_still_recovers(
+    small_pool, tmp_path, monkeypatch
+):
+    """Snapshots written before a released query let go of its evidence,
+    its plan's inputs and its market HITs hold all three.  They recover
+    to the same outcome digest."""
+    path = tmp_path / "old.journal.jsonl"
+    with monkeypatch.context() as patch:
+        patch.setattr(TSAResult, "seal", lambda self: None)
+        patch.setattr(SimulatedMarket, "forget", lambda self, hit_ids: None)
+        service = _run_with_a_snapshot(small_pool, path)
+    state = _snapshot_state(path)
+    done = [r for r in state["records"] if r.state is QueryState.DONE]
+    assert done and all(
+        r.observation for rec in done for r in rec.result_value.records
+    )
+    assert all(h is not None for h in state["engine"].market._published.values())
     _recovers_to(path, small_pool, service)
 
 
