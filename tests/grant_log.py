@@ -63,21 +63,16 @@ class GrantLog:
 
 
 class EvidenceLog(GrantLog):
-    """A grant log that also applies ``fingerprint`` to each of a query's
-    HIT results as the query completes, while they still hold their
-    evidence."""
+    """A grant log that also keeps ``fingerprint(record)`` of each query
+    as it completes, while its result still holds its evidence."""
 
     def __init__(self, service: Any, fingerprint: Callable[[Any], Any]) -> None:
         super().__init__(service)
         self.fingerprint = fingerprint
-        self.evidence: dict[int, list[Any]] = {}
+        self.evidence: dict[int, Any] = {}
 
     def on_complete(self, record: Any) -> None:
-        self.evidence[record.seq] = [
-            self.fingerprint(s.result)
-            for s in self.of(record.seq)
-            if s.result is not None
-        ]
+        self.evidence[record.seq] = self.fingerprint(record)
         super().on_complete(record)
 
 

@@ -566,12 +566,11 @@ class TestSubmitMany:
 
         # Each service seals its finished query's records, so the
         # evidence is compared as each query completes.
-        with services_logged(
-            functools.partial(EvidenceLog, fingerprint=_result_fingerprint)
-        ) as logs:
-            serial = CDAS.with_default_jobs(
-                SimulatedMarket(small_pool, seed=41), seed=41
-            )
+        def hits(record):
+            return [_result_fingerprint(h) for h in record.result_value.hit_results]
+
+        with services_logged(functools.partial(EvidenceLog, fingerprint=hits)) as logs:
+            serial = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=41), seed=41)
             serial_result = serial.submit(
                 "twitter-sentiment",
                 query,
@@ -580,9 +579,7 @@ class TestSubmitMany:
                 worker_count=5,
             )
 
-            shared = CDAS.with_default_jobs(
-                SimulatedMarket(small_pool, seed=41), seed=41
-            )
+            shared = CDAS.with_default_jobs(SimulatedMarket(small_pool, seed=41), seed=41)
             (many_result,) = shared.submit_many(
                 [
                     (

@@ -26,7 +26,7 @@ import tracemalloc
 import weakref
 
 import pytest
-from grant_log import GrantLog
+from grant_log import EvidenceLog, GrantLog
 
 from repro.amt.hit import HIT
 from repro.amt.market import SimulatedMarket
@@ -244,25 +244,16 @@ def _evidence(result) -> list:
     ]
 
 
-class _Completions(GrantLog):
-    """Each DONE query's result summary and evidence, read as the query
-    completes: before the service releases it."""
-
-    def __init__(self, service) -> None:
-        super().__init__(service)
-        self.seen: dict[int, tuple] = {}
-
-    def on_complete(self, record) -> None:
-        if record.result_value is not None:
-            self.seen[record.seq] = (
-                result_summary(record.result_value), _evidence(record.result_value),
-            )
-        super().on_complete(record)
+def _summary_and_evidence(record) -> tuple | None:
+    """A DONE query's result summary and evidence, read as it completes:
+    before the service releases it."""
+    result = record.result_value
+    return None if result is None else (result_summary(result), _evidence(result))
 
 
 def test_a_released_query_keeps_its_verdicts_not_their_evidence(small_pool):
     service = _system(small_pool).service(max_in_flight=4)
-    completions = _Completions(service)
+    completions = EvidenceLog(service, _summary_and_evidence)
     inputs = _Inputs()
     handles = _wave(service, inputs)
     auto = service.submit(
@@ -279,7 +270,7 @@ def test_a_released_query_keeps_its_verdicts_not_their_evidence(small_pool):
     early_plan = auto.plan
     service.run_until_idle()
     for handle in [*handles[:2], auto, planned]:
-        summary, evidence = completions.seen[handle.seq]
+        summary, evidence = completions.evidence[handle.seq]
         assert all(votes and scores for *_, scores, votes in evidence)
         result = handle.result()
         assert result_summary(result) == summary
